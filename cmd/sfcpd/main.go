@@ -1,8 +1,11 @@
 // Command sfcpd serves single function coarsest partition solving over
-// HTTP. Each request's algorithm is resolved by the adaptive planner
-// ("auto" picks a concrete solver per instance); instances are scheduled
-// onto bounded per-algorithm worker pools and results are cached by
-// (resolved algorithm, seed, instance digest).
+// HTTP. Every solve — synchronous, batched or async — runs four stages:
+// resolve (the adaptive planner picks a concrete solver per instance for
+// "auto"), lookup (results are cached by resolved algorithm, seed and
+// instance digest, in RAM and, with -data-dir, on disk), execute (small
+// linear solves are coalesced, the rest scheduled onto bounded
+// per-algorithm worker pools) and fill (metrics, cache, write-through).
+// Every response reports its own request's plan, cache hits included.
 //
 // Endpoints:
 //
@@ -30,7 +33,7 @@
 //	sfcpd [-addr :8080] [-pool-workers 2] [-queue 8] [-cache 1024]
 //	      [-cache-bytes 0] [-max-n 1048576] [-max-batch 256] [-workers 0]
 //	      [-seed 0] [-job-ttl 10m] [-job-queue 1024]
-//	      [-batch-wait 1ms] [-batch-size 64] [-batch-max-n 32767]
+//	      [-batch-wait 1ms] [-batch-size 64]
 //	      [-calibration-file profile.json] [-calibrate-on-start]
 //	      [-calibrate-budget 3s] [-data-dir path] [-spill-n 65536]
 //	      [-instance-sessions 32]
@@ -44,13 +47,15 @@
 // allows, and re-registers the session under the edited instance's
 // digest. Up to -instance-sessions sessions stay resident; evicted or
 // restart-lost versions rebuild from the blob tier when -data-dir is
-// set.
+// set. Instance builds and deltas run on the linear solver pool, so they
+// share its -pool-workers bound and -queue depth with linear solves.
 //
-// Small solves (auto or linear requests up to -batch-max-n elements) are
-// coalesced: concurrent requests accumulate for up to -batch-wait or
-// -batch-size members and solve as one planned micro-batch under a shared
-// scratch arena. Responses report "coalesced", "flush_reason" and
-// "queue_ms"; a negative -batch-wait disables coalescing.
+// Small solves (requests whose plan resolves to the linear solver below
+// the planner's parallel crossover, 32768 elements) are coalesced:
+// concurrent requests accumulate for up to -batch-wait or -batch-size
+// members and solve as one sequential micro-batch under a shared scratch
+// arena. Responses report "coalesced", "flush_reason" and "queue_ms"; a
+// negative -batch-wait disables coalescing.
 //
 // The adaptive planner's crossover thresholds come from a calibration
 // profile: -calibration-file loads a fitted profile at startup (a
@@ -102,7 +107,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (addr, dataDir string, cfg serv
 	jobQueue := fs.Int("job-queue", 1024, "largest accepted async job backlog")
 	batchWait := fs.Duration("batch-wait", 0, "max coalescing wait for small solves (0 = 1ms default, negative disables)")
 	batchSize := fs.Int("batch-size", 0, "coalescing micro-batch flush size (0 = 64 default)")
-	batchMaxN := fs.Int("batch-max-n", 0, "largest instance eligible for coalescing (0 = planner's linear-crossover default)")
 	calibFile := fs.String("calibration-file", "", "planner calibration profile to load at startup and persist fits to")
 	calibOnStart := fs.Bool("calibrate-on-start", false, "run a bounded calibration fit before serving")
 	calibBudget := fs.Duration("calibrate-budget", 0, "wall-clock budget per calibration fit (0 = 3s default)")
@@ -126,7 +130,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (addr, dataDir string, cfg serv
 		JobMaxQueued:        *jobQueue,
 		BatchMaxWait:        *batchWait,
 		BatchMaxSize:        *batchSize,
-		BatchMaxN:           *batchMaxN,
 		CalibrationFile:     *calibFile,
 		CalibrateOnStart:    *calibOnStart,
 		CalibrateBudget:     *calibBudget,

@@ -396,8 +396,16 @@ func (b *Batcher) dispatch(batch []*item, reason string) {
 }
 
 // run hands one batch (whose flush slot is already acquired) to a worker
-// goroutine.
+// goroutine. A flush never starts once the lifecycle has ended: the
+// collector can pick an arrival or a freed slot over the done case of
+// its select, and a batch flushed then would be solved and delivered
+// after Close, where its submitters are owed ErrShutdown.
 func (b *Batcher) run(batch []*item, reason string) {
+	if b.ctx.Err() != nil {
+		<-b.sem
+		fail(batch)
+		return
+	}
 	b.wg.Add(1)
 	go func() {
 		defer func() {

@@ -1,9 +1,11 @@
 package batcher
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,6 +47,23 @@ func parkGate(ctx context.Context, members []Member, started chan<- struct{}, re
 		return true
 	}
 	return false
+}
+
+// waitDispatching blocks until the collector is inside dispatch, waiting
+// for a flush slot for a batch whose size or deadline flush already fired.
+// Goroutine stacks are the only view of that state; a sleep would only
+// make it likely.
+func waitDispatching(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*Batcher).dispatch(")) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the collector never reached dispatch")
+		}
+	}
 }
 
 func TestFlushOnSize(t *testing.T) {
@@ -133,7 +152,10 @@ func TestFlushOnDeadline(t *testing.T) {
 		outc <- out
 		errc <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // past the 5ms deadline
+	// Free the slot only once the expired batch waits in dispatch: freed
+	// any earlier, while the batch still sits in the collector, the slot
+	// would drain-flush it instead.
+	waitDispatching(t)
 	close(release)
 	out, err := <-outc, <-errc
 	if err != nil {

@@ -218,7 +218,7 @@ func A7TieredStorage(cfg Config) {
 		Journal:                 journal2,
 		Blobs:                   fileBlobs,
 		DispatchersPerAlgorithm: 1,
-	}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (sfcp.Result, bool, error) {
+	}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
 		res, err := sfcp.SolveWith(ins, sfcp.Options{Algorithm: sfcp.AlgorithmLinear})
 		return res, false, err
 	})

@@ -20,6 +20,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 )
 
 // The default planner thresholds — the package-wide fallback when no
@@ -78,9 +79,11 @@ func Fingerprint() HostFingerprint {
 	}
 }
 
-// cpuModel extracts the first "model name" value from /proc/cpuinfo.
+// cpuModel extracts the first "model name" value from /proc/cpuinfo,
+// once per process: the model cannot change under a running process, and
+// Default (and so every uncalibrated plan and /metrics scrape) stamps it.
 // Any failure (non-Linux, restricted /proc) yields "".
-func cpuModel() string {
+var cpuModel = sync.OnceValue(func() string {
 	data, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		return ""
@@ -92,7 +95,7 @@ func cpuModel() string {
 		}
 	}
 	return ""
-}
+})
 
 // Profile is a fitted set of planner thresholds. The zero value is not
 // usable — construct via Default or Calibrate, or decode a persisted file

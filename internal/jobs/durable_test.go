@@ -15,7 +15,7 @@ import (
 
 // modSolve labels element i with i%3 — deterministic and a function of
 // the instance, so a re-solved job reproduces its labels exactly.
-func modSolve(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (sfcp.Result, bool, error) {
+func modSolve(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
 	labels := make([]int, len(ins.F))
 	for i := range labels {
 		labels[i] = i % 3
@@ -135,7 +135,7 @@ func TestRestartRecovery(t *testing.T) {
 	gate := make(chan struct{})
 	// Blocks on instances bigger than 2 elements until gated — lets the
 	// test pin jobs in running/queued while tiny jobs complete.
-	blockingSolve := func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (sfcp.Result, bool, error) {
+	blockingSolve := func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
 		if len(ins.F) > 2 {
 			select {
 			case <-gate:
@@ -143,7 +143,7 @@ func TestRestartRecovery(t *testing.T) {
 				return sfcp.Result{}, false, ctx.Err()
 			}
 		}
-		return modSolve(ctx, algo, seed, ins)
+		return modSolve(ctx, algo, seed, ins, digest)
 	}
 	m1 := New(Config{
 		Journal: journal1, Blobs: blobs1, SpillN: 4,
@@ -244,7 +244,7 @@ func TestRecoveryMissingPayloadFailsJob(t *testing.T) {
 // a TTL later. The oracle is the heap itself.
 func TestDeleteTerminalReleasesResultMemory(t *testing.T) {
 	const n = 8 << 20 // 64 MB of labels
-	m := New(Config{TTL: time.Hour}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (sfcp.Result, bool, error) {
+	m := New(Config{TTL: time.Hour}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
 		return sfcp.Result{Labels: make([]int, n), NumClasses: 1}, false, nil
 	})
 	defer m.Close()
@@ -305,5 +305,40 @@ func TestDeleteTerminalDropsJournalRecordKeepsResultBlob(t *testing.T) {
 	// not per-job state.
 	if has, _ := blobs.Has(rec.ResultKey); !has {
 		t.Fatal("result blob deleted with the job")
+	}
+}
+
+// TestSolveGetsSubmitDigest: a durable manager hands the solve the digest
+// Submit computed (spilled and resident payloads alike), so the solve
+// path need not hash the payload again; a zero-config manager computes
+// none and passes "".
+func TestSolveGetsSubmitDigest(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		durable bool
+	}{
+		{"durable", Config{Journal: store.NewMemJobStore(), Blobs: store.NewMemBlobStore(), SpillN: 4}, true},
+		{"zero-config", Config{}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := make(chan [2]string, 2)
+			m := New(tc.cfg, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
+				got <- [2]string{digest, ins.Digest()}
+				return modSolve(ctx, algo, seed, ins, digest)
+			})
+			defer m.Close()
+			for _, n := range []int{2, 8} { // below and at or above SpillN
+				snap, err := m.Submit(sfcp.AlgorithmLinear, nil, 0, sizedInstance(n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitState(t, m, snap.ID, StateDone)
+				d := <-got
+				if want := map[bool]string{true: d[1], false: ""}[tc.durable]; d[0] != want {
+					t.Errorf("n=%d: solve got digest %q, want %q", n, d[0], want)
+				}
+			}
+		})
 	}
 }

@@ -1,8 +1,8 @@
 // Package jobs implements sfcpd's asynchronous job subsystem: a job
-// store plus a scheduler that feeds the server's per-algorithm solver
-// pools. A client submits an instance and gets a job id back
-// immediately; the solve runs in the background while the client polls
-// status and fetches the result when it is done — so a 10^8-element
+// store plus a scheduler that feeds the server's solve pipeline. A
+// client submits an instance and gets a job id back immediately; the
+// solve runs in the background while the client polls status and
+// fetches the result when it is done — so a 10^8-element
 // upload no longer ties an HTTP connection to a minutes-long synchronous
 // solve, and a client timeout no longer silently wastes the work.
 //
@@ -16,7 +16,7 @@
 // solver pools: a burst of slow simulator jobs cannot delay cheap
 // sequential ones. Each algorithm has a fixed crew of dispatchers that pop
 // the queue and execute the solve through the SolveFunc the server wires
-// in (cache, pool scheduling and metrics stay in one place).
+// in (planning, cache, execution and metrics stay in one place).
 //
 // Cancellation is cooperative: cancelling a queued job removes it from the
 // queue; cancelling a running job cancels its context, which the solvers
@@ -48,7 +48,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -75,10 +74,12 @@ func (s State) Terminal() bool {
 }
 
 // SolveFunc executes one job's solve under ctx. The server wires in its
-// cache + per-algorithm pool path, so async jobs and synchronous requests
-// share scheduling, memoization and metrics. cached reports a memoized
+// solve pipeline, so async jobs and synchronous requests share planning,
+// memoization, execution and metrics. digest is the instance's content
+// address when the manager already computed it (durable mode), "" when
+// not, so a payload is hashed once per job. cached reports a memoized
 // result (surfaced in the job snapshot).
-type SolveFunc func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (res sfcp.Result, cached bool, err error)
+type SolveFunc func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (res sfcp.Result, cached bool, err error)
 
 // Config sizes the manager. Zero values select the documented defaults.
 type Config struct {
@@ -454,7 +455,7 @@ func (m *Manager) Submit(algo sfcp.Algorithm, seed *uint64, priority int, ins sf
 		// Hashing and blob I/O scale with n — strictly outside the mutex.
 		digest = ins.Digest()
 		if m.cfg.Blobs != nil {
-			if err := m.ensureInstanceBlob(digest, ins); err != nil {
+			if err := store.PutInstance(m.cfg.Blobs, digest, ins); err != nil {
 				m.cfg.Logf("jobs: persisting instance %s for job %s: %v (payload stays RAM-resident)", digest, id, err)
 			} else {
 				blobbed = true
@@ -549,12 +550,7 @@ func (m *Manager) Result(id string) (sfcp.Result, Snapshot, error) {
 	if m.cfg.Blobs == nil || key == "" {
 		return sfcp.Result{}, snap, fmt.Errorf("%w: job %s has no persisted labels", ErrResultUnavailable, id)
 	}
-	rc, err := m.cfg.Blobs.Get(key)
-	if err != nil {
-		return sfcp.Result{}, snap, fmt.Errorf("%w: job %s: %v", ErrResultUnavailable, id, err)
-	}
-	labels, err := sfcp.DecodeLabelsBinary(rc)
-	rc.Close()
+	labels, err := store.GetLabels(m.cfg.Blobs, key)
 	if err != nil {
 		return sfcp.Result{}, snap, fmt.Errorf("%w: job %s: %v", ErrResultUnavailable, id, err)
 	}
@@ -661,13 +657,15 @@ func (m *Manager) dispatch(algo sfcp.Algorithm) {
 		var cached bool
 		var err error
 		if spilled {
-			ins, err = m.loadInstance(digest)
+			// The codec's digest trailer makes a corrupted payload a
+			// precise job failure here instead of a solve of garbage.
+			ins, err = store.GetInstance(m.cfg.Blobs, digest)
 			if err != nil {
 				err = fmt.Errorf("jobs: reloading instance %s: %w", digest, err)
 			}
 		}
 		if err == nil {
-			res, cached, err = m.solve(ctx, j.algo, j.seed, ins)
+			res, cached, err = m.solve(ctx, j.algo, j.seed, ins, digest)
 		}
 		cancel()
 
@@ -723,35 +721,6 @@ func (m *Manager) dispatch(algo sfcp.Algorithm) {
 	}
 }
 
-// ensureInstanceBlob writes the instance under its content address
-// unless already present. The bytes are the codec wire format, streamed
-// through a pipe so a 10^8-element payload never needs a second
-// in-memory copy.
-func (m *Manager) ensureInstanceBlob(digest string, ins sfcp.Instance) error {
-	if has, err := m.cfg.Blobs.Has(digest); err == nil && has {
-		return nil
-	}
-	pr, pw := io.Pipe()
-	go func() { pw.CloseWithError(ins.EncodeBinary(pw)) }()
-	_, err := m.cfg.Blobs.Put(digest, pr)
-	if err != nil {
-		pr.CloseWithError(err) // unblock the encoder if Put bailed early
-	}
-	return err
-}
-
-// loadInstance streams a spilled payload back from the blob tier. The
-// codec's digest trailer makes a corrupted blob a decode error here —
-// the job fails with a precise message instead of solving garbage.
-func (m *Manager) loadInstance(digest string) (sfcp.Instance, error) {
-	rc, err := m.cfg.Blobs.Get(digest)
-	if err != nil {
-		return sfcp.Instance{}, err
-	}
-	defer rc.Close()
-	return sfcp.DecodeBinary(rc)
-}
-
 // persistResult writes the labels under the result key derived from the
 // resolved plan — the durable twin of the server's cache key, so the
 // server's blob read-through finds job results and vice versa. Already
@@ -766,13 +735,7 @@ func (m *Manager) persistResult(j *job, res sfcp.Result) (string, error) {
 		seed = *j.seed
 	}
 	key := store.ResultKey(resolved.String(), seed, j.insDigest)
-	if has, err := m.cfg.Blobs.Has(key); err == nil && has {
-		return key, nil
-	}
-	pr, pw := io.Pipe()
-	go func() { pw.CloseWithError(sfcp.EncodeLabelsBinary(pw, res.Labels)) }()
-	if _, err := m.cfg.Blobs.Put(key, pr); err != nil {
-		pr.CloseWithError(err)
+	if err := store.PutLabels(m.cfg.Blobs, key, res.Labels); err != nil {
 		return "", err
 	}
 	return key, nil

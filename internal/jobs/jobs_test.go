@@ -13,7 +13,7 @@ import (
 )
 
 // instantSolve resolves immediately with a one-class result.
-func instantSolve(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (sfcp.Result, bool, error) {
+func instantSolve(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
 	return sfcp.Result{Labels: make([]int, len(ins.F)), NumClasses: 1}, false, nil
 }
 
@@ -68,7 +68,7 @@ func TestSubmitRunsToDone(t *testing.T) {
 
 func TestFailedJob(t *testing.T) {
 	boom := errors.New("solver exploded")
-	m := New(Config{}, func(context.Context, sfcp.Algorithm, *uint64, sfcp.Instance) (sfcp.Result, bool, error) {
+	m := New(Config{}, func(context.Context, sfcp.Algorithm, *uint64, sfcp.Instance, string) (sfcp.Result, bool, error) {
 		return sfcp.Result{}, false, boom
 	})
 	defer m.Close()
@@ -91,7 +91,7 @@ func TestPriorityOrder(t *testing.T) {
 	gate := make(chan struct{})
 	var order []int
 	var mu sync.Mutex
-	m := New(Config{DispatchersPerAlgorithm: 1}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (sfcp.Result, bool, error) {
+	m := New(Config{DispatchersPerAlgorithm: 1}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
 		<-gate
 		mu.Lock()
 		order = append(order, len(ins.F))
@@ -133,7 +133,7 @@ func TestPriorityOrder(t *testing.T) {
 func TestCancelQueuedJob(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
-	m := New(Config{DispatchersPerAlgorithm: 1}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (sfcp.Result, bool, error) {
+	m := New(Config{DispatchersPerAlgorithm: 1}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
 		select {
 		case <-gate:
 			return sfcp.Result{}, false, nil
@@ -166,7 +166,7 @@ func TestCancelQueuedJob(t *testing.T) {
 
 func TestCancelRunningJob(t *testing.T) {
 	started := make(chan struct{}, 1)
-	m := New(Config{}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (sfcp.Result, bool, error) {
+	m := New(Config{}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
 		started <- struct{}{}
 		<-ctx.Done() // a cooperative solver: returns on cancellation
 		return sfcp.Result{}, false, ctx.Err()
@@ -188,7 +188,7 @@ func TestCancelRunningJob(t *testing.T) {
 func TestCancelBeatsCompletedSolve(t *testing.T) {
 	proceed := make(chan struct{})
 	started := make(chan struct{}, 1)
-	m := New(Config{}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (sfcp.Result, bool, error) {
+	m := New(Config{}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
 		started <- struct{}{}
 		<-proceed // ignores ctx: simulates a solve past its last check
 		return sfcp.Result{NumClasses: 42}, false, nil
@@ -210,7 +210,7 @@ func TestCancelBeatsCompletedSolve(t *testing.T) {
 func TestQueueFull(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
-	m := New(Config{MaxQueued: 2, DispatchersPerAlgorithm: 1}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (sfcp.Result, bool, error) {
+	m := New(Config{MaxQueued: 2, DispatchersPerAlgorithm: 1}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
 		select {
 		case <-gate:
 			return sfcp.Result{}, false, nil
@@ -273,7 +273,7 @@ func TestTTLEviction(t *testing.T) {
 func TestCloseCancelsEverything(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
-	m := New(Config{DispatchersPerAlgorithm: 1}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (sfcp.Result, bool, error) {
+	m := New(Config{DispatchersPerAlgorithm: 1}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
 		select {
 		case <-ctx.Done():
 			return sfcp.Result{}, false, ctx.Err()
@@ -307,7 +307,7 @@ func TestCloseCancelsEverything(t *testing.T) {
 // not waiting politely for a minutes-long solve nobody can fetch.
 func TestShutdownCancelsInFlightSolve(t *testing.T) {
 	sawErr := make(chan error, 1)
-	m := New(Config{DispatchersPerAlgorithm: 1}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (sfcp.Result, bool, error) {
+	m := New(Config{DispatchersPerAlgorithm: 1}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
 		<-ctx.Done() // block until cancelled, like a long cooperative solve
 		sawErr <- ctx.Err()
 		return sfcp.Result{}, false, ctx.Err()

@@ -77,6 +77,7 @@ func TestCoalescedSolves(t *testing.T) {
 
 	bodies := make([]string, reqs)
 	wants := make([][]int, reqs)
+	plans := make([]sfcp.Plan, reqs)
 	for i := range bodies {
 		wl := workload.RandomFunction(int64(100+i), 64, 3)
 		bodies[i] = fmt.Sprintf(`{"f":%s,"b":%s}`, toJSON(t, wl.F), toJSON(t, wl.B))
@@ -85,6 +86,9 @@ func TestCoalescedSolves(t *testing.T) {
 			t.Fatal(err)
 		}
 		wants[i] = labels
+		if plans[i], err = sfcp.PlanWith(sfcp.Instance{F: wl.F, B: wl.B}, sfcp.Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	responses := make([]SolveResponse, reqs)
@@ -121,8 +125,8 @@ func TestCoalescedSolves(t *testing.T) {
 		if r.FlushReason != "size" && r.FlushReason != "deadline" && r.FlushReason != "drain" {
 			t.Errorf("request %d: flush_reason %q", i, r.FlushReason)
 		}
-		if !strings.Contains(r.PlanReason, "coalesced batch") {
-			t.Errorf("request %d: plan_reason %q does not describe the batch plan", i, r.PlanReason)
+		if r.PlanReason != plans[i].Reason {
+			t.Errorf("request %d: plan_reason %q, want its own plan's %q", i, r.PlanReason, plans[i].Reason)
 		}
 		if r.QueueMS < 0 || r.SolveMS < 0 {
 			t.Errorf("request %d: negative latency split queue=%g solve=%g", i, r.QueueMS, r.SolveMS)

@@ -2,9 +2,9 @@ package server
 
 import (
 	"container/list"
+	"context"
 	"errors"
 	"fmt"
-	"io"
 	"mime"
 	"net/http"
 	"sync"
@@ -31,6 +31,12 @@ import (
 // durable store the whole version tree survives process restarts. The
 // instance payload of every version is persisted under its plain digest
 // at registration time to make that reload possible.
+//
+// Session builds, rebuilds and re-solves are O(n) solver work, so each
+// request runs as one task on the pool's linear crew: it shares that
+// crew's bounded concurrency and queue with the linear solves, leaves
+// the queue when its client goes away, and fails with 503 once the
+// server is closed.
 
 // sessionRegistry is a bounded LRU of resident incremental sessions keyed
 // by the digest of the version they currently represent. take removes the
@@ -54,14 +60,6 @@ func newSessionRegistry(capacity int) *sessionRegistry {
 		order:   list.New(),
 		entries: map[string]*list.Element{},
 	}
-}
-
-// has reports residency without disturbing LRU order.
-func (g *sessionRegistry) has(digest string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.entries[digest]
-	return ok
 }
 
 // take removes and returns the session for digest. Concurrent deltas
@@ -173,33 +171,38 @@ func (s *Server) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	digest := ins.Digest()
 	resp := InstanceResponse{Digest: digest, N: len(ins.F)}
-	if s.sessions.has(digest) {
-		// Already resident: registration is idempotent, and the labels
-		// come from the session rather than a re-solve. take/put keeps
-		// the residency check and the read atomic per session.
-		if inc, ok := s.sessions.take(digest); ok {
-			resp.Reused = true
-			resp.Labels, resp.NumClasses = inc.Labels(), inc.NumClasses()
-			s.sessions.put(digest, inc)
-			if omitLabels(r) {
-				resp.Labels = nil
+	withLabels := !omitLabels(r)
+	err := s.onLinearCrew(r.Context(), func() error {
+		// A resident session makes registration idempotent: the labels
+		// come from the session rather than a re-solve, and take/put
+		// keeps the read atomic per session.
+		inc, ok := s.sessions.take(digest)
+		resp.Reused = ok
+		if !ok {
+			start := time.Now()
+			var err error
+			if inc, err = sfcp.NewIncremental(ins); err != nil {
+				return err
 			}
-			writeJSON(w, http.StatusOK, resp)
-			return
+			resp.SolveMS = float64(time.Since(start)) / float64(time.Millisecond)
 		}
-	}
-	start := time.Now()
-	inc, err := sfcp.NewIncremental(ins)
+		if withLabels {
+			resp.Labels = inc.Labels()
+		}
+		resp.NumClasses = inc.NumClasses()
+		s.sessions.put(digest, inc)
+		if !ok {
+			s.instancePut(digest, ins)
+		}
+		return nil
+	})
 	if err != nil {
-		s.fail(w, "instances", http.StatusBadRequest, err.Error())
+		code := http.StatusBadRequest
+		if transient(err) {
+			code = http.StatusServiceUnavailable
+		}
+		s.fail(w, "instances", code, err.Error())
 		return
-	}
-	resp.SolveMS = float64(time.Since(start)) / float64(time.Millisecond)
-	resp.Labels, resp.NumClasses = inc.Labels(), inc.NumClasses()
-	s.sessions.put(digest, inc)
-	s.instancePut(digest, ins)
-	if omitLabels(r) {
-		resp.Labels = nil
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -221,43 +224,69 @@ func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "instances_delta", http.StatusBadRequest, "empty delta")
 		return
 	}
-	inc, rebuilt, err := s.instanceSession(parent)
-	if errors.Is(err, store.ErrNotFound) {
+	var resp DeltaResponse
+	// A failure of the task itself (not of its admission) is a server
+	// error unless the task marks it as the request's fault.
+	code := http.StatusInternalServerError
+	err = s.onLinearCrew(r.Context(), func() error {
+		inc, rebuilt, err := s.instanceSession(parent)
+		if err != nil {
+			return err
+		}
+		res, err := sfcp.Resolve(inc, delta)
+		if err != nil {
+			// Edit validation precedes mutation, so the session still
+			// represents the parent version; re-register it there.
+			s.sessions.put(parent, inc)
+			code = http.StatusBadRequest
+			return err
+		}
+		child := inc.Instance()
+		childDigest := child.Digest()
+		s.sessions.put(childDigest, inc)
+		s.instancePut(childDigest, child)
+		s.metrics.resolve(res.Resolve.Mode, res.Resolve.DirtyFrac)
+		resp = DeltaResponse{
+			ParentDigest:   parent,
+			Digest:         childDigest,
+			N:              len(child.F),
+			NumClasses:     res.NumClasses,
+			Labels:         res.Labels,
+			Resolve:        res.Resolve,
+			SessionRebuilt: rebuilt,
+			ResolveMS:      float64(res.Resolve.Duration) / float64(time.Millisecond),
+		}
+		return nil
+	})
+	switch {
+	case err == nil:
+	case transient(err):
+		s.fail(w, "instances_delta", http.StatusServiceUnavailable, err.Error())
+		return
+	case errors.Is(err, store.ErrNotFound):
 		s.fail(w, "instances_delta", http.StatusNotFound,
 			fmt.Sprintf("unknown instance digest %s (not resident, not in the blob tier)", parent))
 		return
-	}
-	if err != nil {
-		s.fail(w, "instances_delta", http.StatusInternalServerError, err.Error())
+	default:
+		s.fail(w, "instances_delta", code, err.Error())
 		return
-	}
-	res, err := sfcp.Resolve(inc, delta)
-	if err != nil {
-		// Edit validation precedes mutation, so the session still
-		// represents the parent version; re-register it there.
-		s.sessions.put(parent, inc)
-		s.fail(w, "instances_delta", http.StatusBadRequest, err.Error())
-		return
-	}
-	child := inc.Instance()
-	childDigest := child.Digest()
-	s.sessions.put(childDigest, inc)
-	s.instancePut(childDigest, child)
-	s.metrics.resolve(res.Resolve.Mode, res.Resolve.DirtyFrac)
-	resp := DeltaResponse{
-		ParentDigest:   parent,
-		Digest:         childDigest,
-		N:              len(child.F),
-		NumClasses:     res.NumClasses,
-		Labels:         res.Labels,
-		Resolve:        res.Resolve,
-		SessionRebuilt: rebuilt,
-		ResolveMS:      float64(res.Resolve.Duration) / float64(time.Millisecond),
 	}
 	if omitLabels(r) {
 		resp.Labels = nil
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// onLinearCrew runs task on the pool's linear crew and returns its error,
+// or the admission error — the request's context error, or errShutdown
+// once the server is closed — if the task never completed. In the latter
+// case the task may still be running, so callers read what it writes only
+// after a nil or task-made error.
+func (s *Server) onLinearCrew(ctx context.Context, task func() error) error {
+	_, err := s.pool.submit(ctx, sfcp.AlgorithmLinear, func(context.Context) (sfcp.Result, error) {
+		return sfcp.Result{}, task()
+	})
+	return err
 }
 
 // omitLabels reports whether the request asked to leave the label array
@@ -320,12 +349,21 @@ func publicEdit(de codec.DeltaEdit) sfcp.Edit {
 // instanceSession acquires the session for digest: resident (taken from
 // the registry) or rebuilt from the blob tier's persisted instance
 // payload with a full solve. A digest in neither place is
-// store.ErrNotFound.
+// store.ErrNotFound, and so is a corrupt payload, which is dropped so a
+// re-registration re-persists clean bytes.
 func (s *Server) instanceSession(digest string) (inc *sfcp.Incremental, rebuilt bool, err error) {
 	if inc, ok := s.sessions.take(digest); ok {
 		return inc, false, nil
 	}
-	ins, err := s.instanceGet(digest)
+	if s.blobs == nil {
+		return nil, false, fmt.Errorf("%w: %s (no blob tier configured)", store.ErrNotFound, digest)
+	}
+	ins, err := store.GetInstance(s.blobs, digest)
+	if errors.Is(err, store.ErrCorrupt) {
+		s.logf("server: %v (dropping it)", err)
+		_ = s.blobs.Delete(digest)
+		return nil, false, fmt.Errorf("%w: %s (payload unreadable)", store.ErrNotFound, digest)
+	}
 	if err != nil {
 		return nil, false, err
 	}
@@ -338,40 +376,14 @@ func (s *Server) instanceSession(digest string) (inc *sfcp.Incremental, rebuilt 
 
 // instancePut persists one version's instance payload into the blob tier
 // under its plain content digest — the bytes a restart (or an evicted
-// session) rebuilds from. Like tierPut, failures are logged and
-// swallowed: persistence accelerates and survives, it never gates.
+// session) rebuilds from. Like the result write-through, failures are
+// logged and swallowed: persistence accelerates and survives, it never
+// gates.
 func (s *Server) instancePut(digest string, ins sfcp.Instance) {
-	if s.blobs == nil || digest == "" {
+	if s.blobs == nil {
 		return
 	}
-	if ok, err := s.blobs.Has(digest); err == nil && ok {
-		return
-	}
-	pr, pw := io.Pipe()
-	go func() { pw.CloseWithError(ins.EncodeBinary(pw)) }()
-	if _, err := s.blobs.Put(digest, pr); err != nil {
-		pr.CloseWithError(err)
+	if err := store.PutInstance(s.blobs, digest, ins); err != nil {
 		s.logf("server: persisting instance blob %s: %v", digest, err)
 	}
-}
-
-// instanceGet reads one version's instance payload back from the blob
-// tier. Corrupt payloads (the codec trailer catches them) are dropped so
-// a re-registration re-persists clean bytes.
-func (s *Server) instanceGet(digest string) (sfcp.Instance, error) {
-	if s.blobs == nil {
-		return sfcp.Instance{}, fmt.Errorf("%w: %s (no blob tier configured)", store.ErrNotFound, digest)
-	}
-	rc, err := s.blobs.Get(digest)
-	if err != nil {
-		return sfcp.Instance{}, err
-	}
-	ins, err := sfcp.DecodeBinary(rc)
-	rc.Close()
-	if err != nil {
-		s.logf("server: instance blob %s unreadable: %v (dropping it)", digest, err)
-		_ = s.blobs.Delete(digest)
-		return sfcp.Instance{}, fmt.Errorf("%w: %s (payload unreadable)", store.ErrNotFound, digest)
-	}
-	return ins, nil
 }

@@ -26,6 +26,9 @@ const (
 	metricPlanAlgorithmTotal = "sfcpd_plan_algorithm_total"
 	metricSolvesTotal        = "sfcpd_solves_total"
 	metricSolveErrorsTotal   = "sfcpd_solve_errors_total"
+	// Solve seconds are the solver's own wall clock (Result.Timings.Solve;
+	// for a coalesced member its size-proportional share of the batch
+	// pass), so queue wait is excluded on both executors.
 	metricSolveSecondsSum    = "sfcpd_solve_seconds_sum"
 	metricSolveSecondsMax    = "sfcpd_solve_seconds_max"
 	metricSolveClassesSum    = "sfcpd_solve_classes_sum"
@@ -394,6 +397,24 @@ func renderStore(blob store.BlobCounts, jc jobs.Counts, journalCorrupt, cacheByt
 	emit(typeHeader(metricCacheBytes, "gauge"))
 	emit("%s %d\n", metricCacheBytes, cacheBytes)
 	return string(b)
+}
+
+// blobCounts snapshots the metered blob-tier traffic for /metrics
+// (zeros when no tier is configured).
+func (s *Server) blobCounts() store.BlobCounts {
+	if s.blobs == nil {
+		return store.BlobCounts{}
+	}
+	return s.blobs.Counts()
+}
+
+// journalCorrupt reports how many unreadable journal entries recovery
+// skipped (zero without a journal, and in the happy path with one).
+func (s *Server) journalCorrupt() int64 {
+	if s.cfg.JobStore == nil {
+		return 0
+	}
+	return s.cfg.JobStore.CorruptSkipped()
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -19,15 +19,22 @@
 // both formats, so a collision-crafted wire digest cannot poison the
 // cache and either format hits entries the other populated.
 //
-// Every request's algorithm is first resolved by the library's adaptive
-// planner ("auto" becomes a concrete solver chosen per instance), and the
-// resolved algorithm keys everything downstream: requests are scheduled
-// onto bounded per-algorithm worker pools and results are memoized in an
-// LRU keyed by (resolved algorithm, seed, instance digest), so hot
-// instances — the "millions of users asking the same question" regime —
-// are served without recomputation, and an "auto" request shares its
-// entry with the explicit request it resolves to. Responses report the
-// resolved algorithm and the planner's reason.
+// Every solve — /solve, each /solve/batch member, every async job — runs
+// one pipeline of four stages (pipeline.go): resolve (the library's
+// adaptive planner turns "auto" into a concrete solver chosen per
+// instance, and the resolved algorithm keys everything downstream),
+// lookup (an LRU keyed by resolved algorithm, seed and instance digest,
+// then the durable blob tier), execute (linear plans below the parallel
+// crossover are micro-batched by the coalescer, everything else runs on
+// bounded per-algorithm worker pools) and fill (metrics, cache,
+// write-through). Hot instances — the "millions of users asking the same
+// question" regime — are served without recomputation, and an "auto"
+// request shares its entry with the explicit request it resolves to.
+// Every response reports its own request's resolved algorithm and the
+// planner's reason, cache hits included. The versioned-instance routes
+// run their session builds and re-solves on the linear pool crew, so
+// they share its admission: bounded concurrency, cancellation while
+// queued, and 503 once the server is closed.
 package server
 
 import (
@@ -39,7 +46,6 @@ import (
 	"mime"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,11 +93,6 @@ type Config struct {
 	// BatchMaxSize flushes a coalescing micro-batch once it holds this
 	// many requests (default 64).
 	BatchMaxSize int
-	// BatchMaxN is the largest instance (elements) eligible for
-	// coalescing; bigger requests take the per-request pool path
-	// (default sfcp.LinearCrossoverN - 1, the planner's whole
-	// sequential-linear regime).
-	BatchMaxN int
 	// CalibrationFile, when set, is where POST /calibrate persists the
 	// fitted planner profile (atomic rewrite). Loading it at startup is
 	// the binary's job (sfcpd -calibration-file does both).
@@ -153,9 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchMaxSize <= 0 {
 		c.BatchMaxSize = 64
-	}
-	if c.BatchMaxN <= 0 {
-		c.BatchMaxN = sfcp.LinearCrossoverN - 1
 	}
 	if c.CalibrateBudget <= 0 {
 		c.CalibrateBudget = 3 * time.Second
@@ -289,7 +287,7 @@ func New(cfg Config) *Server {
 		jobBlobs = s.blobs
 	}
 	// One solver (scratch-arena pool) per concrete algorithm; "auto" never
-	// reaches this map — solveResult resolves it first.
+	// reaches this map — the pipeline's resolve stage replaces it first.
 	for _, algo := range sfcp.Algorithms() {
 		if algo == sfcp.AlgorithmAuto {
 			continue
@@ -298,9 +296,9 @@ func New(cfg Config) *Server {
 			Algorithm: algo, Workers: cfg.Workers, Seed: cfg.Seed,
 		})
 	}
-	// Async jobs run through the same solveResult path as synchronous
-	// requests — one dispatcher per pool worker so the job subsystem can
-	// keep every worker busy without overflowing the pool queues.
+	// Async jobs run through the same pipeline as synchronous requests —
+	// one dispatcher per pool worker so the job subsystem can keep every
+	// worker busy without overflowing the pool queues.
 	s.jobs = jobs.New(jobs.Config{
 		MaxQueued:               cfg.JobMaxQueued,
 		DispatchersPerAlgorithm: cfg.WorkersPerAlgorithm,
@@ -310,15 +308,14 @@ func New(cfg Config) *Server {
 		SpillN:                  cfg.SpillN,
 		DefaultSeed:             cfg.Seed,
 		Logf:                    cfg.Logf,
-	}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance) (sfcp.Result, bool, error) {
-		out := s.solveResult(ctx, algo, seed, ins)
+	}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
+		out := s.solve(ctx, algo, seed, ins, digest)
 		return out.res, out.cached, out.err
 	})
-	// The coalescing front door: small solves (synchronous and async —
-	// job dispatchers land in the same solveResult) accumulate into
-	// micro-batches that solve as one planned run under a shared scratch
-	// arena. Its lifecycle context is the server's root, cancelled in
-	// Close before the pool stops.
+	// The coalescing executor: small linear solves (synchronous and async
+	// alike) accumulate into micro-batches that run as one sequential pass
+	// under a shared scratch arena. Its lifecycle context is the server's
+	// root, cancelled in Close before the pool stops.
 	if cfg.BatchMaxWait >= 0 {
 		//sfcpvet:ignore ctxpath -- the server's lifecycle root, cancelled in Close; the coalescer's context derives from it
 		lifecycle, cancel := context.WithCancel(context.Background())
@@ -350,7 +347,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // Close stops the job manager (cancelling running jobs), then the
 // coalescer (queued micro-batch members fail with its shutdown error),
-// then the worker pool. In-flight requests finish; queued ones fail.
+// then the worker pool. In-flight requests finish; queued ones fail, and
+// later solves and instance requests answer 503.
 func (s *Server) Close() {
 	s.jobs.Close()
 	if s.coalescer != nil {
@@ -651,20 +649,18 @@ func (s *Server) solveOne(ctx context.Context, req SolveRequest, defaultAlgo str
 	return s.solveInstance(ctx, algo, req.Seed, sfcp.Instance{F: req.F, B: req.B})
 }
 
-// solveInstance adapts solveResult's outcome to the synchronous API's
-// SolveResponse shape.
+// solveInstance runs the pipeline for one request and shapes its outcome
+// as the synchronous API's SolveResponse.
 func (s *Server) solveInstance(ctx context.Context, algo sfcp.Algorithm, seedOverride *uint64, ins sfcp.Instance) SolveResponse {
 	resp := SolveResponse{Algorithm: algo.String()}
-	out := s.solveResult(ctx, algo, seedOverride, ins)
+	out := s.solve(ctx, algo, seedOverride, ins, "")
 	if out.err != nil {
 		resp.Error = out.err.Error()
-		resp.transient = errors.Is(out.err, errShutdown) || errors.Is(out.err, batcher.ErrShutdown) ||
-			errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded)
+		resp.transient = transient(out.err)
 		return resp
 	}
-	resp.ResolvedAlgorithm = out.plan.Algorithm.String()
-	resp.PlanReason = out.plan.Reason
-	resp.PlanWorkers = out.plan.Workers
+	plan := out.res.Plan
+	resp.ResolvedAlgorithm, resp.PlanReason, resp.PlanWorkers = plan.Algorithm.String(), plan.Reason, plan.Workers
 	resp.Labels, resp.NumClasses, resp.Stats, resp.Cached = out.res.Labels, out.res.NumClasses, out.res.Stats, out.cached
 	if !out.cached {
 		resp.ElapsedMS = float64(out.elapsed) / float64(time.Millisecond)
@@ -677,132 +673,11 @@ func (s *Server) solveInstance(ctx context.Context, algo sfcp.Algorithm, seedOve
 	return resp
 }
 
-// solveOutcome is everything the solve path reports about one request:
-// the result and resolved plan, whether the cache served it, end-to-end
-// elapsed time, and — when the coalescing front door handled it — the
-// batch metadata (flush size and reason, per-request queue wait).
-type solveOutcome struct {
-	res         sfcp.Result
-	plan        sfcp.Plan
-	cached      bool
-	elapsed     time.Duration
-	coalesced   int
-	flushReason string
-	queueWait   time.Duration
-	err         error
-}
-
-// solveResult is the one solve path of the server — synchronous handlers
-// and async job dispatchers both land here. It first resolves the
-// request's execution plan (validating the instance as a side effect), so
-// everything downstream — the cache key, the worker queue, the metrics —
-// is keyed by the algorithm that actually runs: a request for "auto" and
-// an explicit request for the planner's choice share one cache entry and
-// one queue instead of solving twice.
-//
-// The cache uses the instance's SHA-256 content address. Both ingest
-// formats share the cache keyspace deliberately: the wire format's XXH64
-// trailer guards integrity but is not collision-resistant, so cache
-// correctness — where a crafted collision would serve one instance
-// another's labels — rests on the cryptographic digest, and a JSON upload
-// of an instance hits the entry its binary twin populated. With caching
-// disabled no digest is computed at all.
-func (s *Server) solveResult(ctx context.Context, algo sfcp.Algorithm, seedOverride *uint64, ins sfcp.Instance) solveOutcome {
-	seed := s.cfg.Seed
-	if seedOverride != nil {
-		seed = *seedOverride
-	}
-	if s.coalescible(algo, ins) {
-		return s.solveCoalesced(ctx, algo, seed, ins)
-	}
-	planStart := time.Now()
-	plan, err := sfcp.PlanWith(ins, sfcp.Options{Algorithm: algo, Workers: s.cfg.Workers})
-	planDur := time.Since(planStart)
-	if err != nil {
-		// A plan/validation failure is not a solve: nothing resolved and
-		// nothing ran, so it counts under the dedicated plan-error family
-		// keyed by what the request asked for — never under the
-		// per-resolved-algorithm solve families (which a request for
-		// "auto" would otherwise pollute with an "auto" label no solve
-		// ever carries).
-		s.metrics.planError(algo.String())
-		return solveOutcome{err: err}
-	}
-	resolved := plan.Algorithm
-	s.metrics.plan(resolved.String())
-	var key, digest string
-	if s.cache.enabled() || s.blobs != nil {
-		// One digest serves both tiers: the RAM key and the durable
-		// result key are content addresses over the same SHA-256.
-		digest = ins.Digest()
-	}
-	if s.cache.enabled() {
-		key = cacheKey(resolved, seed, digest)
-		if res, ok := s.cache.Get(key); ok {
-			s.metrics.cache(true)
-			// The labels are shared, but the plan reported is this
-			// request's own resolution — not whatever request happened to
-			// populate the entry (an "auto" hit on an explicit twin's
-			// entry must not claim "explicit ... request").
-			res.Plan = &plan
-			return solveOutcome{res: res, plan: plan, cached: true}
-		}
-		s.metrics.cache(false)
-	}
-	// RAM missed; the durable tier may still hold the answer (persisted
-	// by an async job, a spilled solve, or a previous process over the
-	// same data dir). A hit warms the RAM cache like any other fill.
-	if res, ok := s.tierGet(resolved, seed, digest); ok {
-		res.Plan = &plan
-		if key != "" {
-			s.cache.Put(key, res)
-		}
-		return solveOutcome{res: res, plan: plan, cached: true}
-	}
-
-	start := time.Now()
-	res, err := s.pool.submit(ctx, resolved, func(ctx context.Context) (sfcp.Result, error) {
-		// Execute exactly the plan that chose the queue and the cache key —
-		// no re-validation of the choice inside the pool.
-		if seed == s.cfg.Seed {
-			return s.solvers[resolved].SolvePlanned(ctx, ins, plan)
-		}
-		return sfcp.SolvePlanned(ctx, ins, plan, sfcp.Options{Seed: seed})
-	})
-	elapsed := time.Since(start)
-	s.metrics.solve(resolved.String(), elapsed, res.NumClasses, err)
-	if err != nil {
-		return solveOutcome{plan: plan, elapsed: elapsed, err: err}
-	}
-	res.Timings.Plan = planDur
-	if key != "" {
-		s.cache.Put(key, res)
-	}
-	// Results big enough to spill (the job manager's RAM-release
-	// threshold) write through to the durable tier, so the next process
-	// over this data dir starts warm for exactly the instances that are
-	// expensive to recompute.
-	if s.blobs != nil && len(ins.F) >= s.cfg.SpillN {
-		s.tierPut(resolved, seed, digest, res.Labels)
-	}
-	return solveOutcome{res: res, plan: plan, elapsed: elapsed}
-}
-
-// cacheKey builds the "resolved/seed/digest" cache key without fmt — this
-// runs on every cacheable request, and Sprintf's reflection costs more
-// than the rest of the lookup in the tiny-solve regime. One allocation
-// (the final string); pinned by TestCacheKeyAllocs.
-func cacheKey(algo sfcp.Algorithm, seed uint64, digest string) string {
-	name := algo.String()
-	var b strings.Builder
-	b.Grow(len(name) + len(digest) + 22) // 20 digits of uint64 max + 2 slashes
-	b.WriteString(name)
-	b.WriteByte('/')
-	var num [20]byte
-	b.Write(strconv.AppendUint(num[:0], seed, 10))
-	b.WriteByte('/')
-	b.WriteString(digest)
-	return b.String()
+// transient reports a failure of the server rather than of the request —
+// shutdown or cancellation — which deserves a 503 rather than a 400.
+func transient(err error) bool {
+	return errors.Is(err, errShutdown) || errors.Is(err, batcher.ErrShutdown) ||
+		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 func (s *Server) fail(w http.ResponseWriter, route string, code int, msg string) {

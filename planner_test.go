@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sfcp/internal/engine"
 	"sfcp/internal/workload"
 )
 
@@ -36,6 +37,29 @@ func TestResultCarriesPlan(t *testing.T) {
 	}
 	if res.Plan == nil || res.Plan.Algorithm != AlgorithmHopcroft || res.Plan.Features.Probed {
 		t.Errorf("explicit plan = %+v", res.Plan)
+	}
+}
+
+// TestPlanWithAllocs pins the cost of planning on the zero-config path
+// (no calibration profile installed), which sfcpd pays on every request:
+// the default profile's host fingerprint must not re-read /proc/cpuinfo
+// per plan, a read that costs 11 allocations and ~12 KB.
+func TestPlanWithAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	orig := engine.InstalledProfile()
+	engine.SetProfile(nil)
+	t.Cleanup(func() { engine.SetProfile(orig) })
+	wl := workload.RandomFunction(7, 16, 3)
+	ins := Instance{F: wl.F, B: wl.B}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := PlanWith(ins, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("PlanWith at n=16 allocates %.0f times per call, want <= 4", allocs)
 	}
 }
 
