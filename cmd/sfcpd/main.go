@@ -3,8 +3,9 @@
 // resolve (the adaptive planner picks a concrete solver per instance for
 // "auto"), lookup (results are cached by resolved algorithm, seed and
 // instance digest, in RAM and, with -data-dir, on disk), execute (small
-// linear solves are coalesced, the rest scheduled onto bounded
-// per-algorithm worker pools) and fill (metrics, cache, write-through).
+// linear solves are batched on the pool's batch crew, the rest scheduled
+// onto bounded per-algorithm crews) and fill (metrics, cache,
+// write-through).
 // Every response reports its own request's plan, cache hits included.
 //
 // Endpoints:
@@ -25,16 +26,15 @@
 // the binary wire format (sfcpgen -format bin emits it), with ?algorithm=,
 // ?seed= (and for /jobs ?priority=) query parameters; /solve/batch takes
 // concatenated instances and shards them into batch members as the upload
-// streams. Jobs queue per algorithm by priority, run on the same solver
-// pools as synchronous requests, and are evicted -job-ttl after finishing.
+// streams. Jobs queue per algorithm by priority, run on the same worker
+// pool as synchronous requests, and are evicted -job-ttl after finishing.
 //
 // Usage:
 //
 //	sfcpd [-addr :8080] [-pool-workers 2] [-queue 8] [-cache 1024]
-//	      [-cache-bytes 0] [-max-n 1048576] [-max-batch 256] [-workers 0]
-//	      [-seed 0] [-job-ttl 10m] [-job-queue 1024]
-//	      [-batch-wait 1ms] [-batch-size 64]
-//	      [-calibration-file profile.json] [-calibrate-on-start]
+//	      [-cache-bytes 0] [-max-n 1048576] [-max-batch 256]
+//	      [-max-body 67108864] [-workers 0] [-seed 0] [-job-ttl 10m]
+//	      [-job-queue 1024] [-calibration-file profile.json] [-calibrate-on-start]
 //	      [-calibrate-budget 3s] [-data-dir path] [-spill-n 65536]
 //	      [-instance-sessions 32]
 //
@@ -47,15 +47,17 @@
 // allows, and re-registers the session under the edited instance's
 // digest. Up to -instance-sessions sessions stay resident; evicted or
 // restart-lost versions rebuild from the blob tier when -data-dir is
-// set. Instance builds and deltas run on the linear solver pool, so they
-// share its -pool-workers bound and -queue depth with linear solves.
+// set. Instance builds and deltas run on the linear solver's crew, so they
+// share its -pool-workers bound and -queue depth with linear solves too
+// large for the batch crew.
 //
 // Small solves (requests whose plan resolves to the linear solver below
-// the planner's parallel crossover, 32768 elements) are coalesced:
-// concurrent requests accumulate for up to -batch-wait or -batch-size
-// members and solve as one sequential micro-batch under a shared scratch
-// arena. Responses report "coalesced", "flush_reason" and "queue_ms"; a
-// negative -batch-wait disables coalescing.
+// the planner's parallel crossover, 32768 elements) run on the pool's
+// batch crew, one worker per GOMAXPROCS: a worker that comes free takes
+// every small solve already queued, up to 64, and solves them as one
+// sequential pass under a shared scratch arena, so batches form while
+// every worker is busy and a lone request runs at once. Responses report
+// "coalesced", "flush_reason" ("size" or "drain") and "queue_ms".
 //
 // The adaptive planner's crossover thresholds come from a calibration
 // profile: -calibration-file loads a fitted profile at startup (a
@@ -105,8 +107,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (addr, dataDir string, cfg serv
 	maxBody := fs.Int64("max-body", 64<<20, "largest accepted request body in bytes")
 	jobTTL := fs.Duration("job-ttl", 10*time.Minute, "how long finished async jobs are retained")
 	jobQueue := fs.Int("job-queue", 1024, "largest accepted async job backlog")
-	batchWait := fs.Duration("batch-wait", 0, "max coalescing wait for small solves (0 = 1ms default, negative disables)")
-	batchSize := fs.Int("batch-size", 0, "coalescing micro-batch flush size (0 = 64 default)")
 	calibFile := fs.String("calibration-file", "", "planner calibration profile to load at startup and persist fits to")
 	calibOnStart := fs.Bool("calibrate-on-start", false, "run a bounded calibration fit before serving")
 	calibBudget := fs.Duration("calibrate-budget", 0, "wall-clock budget per calibration fit (0 = 3s default)")
@@ -128,8 +128,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (addr, dataDir string, cfg serv
 		MaxBodyBytes:        *maxBody,
 		JobTTL:              *jobTTL,
 		JobMaxQueued:        *jobQueue,
-		BatchMaxWait:        *batchWait,
-		BatchMaxSize:        *batchSize,
 		CalibrationFile:     *calibFile,
 		CalibrateOnStart:    *calibOnStart,
 		CalibrateBudget:     *calibBudget,

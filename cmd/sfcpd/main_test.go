@@ -36,7 +36,6 @@ func TestParseFlags(t *testing.T) {
 		if cfg.WorkersPerAlgorithm != 2 || cfg.CacheSize != 1024 || cfg.MaxN != 1<<20 ||
 			cfg.MaxBatch != 256 || cfg.MaxBodyBytes != 64<<20 || cfg.QueueDepth != 0 ||
 			cfg.JobTTL != 10*time.Minute || cfg.JobMaxQueued != 1024 ||
-			cfg.BatchMaxWait != 0 || cfg.BatchMaxSize != 0 ||
 			cfg.SpillN != 0 || cfg.CacheBytes != 0 || cfg.JobStore != nil || cfg.BlobStore != nil {
 			t.Errorf("defaults mis-mapped: %+v", cfg)
 		}
@@ -46,8 +45,9 @@ func TestParseFlags(t *testing.T) {
 			"-addr", ":9999", "-pool-workers", "5", "-queue", "7", "-cache", "-1",
 			"-max-n", "50", "-max-batch", "3", "-workers", "4", "-seed", "11",
 			"-max-body", "1024", "-job-ttl", "90s", "-job-queue", "17",
-			"-batch-wait", "250us", "-batch-size", "32",
+			"-calibration-file", "profile.json", "-calibrate-on-start", "-calibrate-budget", "2s",
 			"-data-dir", "/tmp/sfcpd-data", "-spill-n", "512", "-cache-bytes", "4096",
+			"-instance-sessions", "5",
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -56,8 +56,8 @@ func TestParseFlags(t *testing.T) {
 			WorkersPerAlgorithm: 5, QueueDepth: 7, CacheSize: -1, MaxN: 50,
 			MaxBatch: 3, Workers: 4, Seed: 11, MaxBodyBytes: 1024,
 			JobTTL: 90 * time.Second, JobMaxQueued: 17,
-			BatchMaxWait: 250 * time.Microsecond, BatchMaxSize: 32,
-			SpillN: 512, CacheBytes: 4096,
+			CalibrationFile: "profile.json", CalibrateOnStart: true, CalibrateBudget: 2 * time.Second,
+			SpillN: 512, CacheBytes: 4096, InstanceSessions: 5,
 		}
 		if addr != ":9999" || dataDir != "/tmp/sfcpd-data" || !reflect.DeepEqual(cfg, want) {
 			t.Errorf("got addr=%q dataDir=%q cfg=%+v, want addr=\":9999\" cfg=%+v", addr, dataDir, cfg, want)

@@ -21,11 +21,10 @@ var CtxPath = &Analyzer{
 
 // ctxScoped are the packages whose code runs per-request or per-job.
 var ctxScoped = map[string]bool{
-	"sfcp/internal/server":  true,
-	"sfcp/internal/jobs":    true,
-	"sfcp/internal/batcher": true,
-	"sfcp/internal/store":   true,
-	"sfcp/cmd/sfcpd":        true,
+	"sfcp/internal/server": true,
+	"sfcp/internal/jobs":   true,
+	"sfcp/internal/store":  true,
+	"sfcp/cmd/sfcpd":       true,
 }
 
 func runCtxPath(p *Pass) error {

@@ -27,10 +27,9 @@ var LockHold = &Analyzer{
 }
 
 var lockScoped = map[string]bool{
-	"sfcp/internal/server":  true,
-	"sfcp/internal/jobs":    true,
-	"sfcp/internal/batcher": true,
-	"sfcp/internal/store":   true,
+	"sfcp/internal/server": true,
+	"sfcp/internal/jobs":   true,
+	"sfcp/internal/store":  true,
 }
 
 // lockBlockingIO names callees that perform (or can perform) blocking

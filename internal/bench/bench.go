@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"sfcp"
-	"sfcp/internal/batcher"
 	"sfcp/internal/calib"
 	"sfcp/internal/circ"
 	"sfcp/internal/coarsest"
@@ -729,23 +728,42 @@ func intSlicesEqual(a, b []int) bool {
 	return true
 }
 
-// a5Pool is a faithful miniature of sfcpd's per-request dispatch path
-// (internal/server pool.go at its defaults: 2 workers on the linear
-// queue, queue depth 8): a task allocation with a buffered result
-// channel, a bounded queue send, a worker wakeup, and a result receive
-// per request. The uncoalesced arm routes through it so the baseline
-// pays exactly the dispatch glue the production pool path pays — no
-// more (HTTP and caching are stripped from both arms), no less.
+// The batch crew's shape in internal/server pool.go.
+const (
+	a5BatchCap   = 64
+	a5BatchDepth = 2 * a5BatchCap
+)
+
+// a5Pool is a faithful miniature of sfcpd's worker pool (internal/server
+// pool.go at its defaults) with its two crews for small linear solves.
+// The linear crew has 2 workers on a queue of depth 8 and pays, per
+// request, a task allocation with a buffered result channel, a bounded
+// queue send, a worker wakeup and a result receive. The batch crew has
+// GOMAXPROCS workers on a queue of depth 128; a worker pops one request,
+// takes every other request already queued up to 64, yields once and
+// scoops again, then solves the pass as one batch. Waiters select on
+// their result and their context only; close settles what is still
+// queued. Each A5 arm routes through one crew, so both pay exactly the
+// dispatch glue of their production counterpart — no more (HTTP and
+// caching are stripped from both arms), no less — and differ only in the
+// mechanism.
 type a5Pool struct {
-	q    chan *a5Task
-	done chan struct{}
-	wg   sync.WaitGroup
+	q, batch   chan *a5Task
+	solveBatch func(ins []sfcp.Instance) ([]sfcp.Result, []error)
+	// flushes, members and queueWait count batch passes, the requests
+	// they carried and those requests' summed queue wait, as the server's
+	// sfcpd_batcher_* families do.
+	flushes, members, queueWait atomic.Int64
+	done                        chan struct{}
+	wg                          sync.WaitGroup
 }
 
 type a5Task struct {
-	ctx  context.Context
-	run  func() ([]int, error)
-	resC chan a5TaskResult
+	ctx    context.Context
+	run    func() ([]int, error)
+	ins    sfcp.Instance
+	queued time.Time
+	resC   chan a5TaskResult
 }
 
 type a5TaskResult struct {
@@ -753,52 +771,136 @@ type a5TaskResult struct {
 	err    error
 }
 
-func newA5Pool(workers, depth int) *a5Pool {
-	p := &a5Pool{q: make(chan *a5Task, depth), done: make(chan struct{})}
+var errA5Shutdown = errors.New("bench: pool shut down")
+
+func newA5Pool(workers, depth int, solveBatch func(ins []sfcp.Instance) ([]sfcp.Result, []error)) *a5Pool {
+	p := &a5Pool{
+		q:          make(chan *a5Task, depth),
+		batch:      make(chan *a5Task, a5BatchDepth),
+		solveBatch: solveBatch,
+		done:       make(chan struct{}),
+	}
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for {
-				select {
-				case <-p.done:
-					return
-				case t := <-p.q:
-					if err := t.ctx.Err(); err != nil {
-						t.resC <- a5TaskResult{err: err}
-						continue
-					}
-					labels, err := t.run()
-					t.resC <- a5TaskResult{labels: labels, err: err}
-				}
-			}
-		}()
+		go p.worker()
+	}
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		p.wg.Add(1)
+		go p.batchWorker()
 	}
 	return p
 }
 
+func (p *a5Pool) worker() {
+	defer p.wg.Done()
+	for {
+		select {
+		case <-p.done:
+			return
+		case t := <-p.q:
+			if err := t.ctx.Err(); err != nil {
+				t.resC <- a5TaskResult{err: err}
+				continue
+			}
+			labels, err := t.run()
+			t.resC <- a5TaskResult{labels: labels, err: err}
+		}
+	}
+}
+
+func (p *a5Pool) batchWorker() {
+	defer p.wg.Done()
+	batch := make([]*a5Task, 0, a5BatchCap)
+	for {
+		select {
+		case <-p.done:
+			return
+		case t := <-p.batch:
+			batch = p.scoop(append(batch, t))
+			if len(batch) < a5BatchCap {
+				runtime.Gosched()
+				batch = p.scoop(batch)
+			}
+			p.runPass(batch)
+			clear(batch)
+			batch = batch[:0]
+		}
+	}
+}
+
+func (p *a5Pool) scoop(batch []*a5Task) []*a5Task {
+	for len(batch) < a5BatchCap {
+		select {
+		case t := <-p.batch:
+			batch = append(batch, t)
+		default:
+			return batch
+		}
+	}
+	return batch
+}
+
+func (p *a5Pool) runPass(batch []*a5Task) {
+	start := time.Now()
+	var wait time.Duration
+	live := batch[:0]
+	ins := make([]sfcp.Instance, 0, len(batch))
+	for _, t := range batch {
+		wait += start.Sub(t.queued)
+		if err := t.ctx.Err(); err != nil {
+			t.resC <- a5TaskResult{err: err}
+			continue
+		}
+		live = append(live, t)
+		ins = append(ins, t.ins)
+	}
+	p.flushes.Add(1)
+	p.members.Add(int64(len(batch)))
+	p.queueWait.Add(int64(wait))
+	results, errs := p.solveBatch(ins)
+	for i, t := range live {
+		t.resC <- a5TaskResult{labels: results[i].Labels, err: errs[i]}
+	}
+}
+
 func (p *a5Pool) submit(ctx context.Context, run func() ([]int, error)) ([]int, error) {
-	t := &a5Task{ctx: ctx, run: run, resC: make(chan a5TaskResult, 1)}
+	return p.await(ctx, p.q, &a5Task{ctx: ctx, run: run})
+}
+
+func (p *a5Pool) submitBatch(ctx context.Context, ins sfcp.Instance) ([]int, error) {
+	return p.await(ctx, p.batch, &a5Task{ctx: ctx, ins: ins, queued: time.Now()})
+}
+
+func (p *a5Pool) await(ctx context.Context, q chan<- *a5Task, t *a5Task) ([]int, error) {
+	t.resC = make(chan a5TaskResult, 1)
 	select {
-	case p.q <- t:
+	case q <- t:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-p.done:
-		return nil, errors.New("bench: pool shut down")
+		return nil, errA5Shutdown
+	}
+	select {
+	case <-p.done:
+		return nil, errA5Shutdown
+	default:
 	}
 	select {
 	case r := <-t.resC:
 		return r.labels, r.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	case <-p.done:
-		return nil, errors.New("bench: pool shut down")
 	}
 }
 
 func (p *a5Pool) close() {
 	close(p.done)
 	p.wg.Wait()
+	for _, q := range []chan *a5Task{p.q, p.batch} {
+		for len(q) > 0 {
+			(<-q).resC <- a5TaskResult{err: errA5Shutdown}
+		}
+	}
 }
 
 // A5Coalescing measures the coalescing micro-batch front door against
@@ -806,9 +908,9 @@ func (p *a5Pool) close() {
 // (well under engine.MinParallelN, so every plan lands on the sequential
 // linear solver). The per-request arm pays what sfcpd's pool path pays
 // per request — the planner's feature probe, plan construction, bounded
-// worker-pool dispatch, and a scratch checkout; the coalesced arm
-// accumulates requests in internal/batcher, plans each flushed batch
-// once (no probes) and solves its members back-to-back under one shared
+// worker-pool dispatch, and a scratch checkout; the coalesced arm queues
+// requests for a miniature of the pool's batch crew, plans each pass once
+// (no probes) and solves its members back-to-back under one shared
 // scratch arena. Emits one JSON document (like A4) for BENCH_*.json
 // trajectory tracking.
 func A5Coalescing(cfg Config) {
@@ -829,7 +931,6 @@ func A5Coalescing(cfg Config) {
 		Title       string                `json:"title"`
 		GOMAXPROCS  int                   `json:"gomaxprocs"`
 		Host        calib.HostFingerprint `json:"host"`
-		MaxWaitUS   int64                 `json:"batch_max_wait_us"`
 		MaxSize     int                   `json:"batch_max_size"`
 		Concurrency int                   `json:"concurrency"`
 		Rows        []row                 `json:"rows"`
@@ -838,8 +939,7 @@ func A5Coalescing(cfg Config) {
 		Title:       "coalescing front door: micro-batched vs per-request small solves",
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Host:        calib.Fingerprint(),
-		MaxWaitUS:   1000,
-		MaxSize:     64,
+		MaxSize:     a5BatchCap,
 		Concurrency: 64,
 	}
 	requests := 10000
@@ -891,12 +991,28 @@ func A5Coalescing(cfg Config) {
 			return time.Since(t0), agree.Load()
 		}
 
+		// Coalesced arm's batch solve: one batch plan (no probes) and one
+		// scratch arena per pass.
+		coSolver := sfcp.NewSolver(sfcp.Options{})
+		solveBatch := func(instances []sfcp.Instance) ([]sfcp.Result, []error) {
+			plan, err := sfcp.PlanBatch(instances, sfcp.Options{Algorithm: sfcp.AlgorithmAuto})
+			if err != nil {
+				errs := make([]error, len(instances))
+				for i := range errs {
+					errs[i] = err
+				}
+				return make([]sfcp.Result, len(instances)), errs
+			}
+			return coSolver.SolveBatchPlanned(ctx, instances, plan)
+		}
+		// Crew sizing mirrors the server defaults: 2 workers and queue
+		// depth 8 per algorithm crew.
+		crews := newA5Pool(2, 8, solveBatch)
+
 		// Per-request arm: probe + plan on the caller, then bounded
 		// worker-pool dispatch and a scratch checkout — the pool path's
-		// per-request work with HTTP and caching stripped away (dispatch
-		// sizing mirrors the server defaults: 2 workers, queue depth 8).
+		// per-request work with HTTP and caching stripped away.
 		perReq := sfcp.NewSolver(sfcp.Options{})
-		reqPool := newA5Pool(2, 8)
 		uncoHandle := func(i int) ([]int, error) {
 			ins := pool[i%distinct]
 			// The pool path reads the clock around both planning and
@@ -909,7 +1025,7 @@ func A5Coalescing(cfg Config) {
 				return nil, err
 			}
 			solveStart := time.Now()
-			labels, err := reqPool.submit(ctx, func() ([]int, error) {
+			labels, err := crews.submit(ctx, func() ([]int, error) {
 				res, err := perReq.SolvePlanned(ctx, ins, plan)
 				if err != nil {
 					return nil, err
@@ -923,49 +1039,9 @@ func A5Coalescing(cfg Config) {
 			return labels, err
 		}
 
-		// Coalesced arm: the same traffic through the micro-batcher; one
-		// batch plan (no probes) and one scratch arena per flush. The
-		// instance staging is reused across flushes, like the server's.
-		var flushes, members int64
-		coSolver := sfcp.NewSolver(sfcp.Options{})
-		var coStaging sync.Pool // *[]sfcp.Instance; flush slots run concurrently
-		b := batcher.New(ctx, batcher.Config{
-			MaxWait: time.Duration(doc.MaxWaitUS) * time.Microsecond,
-			MaxSize: doc.MaxSize,
-			Run: func(ctx context.Context, ms []batcher.Member, out []batcher.MemberResult) {
-				ip, _ := coStaging.Get().(*[]sfcp.Instance)
-				if ip == nil {
-					ip = new([]sfcp.Instance)
-				}
-				instances := (*ip)[:0]
-				for _, m := range ms {
-					instances = append(instances, m.Ins)
-				}
-				defer func() {
-					clear(instances)
-					*ip = instances[:0]
-					coStaging.Put(ip)
-				}()
-				plan, err := sfcp.PlanBatch(instances, sfcp.Options{Algorithm: sfcp.AlgorithmAuto})
-				if err != nil {
-					for i := range out {
-						out[i].Err = err
-					}
-					return
-				}
-				results, errs := coSolver.SolveBatchPlanned(ctx, instances, plan)
-				for i := range out {
-					out[i].Res, out[i].Err = results[i], errs[i]
-				}
-			},
-			Observe: func(reason string, n int, wait time.Duration) {
-				atomic.AddInt64(&flushes, 1)
-				atomic.AddInt64(&members, int64(n))
-			},
-		})
+		// Coalesced arm: the same traffic through the batch crew.
 		coHandle := func(i int) ([]int, error) {
-			out, err := b.Submit(ctx, pool[i%distinct], "")
-			return out.Res.Labels, err
+			return crews.submitBatch(ctx, pool[i%distinct])
 		}
 
 		// Both arms repeat, pass-interleaved, and report their fastest
@@ -995,8 +1071,7 @@ func A5Coalescing(cfg Config) {
 			}
 			okC = okC && o
 		}
-		reqPool.close()
-		b.Close()
+		crews.close()
 
 		r := row{
 			N:             n,
@@ -1006,11 +1081,11 @@ func A5Coalescing(cfg Config) {
 			UncoalescedNS: int64(uncoalesced),
 			CoalescedNS:   int64(coalesced),
 			Speedup:       float64(uncoalesced) / float64(coalesced),
-			Flushes:       flushes,
+			Flushes:       crews.flushes.Load(),
 			Agree:         okU && okC,
 		}
-		if flushes > 0 {
-			r.AvgBatch = float64(members) / float64(flushes)
+		if r.Flushes > 0 {
+			r.AvgBatch = float64(crews.members.Load()) / float64(r.Flushes)
 		}
 		doc.Rows = append(doc.Rows, r)
 	}

@@ -17,29 +17,30 @@ import (
 // request that fails validation/planning counts under
 // sfcpd_plan_errors_total keyed by what was asked for, and never
 // fabricates solve-family samples for an algorithm ("auto") that nothing
-// ever resolves to — on the pool path (the original server.go bug) and
-// the coalescing path alike.
+// ever resolves to — for a request bound for an algorithm crew (the
+// original server.go bug) and one bound for the batch crew alike.
 func TestPlanErrorMetricLabels(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  Config
+		algo string
 	}{
-		{"pool path", Config{BatchMaxWait: -1}}, // coalescing off: the historical path
-		{"coalescing path", Config{}},
+		{"pool path", "moore"},
+		{"coalescing path", "auto"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts := newTestServer(t, tc.cfg)
-			resp, data := post(t, ts.URL+"/solve", `{"f":[5],"b":[0]}`) // F out of range
+			_, ts := newTestServer(t, Config{})
+			body := fmt.Sprintf(`{"algorithm":%q,"f":[5],"b":[0]}`, tc.algo) // F out of range
+			resp, data := post(t, ts.URL+"/solve", body)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400 (body %s)", resp.StatusCode, data)
 			}
 			m := fetchMetrics(t, ts)
-			if want := `sfcpd_plan_errors_total{algorithm="auto"} 1`; !strings.Contains(m, want) {
+			if want := fmt.Sprintf(`sfcpd_plan_errors_total{algorithm=%q} 1`, tc.algo); !strings.Contains(m, want) {
 				t.Errorf("metrics missing %q:\n%s", want, m)
 			}
 			for _, stray := range []string{
-				`sfcpd_solves_total{algorithm="auto"}`,
-				`sfcpd_solve_errors_total{algorithm="auto"}`,
+				fmt.Sprintf(`sfcpd_solves_total{algorithm=%q}`, tc.algo),
+				fmt.Sprintf(`sfcpd_solve_errors_total{algorithm=%q}`, tc.algo),
 			} {
 				if strings.Contains(m, stray) {
 					t.Errorf("plan error leaked into solve families: found %q\n%s", stray, m)
@@ -69,7 +70,7 @@ func TestCacheKeyAllocs(t *testing.T) {
 }
 
 // TestCoalescedSolves drives concurrent small auto solves through the
-// front door and checks the responses' batch metadata, the latency
+// batch crew and checks the responses' batch metadata, the latency
 // split, and the sfcpd_batcher_* families.
 func TestCoalescedSolves(t *testing.T) {
 	const reqs = 16
@@ -122,7 +123,7 @@ func TestCoalescedSolves(t *testing.T) {
 		if r.Coalesced < 1 {
 			t.Errorf("request %d: coalesced = %d, want >= 1", i, r.Coalesced)
 		}
-		if r.FlushReason != "size" && r.FlushReason != "deadline" && r.FlushReason != "drain" {
+		if r.FlushReason != flushSize && r.FlushReason != flushDrain {
 			t.Errorf("request %d: flush_reason %q", i, r.FlushReason)
 		}
 		if r.PlanReason != plans[i].Reason {
@@ -133,8 +134,8 @@ func TestCoalescedSolves(t *testing.T) {
 		}
 	}
 
-	// Every request went through the coalescer, and every flush was
-	// observed before its responses were delivered — so the totals are
+	// Every request went through the batch crew, and every pass was
+	// recorded before its responses were delivered — so the totals are
 	// exact by the time the responses are all in.
 	m := fetchMetrics(t, ts)
 	for _, want := range []string{
@@ -160,24 +161,6 @@ func TestCoalescedSolves(t *testing.T) {
 	if !again.Cached || again.Coalesced != 0 {
 		t.Errorf("repeat request: cached=%v coalesced=%d, want a cache hit that skipped the queue",
 			again.Cached, again.Coalesced)
-	}
-}
-
-// TestCoalescingDisabled pins the off switch: BatchMaxWait < 0 keeps
-// every request on the per-request pool path.
-func TestCoalescingDisabled(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchMaxWait: -1})
-	var r SolveResponse
-	_, data := post(t, ts.URL+"/solve", `{"f":[1,0],"b":[0,1]}`)
-	if err := json.Unmarshal(data, &r); err != nil {
-		t.Fatal(err)
-	}
-	if r.Error != "" || r.Coalesced != 0 || r.FlushReason != "" {
-		t.Fatalf("coalescing disabled, yet response carries batch metadata: %+v", r)
-	}
-	m := fetchMetrics(t, ts)
-	if !strings.Contains(m, "sfcpd_batcher_coalesced_total 0") {
-		t.Errorf("batcher counted traffic with coalescing disabled:\n%s", m)
 	}
 }
 

@@ -116,10 +116,10 @@ type InstanceCreateRequest struct {
 // InstanceResponse is the JSON reply of POST /instances: the version's
 // content digest (the address deltas are POSTed against) plus the solve.
 type InstanceResponse struct {
-	Digest     string  `json:"digest"`
-	N          int     `json:"n"`
-	NumClasses int     `json:"num_classes"`
-	Labels     []int   `json:"labels,omitempty"`
+	Digest     string `json:"digest"`
+	N          int    `json:"n"`
+	NumClasses int    `json:"num_classes"`
+	Labels     []int  `json:"labels,omitempty"`
 	// Reused marks a registration that found the session already
 	// resident — nothing was solved.
 	Reused  bool    `json:"reused,omitempty"`
@@ -283,10 +283,9 @@ func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
 // case the task may still be running, so callers read what it writes only
 // after a nil or task-made error.
 func (s *Server) onLinearCrew(ctx context.Context, task func() error) error {
-	_, err := s.pool.submit(ctx, sfcp.AlgorithmLinear, func(context.Context) (sfcp.Result, error) {
+	return s.pool.submit(ctx, sfcp.AlgorithmLinear, func(context.Context) (sfcp.Result, error) {
 		return sfcp.Result{}, task()
-	})
-	return err
+	}).err
 }
 
 // omitLabels reports whether the request asked to leave the label array

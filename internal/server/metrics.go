@@ -27,8 +27,8 @@ const (
 	metricSolvesTotal        = "sfcpd_solves_total"
 	metricSolveErrorsTotal   = "sfcpd_solve_errors_total"
 	// Solve seconds are the solver's own wall clock (Result.Timings.Solve;
-	// for a coalesced member its size-proportional share of the batch
-	// pass), so queue wait is excluded on both executors.
+	// for a batch-crew member its size-proportional share of the batch
+	// pass), so queue wait is excluded on every crew.
 	metricSolveSecondsSum    = "sfcpd_solve_seconds_sum"
 	metricSolveSecondsMax    = "sfcpd_solve_seconds_max"
 	metricSolveClassesSum    = "sfcpd_solve_classes_sum"
@@ -43,10 +43,10 @@ const (
 	// must never inflate the per-resolved-algorithm solve families).
 	metricPlanErrorsTotal = "sfcpd_plan_errors_total"
 
-	// Coalescing front-door families: requests that went through the
-	// micro-batcher, flushes by trigger reason, and the summed/counted
-	// per-request queue wait (sum/count expose the mean coalescing
-	// latency a request paid before its batch solved).
+	// Batch-crew families: requests the pool's batch crew served, its
+	// passes by the reason they closed, and the summed/counted
+	// per-request queue wait (sum/count expose the mean latency a request
+	// paid before its pass solved).
 	metricBatcherCoalescedTotal    = "sfcpd_batcher_coalesced_total"
 	metricBatcherFlushesTotal      = "sfcpd_batcher_flushes_total"
 	metricBatcherQueueSecondsSum   = "sfcpd_batcher_queue_seconds_sum"
@@ -106,12 +106,12 @@ type metrics struct {
 	plans     map[string]int64       // planner resolutions by resolved algorithm
 	planErrs  map[string]int64       // plan/validation failures by requested algorithm
 
-	batcherCoalesced  int64            // requests served through the coalescer
-	batcherFlushes    map[string]int64 // flushes by reason ("size", "deadline")
-	batcherQueueWait  time.Duration    // summed per-request coalescing wait
+	batcherCoalesced  int64            // requests served by the batch crew
+	batcherFlushes    map[string]int64 // passes by reason ("size", "drain")
+	batcherQueueWait  time.Duration    // summed per-request queue wait
 	batcherQueueCount int64            // requests contributing to that sum
 
-	resolves       map[string]int64                 // deltas by resolve mode
+	resolves       map[string]int64                // deltas by resolve mode
 	dirtyBuckets   [len(dirtyFracBounds) + 1]int64 // histogram counts, last = +Inf
 	dirtyFracSum   float64
 	dirtyFracCount int64
@@ -176,9 +176,8 @@ func (m *metrics) planError(algo string) {
 	m.mu.Unlock()
 }
 
-// batcherFlush records one coalescing flush: its trigger reason, how many
-// requests it carried, and their summed queue wait. Wired as the
-// batcher's Observe hook.
+// batcherFlush records one batch-crew pass: why it closed, how many
+// requests it carried, and their summed queue wait.
 func (m *metrics) batcherFlush(reason string, members int, queueWait time.Duration) {
 	m.mu.Lock()
 	m.batcherCoalesced += int64(members)

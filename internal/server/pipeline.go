@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sfcp"
-	"sfcp/internal/batcher"
 	"sfcp/internal/store"
 )
 
@@ -21,10 +20,11 @@ import (
 //	         answered with this request's own plan, never the plan of
 //	         the request that populated the entry.
 //	execute  the only branch: a linear plan below sfcp.LinearCrossoverN
-//	         goes to the coalescer, to be micro-batched with its
-//	         concurrent peers; everything else to its algorithm's pool.
+//	         goes to the pool's batch crew, to be solved in one pass with
+//	         the requests queued beside it; everything else to its
+//	         algorithm's crew.
 //	fill     solve metrics, cache put, and write-through to the blob
-//	         tier at or above SpillN elements, for both executors.
+//	         tier at or above SpillN elements, on every crew.
 //
 // The cache uses the instance's SHA-256 content address. Both ingest
 // formats share the keyspace deliberately: the wire format's XXH64
@@ -37,7 +37,7 @@ import (
 // solveOutcome is what the pipeline reports about one request: the result
 // (its Plan always this request's own), whether a cache tier served it,
 // the execute stage's wall time (queue wait included), and — when the
-// coalescer executed it — the flush size and reason and the queue wait.
+// batch crew executed it — the pass size and reason and the queue wait.
 type solveOutcome struct {
 	res         sfcp.Result
 	cached      bool
@@ -145,58 +145,31 @@ func (s *Server) lookup(key string, algo sfcp.Algorithm, seed uint64, digest str
 	return res, true
 }
 
-// execute runs a resolved request on one of the two executors. The
-// coalescer takes linear plans below the parallel crossover — the regime
-// where per-request queue and dispatch overhead rivals the solve itself —
-// and the per-algorithm pool takes the rest, each solving exactly the
-// plan that chose its queue and cache key.
+// execute runs a resolved request on the pool. Linear plans below the
+// parallel crossover — the regime where per-request queue and dispatch
+// overhead rivals the solve itself — go to the batch crew, the rest to
+// their algorithm's crew, each solving exactly the plan that chose its
+// queue and cache key.
 func (s *Server) execute(ctx context.Context, ins sfcp.Instance, plan sfcp.Plan, seed uint64) solveOutcome {
-	if s.coalescer != nil && plan.Algorithm == sfcp.AlgorithmLinear && len(ins.F) < sfcp.LinearCrossoverN {
-		out, err := s.coalescer.Submit(ctx, ins, "")
-		return solveOutcome{
-			res:         out.Res,
-			elapsed:     out.Responded.Sub(out.Queued),
-			coalesced:   out.Coalesced,
-			flushReason: out.FlushReason,
-			queueWait:   out.QueueWait(),
-			err:         err,
-		}
-	}
 	start := time.Now()
-	res, err := s.pool.submit(ctx, plan.Algorithm, func(ctx context.Context) (sfcp.Result, error) {
-		if seed == s.cfg.Seed {
-			return s.solvers[plan.Algorithm].SolvePlanned(ctx, ins, plan)
-		}
-		return sfcp.SolvePlanned(ctx, ins, plan, sfcp.Options{Seed: seed})
-	})
-	return solveOutcome{res: res, elapsed: time.Since(start), err: err}
+	var out solveOutcome
+	if plan.Algorithm == sfcp.AlgorithmLinear && len(ins.F) < sfcp.LinearCrossoverN {
+		out = s.pool.submitBatch(ctx, ins)
+	} else {
+		out = s.pool.submit(ctx, plan.Algorithm, func(ctx context.Context) (sfcp.Result, error) {
+			if seed == s.cfg.Seed {
+				return s.solvers[plan.Algorithm].SolvePlanned(ctx, ins, plan)
+			}
+			return sfcp.SolvePlanned(ctx, ins, plan, sfcp.Options{Seed: seed})
+		})
+	}
+	out.elapsed = time.Since(start)
+	return out
 }
 
-// coalescedPlan is the plan every coalesced member resolved to: execute
-// admits linear plans only, and the batch executor reads nothing else.
-var coalescedPlan = sfcp.Plan{Algorithm: sfcp.AlgorithmLinear, Workers: 1}
-
-// runCoalesced is the coalescer's Run: one sequential SolveBatchPlanned
-// pass under a shared scratch arena over the flush's live members. A
-// member whose submitter already gave up (timeout, disconnect) fails with
-// its own context's error instead of being solved for an absent client.
-// Planning, caching and metering stay in the pipeline.
-func (s *Server) runCoalesced(ctx context.Context, members []batcher.Member, out []batcher.MemberResult) {
-	live := make([]int, 0, len(members))
-	instances := make([]sfcp.Instance, 0, len(members))
-	for i, m := range members {
-		if err := m.Ctx.Err(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		live = append(live, i)
-		instances = append(instances, m.Ins)
-	}
-	results, errs := s.solvers[sfcp.AlgorithmLinear].SolveBatchPlanned(ctx, instances, coalescedPlan)
-	for j, i := range live {
-		out[i] = batcher.MemberResult{Res: results[j], Err: errs[j]}
-	}
-}
+// batchPlan is the plan every batch-crew member resolved to: execute
+// admits linear plans only, and the batch solve reads nothing else.
+var batchPlan = sfcp.Plan{Algorithm: sfcp.AlgorithmLinear, Workers: 1}
 
 // cacheKey builds the "resolved/seed/digest" cache key without fmt — this
 // runs on every cacheable request, and Sprintf's reflection costs more

@@ -15,21 +15,30 @@ import (
 	"sfcp/internal/workload"
 )
 
-// solveVia answers one request for ins through /solve or, with job set,
-// through an async job and its result, in the synchronous reply shape.
-func solveVia(t *testing.T, ts *httptest.Server, job bool, algo string, ins sfcp.Instance) SolveResponse {
+// solveVia answers one request for ins through route — /solve, a
+// one-member /solve/batch, or an async job and its result — in the
+// synchronous reply shape.
+func solveVia(t *testing.T, ts *httptest.Server, route, algo string, ins sfcp.Instance) SolveResponse {
 	t.Helper()
 	body := fmt.Sprintf(`{"algorithm":%q,"f":%s,"b":%s}`, algo, toJSON(t, ins.F), toJSON(t, ins.B))
 	var data []byte
-	if job {
+	switch route {
+	case "/jobs":
 		snap, resp, sub := submitJSONJob(t, ts, body)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("job submit: %d %s", resp.StatusCode, sub)
 		}
 		pollJob(t, ts, snap.ID, jobs.StateDone)
 		_, data = get(t, ts.URL+"/jobs/"+snap.ID+"/result")
-	} else {
-		resp, got := post(t, ts.URL+"/solve", body)
+	case "/solve/batch":
+		resp, got := post(t, ts.URL+route, `{"instances":[`+body+`]}`)
+		var br BatchResponse
+		if err := json.Unmarshal(got, &br); resp.StatusCode != http.StatusOK || err != nil || len(br.Results) != 1 {
+			t.Fatalf("batch: %d %s", resp.StatusCode, got)
+		}
+		return br.Results[0]
+	default:
+		resp, got := post(t, ts.URL+route, body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve: %d %s", resp.StatusCode, got)
 		}
@@ -43,12 +52,14 @@ func solveVia(t *testing.T, ts *httptest.Server, job bool, algo string, ins sfcp
 }
 
 // TestPipelineParity sends one small instance down every path that solves
-// it — coalescing on, coalescing off, an async job and POST /instances —
-// and requires identical labels from all of them. On the solve and job
-// paths a miss and a later hit must each report the plan sfcp.PlanWith
-// resolves for that very request (never the plan of whichever request
-// filled the cache), and the counters must move by exactly one plan per
-// request and one solve per miss.
+// it — the batch crew from /solve, a /solve/batch member and an async
+// job, an algorithm crew for explicit non-linear requests, and POST
+// /instances — and requires identical labels from all of them. On the
+// solve, batch and job paths a miss and a later hit must each report the
+// plan sfcp.PlanWith resolves for that very request (never the plan of
+// whichever request filled the cache), and the counters must move by
+// exactly one plan per request and one solve per miss, on the crew the
+// plan selects.
 func TestPipelineParity(t *testing.T) {
 	wl := workload.RandomFunction(41, 200, 3)
 	ins := sfcp.Instance{F: wl.F, B: wl.B}
@@ -56,24 +67,26 @@ func TestPipelineParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	small := []sfcp.Algorithm{sfcp.AlgorithmAuto, sfcp.AlgorithmLinear}
 	for _, path := range []struct {
-		name string
-		cfg  Config
-		job  bool
+		name, route string
+		algos       []sfcp.Algorithm
+		batched     int // sfcpd_batcher_coalesced_total after the miss
 	}{
-		{"coalescing on", Config{}, false},
-		{"coalescing off", Config{BatchMaxWait: -1}, false},
-		{"async job", Config{}, true},
+		{"coalescing on", "/solve", small, 1},
+		{"batch member", "/solve/batch", small, 1},
+		{"algorithm crew", "/solve", []sfcp.Algorithm{sfcp.AlgorithmMoore, sfcp.AlgorithmHopcroft}, 0},
+		{"async job", "/jobs", small, 1},
 	} {
-		for _, algo := range []sfcp.Algorithm{sfcp.AlgorithmAuto, sfcp.AlgorithmLinear} {
+		for _, algo := range path.algos {
 			t.Run(path.name+"/"+algo.String(), func(t *testing.T) {
-				_, ts := newTestServer(t, path.cfg)
+				_, ts := newTestServer(t, Config{})
 				plan, err := sfcp.PlanWith(ins, sfcp.Options{Algorithm: algo})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i, cached := range []bool{false, true} {
-					r := solveVia(t, ts, path.job, algo.String(), ins)
+					r := solveVia(t, ts, path.route, algo.String(), ins)
 					if !reflect.DeepEqual(r.Labels, want.Labels) {
 						t.Errorf("request %d: labels differ from the linear solver's", i)
 					}
@@ -86,8 +99,9 @@ func TestPipelineParity(t *testing.T) {
 					}
 					m := fetchMetrics(t, ts)
 					for _, line := range []string{
-						fmt.Sprintf(`sfcpd_plan_algorithm_total{algorithm="linear"} %d`, i+1),
-						`sfcpd_solves_total{algorithm="linear"} 1`,
+						fmt.Sprintf(`sfcpd_plan_algorithm_total{algorithm=%q} %d`, plan.Algorithm, i+1),
+						fmt.Sprintf(`sfcpd_solves_total{algorithm=%q} 1`, plan.Algorithm),
+						fmt.Sprintf(`sfcpd_batcher_coalesced_total %d`, path.batched),
 					} {
 						if !strings.Contains(m, line+"\n") {
 							t.Errorf("after request %d: metrics missing %q", i, line)

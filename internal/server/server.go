@@ -24,17 +24,18 @@
 // adaptive planner turns "auto" into a concrete solver chosen per
 // instance, and the resolved algorithm keys everything downstream),
 // lookup (an LRU keyed by resolved algorithm, seed and instance digest,
-// then the durable blob tier), execute (linear plans below the parallel
-// crossover are micro-batched by the coalescer, everything else runs on
-// bounded per-algorithm worker pools) and fill (metrics, cache,
-// write-through). Hot instances — the "millions of users asking the same
-// question" regime — are served without recomputation, and an "auto"
-// request shares its entry with the explicit request it resolves to.
-// Every response reports its own request's resolved algorithm and the
-// planner's reason, cache hits included. The versioned-instance routes
-// run their session builds and re-solves on the linear pool crew, so
-// they share its admission: bounded concurrency, cancellation while
-// queued, and 503 once the server is closed.
+// then the durable blob tier), execute (on one worker pool: linear plans
+// below the parallel crossover run on its batch crew, solved in one pass
+// with whatever else is queued there, everything else on bounded
+// per-algorithm crews) and fill (metrics, cache, write-through). Hot
+// instances — the "millions of users asking the same question" regime —
+// are served without recomputation, and an "auto" request shares its
+// entry with the explicit request it resolves to. Every response reports
+// its own request's resolved algorithm and the planner's reason, cache
+// hits included. The versioned-instance routes run their session builds
+// and re-solves on the pool's linear crew, so they share its admission:
+// bounded concurrency, cancellation while queued, and 503 once the
+// server is closed.
 package server
 
 import (
@@ -51,7 +52,6 @@ import (
 	"time"
 
 	"sfcp"
-	"sfcp/internal/batcher"
 	"sfcp/internal/codec"
 	"sfcp/internal/jobs"
 	"sfcp/internal/store"
@@ -86,13 +86,6 @@ type Config struct {
 	// JobMaxQueued bounds async jobs waiting across all algorithms
 	// (default 1024); Submit beyond it returns 429.
 	JobMaxQueued int
-	// BatchMaxWait bounds how long a small solve waits in the coalescing
-	// front door for batch companions before its micro-batch flushes
-	// anyway (default 1ms; negative disables coalescing entirely).
-	BatchMaxWait time.Duration
-	// BatchMaxSize flushes a coalescing micro-batch once it holds this
-	// many requests (default 64).
-	BatchMaxSize int
 	// CalibrationFile, when set, is where POST /calibrate persists the
 	// fitted planner profile (atomic rewrite). Loading it at startup is
 	// the binary's job (sfcpd -calibration-file does both).
@@ -149,12 +142,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
-	if c.BatchMaxWait == 0 {
-		c.BatchMaxWait = time.Millisecond
-	}
-	if c.BatchMaxSize <= 0 {
-		c.BatchMaxSize = 64
-	}
 	if c.CalibrateBudget <= 0 {
 		c.CalibrateBudget = 3 * time.Second
 	}
@@ -202,10 +189,10 @@ type SolveResponse struct {
 	Stats             *sfcp.Stats `json:"stats,omitempty"`
 	Error             string      `json:"error,omitempty"`
 
-	// Coalescing front-door fields, set when the request was served
-	// through the micro-batcher: how many requests shared the flush, why
-	// the flush fired ("size" or "deadline"), and the queue wait — the
-	// latency the request spent coalescing, separable from SolveMS.
+	// Coalescing fields, set when the pool's batch crew served the
+	// request: how many requests shared its pass, why the pass closed
+	// ("size" or "drain"), and the queue wait — the latency the request
+	// spent queued, separable from SolveMS.
 	Coalesced   int     `json:"coalesced,omitempty"`
 	FlushReason string  `json:"flush_reason,omitempty"`
 	QueueMS     float64 `json:"queue_ms,omitempty"`
@@ -249,11 +236,6 @@ type Server struct {
 	// solve-path traffic both land in the sfcpd_store_* counters.
 	blobs *store.Metered
 
-	// coalescer micro-batches small solves (nil when disabled); stop
-	// cancels the lifecycle context it derives from.
-	coalescer *batcher.Batcher
-	stop      context.CancelFunc
-
 	// calibrating serializes POST /calibrate: a fit saturates the solver
 	// cores by design, so a second concurrent one would only corrupt both
 	// measurements. CAS, not a mutex — the loser gets a 409, not a queue.
@@ -269,7 +251,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
-		pool:    newPool(cfg.WorkersPerAlgorithm, cfg.QueueDepth),
 		cache:   newResultCache(cfg.CacheSize, cfg.CacheBytes),
 		metrics: newMetrics(),
 		solvers: map[sfcp.Algorithm]*sfcp.Solver{},
@@ -296,6 +277,10 @@ func New(cfg Config) *Server {
 			Algorithm: algo, Workers: cfg.Workers, Seed: cfg.Seed,
 		})
 	}
+	linear := s.solvers[sfcp.AlgorithmLinear]
+	s.pool = newPool(cfg.WorkersPerAlgorithm, cfg.QueueDepth, func(ctx context.Context, ins []sfcp.Instance) ([]sfcp.Result, []error) {
+		return linear.SolveBatchPlanned(ctx, ins, batchPlan)
+	}, s.metrics)
 	// Async jobs run through the same pipeline as synchronous requests —
 	// one dispatcher per pool worker so the job subsystem can keep every
 	// worker busy without overflowing the pool queues.
@@ -312,21 +297,6 @@ func New(cfg Config) *Server {
 		out := s.solve(ctx, algo, seed, ins, digest)
 		return out.res, out.cached, out.err
 	})
-	// The coalescing executor: small linear solves (synchronous and async
-	// alike) accumulate into micro-batches that run as one sequential pass
-	// under a shared scratch arena. Its lifecycle context is the server's
-	// root, cancelled in Close before the pool stops.
-	if cfg.BatchMaxWait >= 0 {
-		//sfcpvet:ignore ctxpath -- the server's lifecycle root, cancelled in Close; the coalescer's context derives from it
-		lifecycle, cancel := context.WithCancel(context.Background())
-		s.stop = cancel
-		s.coalescer = batcher.New(lifecycle, batcher.Config{
-			MaxWait: cfg.BatchMaxWait,
-			MaxSize: cfg.BatchMaxSize,
-			Run:     s.runCoalesced,
-			Observe: s.metrics.batcherFlush,
-		})
-	}
 	s.mux.HandleFunc("/solve", s.handleSolve)
 	s.mux.HandleFunc("/solve/batch", s.handleBatch)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -345,16 +315,11 @@ func New(cfg Config) *Server {
 // ServeHTTP dispatches to the API routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the job manager (cancelling running jobs), then the
-// coalescer (queued micro-batch members fail with its shutdown error),
-// then the worker pool. In-flight requests finish; queued ones fail, and
+// Close stops the job manager (cancelling running jobs), then the worker
+// pool, waiting for the solves it is running. Queued requests fail, and
 // later solves and instance requests answer 503.
 func (s *Server) Close() {
 	s.jobs.Close()
-	if s.coalescer != nil {
-		s.coalescer.Close()
-		s.stop()
-	}
 	s.pool.close()
 }
 
@@ -676,7 +641,7 @@ func (s *Server) solveInstance(ctx context.Context, algo sfcp.Algorithm, seedOve
 // transient reports a failure of the server rather than of the request —
 // shutdown or cancellation — which deserves a 503 rather than a 400.
 func transient(err error) bool {
-	return errors.Is(err, errShutdown) || errors.Is(err, batcher.ErrShutdown) ||
+	return errors.Is(err, errShutdown) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 

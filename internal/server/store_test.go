@@ -70,17 +70,15 @@ func TestCacheByteBound(t *testing.T) {
 	}
 }
 
-// storeServer builds a server over the given stores with coalescing
-// disabled (so explicit-linear solves take the pool path, which writes
-// through) and a spill threshold of one element (everything persists).
+// storeServer builds a server over the given stores with a spill
+// threshold of one element (everything persists).
 func storeServer(t *testing.T, js store.JobStore, bs store.BlobStore) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(Config{
-		JobStore:     js,
-		BlobStore:    bs,
-		SpillN:       1,
-		BatchMaxWait: -1,
-		Logf:         t.Logf,
+		JobStore:  js,
+		BlobStore: bs,
+		SpillN:    1,
+		Logf:      t.Logf,
 	})
 	ts := httptest.NewServer(s)
 	return s, ts
@@ -254,7 +252,7 @@ func TestStoreMetricsZeroConfig(t *testing.T) {
 }
 
 func TestCacheBytesGauge(t *testing.T) {
-	_, ts := newTestServer(t, Config{CacheBytes: 1 << 20, BatchMaxWait: -1})
+	_, ts := newTestServer(t, Config{CacheBytes: 1 << 20})
 	post(t, ts.URL+"/solve", `{"algorithm":"linear","f":[1,2,0],"b":[0,0,0]}`)
 	_, data := get(t, ts.URL+"/metrics")
 	for _, line := range strings.Split(string(data), "\n") {
