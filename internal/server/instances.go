@@ -158,7 +158,7 @@ func (s *Server) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		var req InstanceCreateRequest
-		if err := s.decodeJSON(w, r, &req); err != nil {
+		if err := decodeRequest(s, w, r, &req); err != nil {
 			s.fail(w, "instances", decodeStatus(err), err.Error())
 			return
 		}
@@ -204,7 +204,7 @@ func (s *Server) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "instances", code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
@@ -274,7 +274,7 @@ func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
 	if omitLabels(r) {
 		resp.Labels = nil
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, http.StatusOK, &resp)
 }
 
 // onLinearCrew runs task on the pool's linear crew and returns its error,

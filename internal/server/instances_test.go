@@ -122,6 +122,7 @@ func TestInstanceDeltaErrors(t *testing.T) {
 		{"unknown digest", strings.Repeat("ab", 32), `{"edits":[{"node":0,"b":1}]}`, 404, "unknown instance digest"},
 		{"empty delta", ir.Digest, `{"edits":[]}`, 400, "empty delta"},
 		{"malformed json", ir.Digest, `{"edits":`, 400, "invalid JSON"},
+		{"trailing brace", ir.Digest, `{"edits":[{"node":0,"b":1}]}}`, 400, "trailing data"},
 		{"empty edit", ir.Digest, `{"edits":[{"node":0}]}`, 400, "sets neither F nor B"},
 		{"node out of range", ir.Digest, `{"edits":[{"node":99,"b":1}]}`, 400, "out of range"},
 		{"f out of range", ir.Digest, `{"edits":[{"node":0,"f":99}]}`, 400, "out of range"},

@@ -61,7 +61,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		req.F, req.B = ins.F, ins.B
-	} else if err := s.decodeJSON(w, r, &req); err != nil {
+	} else if err := decodeRequest(s, w, r, &req); err != nil {
 		s.fail(w, "jobs", decodeStatus(err), err.Error())
 		return
 	}
@@ -138,7 +138,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, SolveResponse{
+	resp := SolveResponse{
 		Algorithm:         snap.Algorithm,
 		ResolvedAlgorithm: snap.ResolvedAlgorithm,
 		PlanReason:        snap.PlanReason,
@@ -149,7 +149,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS:         snap.ElapsedMS,
 		ResolveMS:         snap.ResolveMS,
 		Stats:             res.Stats,
-	})
+	}
+	writeReply(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {

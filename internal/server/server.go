@@ -9,7 +9,10 @@
 //	GET  /healthz                   liveness
 //	GET  /metrics                   Prometheus-style counters
 //
-// Bodies are JSON by default; POST routes also accept
+// Bodies are JSON by default. The bodies that carry instances and the
+// replies that carry labels go through the reflection-free codec of
+// jsonwire.go, which holds to encoding/json's wire contract; everything
+// else uses encoding/json. POST routes also accept
 // Content-Type: application/x-sfcp — the binary wire format of
 // internal/codec — with ?algorithm= and ?seed= query parameters. Binary
 // uploads are decoded in fixed-size chunks with their XXH64 integrity
@@ -350,7 +353,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SolveRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
+	if err := decodeRequest(s, w, r, &req); err != nil {
 		s.fail(w, "solve", decodeStatus(err), err.Error())
 		return
 	}
@@ -368,7 +371,7 @@ func (s *Server) writeSolveResult(w http.ResponseWriter, route string, resp Solv
 		s.fail(w, route, code, resp.Error)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, http.StatusOK, &resp)
 }
 
 // runBatch solves n members concurrently and writes the positional
@@ -392,7 +395,7 @@ func (s *Server) runBatch(w http.ResponseWriter, n int, solve func(i int) SolveR
 	if resp.Errors > 0 {
 		s.metrics.error("batch")
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, http.StatusOK, &resp)
 }
 
 // handleSolveBinary serves POST /solve with a Content-Type:
@@ -572,7 +575,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
+	if err := decodeRequest(s, w, r, &req); err != nil {
 		s.fail(w, "batch", decodeStatus(err), err.Error())
 		return
 	}
@@ -650,20 +653,10 @@ func (s *Server) fail(w http.ResponseWriter, route string, code int, msg string)
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-// decodeJSON parses the body under the configured byte limit, so oversized
-// payloads are cut off while streaming instead of after a full decode.
+// decodeJSON decodes a JSON body the scanner of jsonwire.go does not
+// cover (a delta) with decodeStrict, under the same byte limit.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
-	defer func() { s.metrics.ingest("json", body.n) }()
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
-	}
-	if dec.More() {
-		return errors.New("invalid JSON body: trailing data")
-	}
-	return nil
+	return s.readJSON(w, r, func(body []byte) error { return decodeStrict(body, dst) })
 }
 
 func decodeStatus(err error) int {

@@ -53,6 +53,8 @@ func TestSolveEndpointTable(t *testing.T) {
 		{"malformed json", `{"f":[1,0`, 400, "invalid JSON"},
 		{"unknown field", `{"f":[0],"b":[0],"bogus":1}`, 400, "invalid JSON"},
 		{"trailing data", `{"f":[0],"b":[0]} {}`, 400, "trailing data"},
+		{"trailing bracket", `{"f":[0],"b":[0]}]`, 400, "trailing data"},
+		{"trailing brace", `{"f":[0],"b":[0]}}`, 400, "trailing data"},
 		{"unknown algorithm", `{"algorithm":"quantum","f":[0],"b":[0]}`, 400, "unknown algorithm"},
 		{"f out of range", `{"f":[5],"b":[0]}`, 400, "out of range"},
 		{"length mismatch", `{"f":[0,1],"b":[0]}`, 400, "|F| = 2 but |B| = 1"},
@@ -112,6 +114,7 @@ func TestBatchEndpointTable(t *testing.T) {
 		{"partial failure", `{"instances":[{"f":[0],"b":[0]},{"algorithm":"quantum","f":[0],"b":[0]}]}`,
 			200, `"errors":1`},
 		{"malformed json", `[1,2]`, 400, "invalid JSON"},
+		{"trailing bracket", `{"instances":[{"f":[0],"b":[0]}]}]`, 400, "trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
