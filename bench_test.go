@@ -22,10 +22,9 @@ import (
 
 const benchSeed = 1993
 
-// BenchmarkPlannerAuto measures what the adaptive planner buys on
-// below-crossover instances: AlgorithmAuto (resolved to the sequential
-// linear solver) against the seed behavior of always running
-// native-parallel. Regenerate the full sweep with `sfcpbench -exp A4`.
+// BenchmarkPlannerAuto measures what the planner buys: AlgorithmAuto
+// (resolved to the sequential linear solver) against the seed behavior
+// of always running native-parallel.
 func BenchmarkPlannerAuto(b *testing.B) {
 	wl := workload.RandomFunction(benchSeed, 1<<12, 3)
 	ins := Instance{F: wl.F, B: wl.B}

@@ -5,32 +5,25 @@ import (
 	"sfcp/internal/engine"
 )
 
-// CalibrationProfile is a fitted set of planner thresholds: the parallel
-// crossover size, the break-even core model, the per-worker grain and the
-// measured useful-worker cap, stamped with the fingerprint of the host
-// that fitted them. The zero value is unusable — obtain one from
-// DefaultCalibrationProfile, LoadCalibrationProfile, or a
+// CalibrationProfile is a fitted planner threshold: the dirty fraction
+// above which Resolve abandons the incremental path for a full re-solve,
+// stamped with the fingerprint of the host that fitted it. The zero
+// value is unusable — obtain one from LoadCalibrationProfile or a
 // `sfcpbench -calibrate` run.
 type CalibrationProfile = calib.Profile
 
-// DefaultCalibrationProfile returns the built-in planner thresholds
-// (the zero-config fallback), stamped with this host's fingerprint.
-func DefaultCalibrationProfile() *CalibrationProfile {
-	return calib.Default()
-}
-
 // LoadCalibrationProfile reads and validates a persisted profile. A
 // corrupt, unknown-field, or version-skewed file is an error — callers
-// that must never fail on a bad profile should fall back to
-// DefaultCalibrationProfile.
+// that must never fail on a bad profile should keep the built-in
+// defaults (SetCalibrationProfile(nil)).
 func LoadCalibrationProfile(path string) (*CalibrationProfile, error) {
 	return calib.Load(path)
 }
 
-// SetCalibrationProfile installs the profile the adaptive planner
-// consults process-wide for Solve, SolveWith, PlanWith and PlanBatch.
-// Nil reverts to the built-in defaults. Plan.Reason and
-// Plan.ProfileSource report which source steered each decision.
+// SetCalibrationProfile installs the profile the resolve planner
+// consults process-wide when Resolve decides between an incremental and
+// a full re-solve. Nil reverts to the built-in defaults.
+// ResolveInfo.Reason names which source steered each decision.
 func SetCalibrationProfile(p *CalibrationProfile) {
 	engine.SetProfile(p)
 }

@@ -21,15 +21,12 @@
 //
 //	sfcp [-algo auto|moore|hopcroft|linear|parallel-pram|native-parallel|doubling-hash|doubling-sort]
 //	     [-in file] [-stats] [-explain] [-workers n] [-seed s]
-//	     [-calibration-file profile.json]
 //	     [-submit -server http://host:8080 [-wait] [-poll 250ms] [-priority p]]
 //
-// The default -algo auto defers to the adaptive planner, which picks the
-// sequential linear-time solver or the goroutine-parallel one per
-// instance; the summary's ran= field reports the resolved choice and
-// -explain prints the full plan (reason, active calibration profile,
-// probe features, stage timings). -calibration-file steers the planner
-// with a host-fitted profile from `sfcpbench -calibrate`.
+// The default -algo auto defers to the planner, which resolves it to the
+// sequential linear-time solver; the summary's ran= field reports the
+// resolved choice and -explain prints the full plan (reason, probe
+// features, stage timings).
 package main
 
 import (
@@ -59,7 +56,6 @@ func main() {
 	wait := flag.Bool("wait", false, "with -submit: poll the job and print its labels when done")
 	poll := flag.Duration("poll", 250*time.Millisecond, "status polling interval for -wait")
 	priority := flag.Int("priority", 0, "job priority for -submit (higher runs sooner)")
-	calibFile := flag.String("calibration-file", "", "planner calibration profile (sfcpbench -calibrate output) to steer local solves")
 	flag.Parse()
 
 	// Usage mistakes are reported before any input is read: a bad flag
@@ -73,15 +69,6 @@ func main() {
 	algo, err := parseAlgo(*algoName)
 	if err != nil {
 		fatal(err)
-	}
-	if *calibFile != "" {
-		// A named profile is an explicit instruction — unlike sfcpd's
-		// lenient startup load, a file the CLI cannot use is an error.
-		prof, err := sfcp.LoadCalibrationProfile(*calibFile)
-		if err != nil {
-			fatal(err)
-		}
-		sfcp.SetCalibrationProfile(prof)
 	}
 
 	var in io.Reader = os.Stdin
@@ -149,19 +136,11 @@ func main() {
 }
 
 // explainPlan prints the resolved execution plan: what the planner chose,
-// why, which calibration profile steered it, what the probe saw, and
-// where the time went.
+// why, what the probe saw, and where the time went.
 func explainPlan(out io.Writer, requested sfcp.Algorithm, res sfcp.Result) {
 	p := res.Plan
 	fmt.Fprintf(out, "plan: requested=%s resolved=%s workers=%d\n", requested, p.Algorithm, p.Workers)
 	fmt.Fprintf(out, "reason: %s\n", p.Reason)
-	prof := sfcp.ActiveCalibrationProfile()
-	fmt.Fprintf(out, "profile: source=%s min_parallel_n=%d break_even_log_divisor=%d worker_grain=%d max_useful_workers=%d",
-		prof.Source(), prof.MinParallelN, prof.BreakEvenLogDivisor, prof.WorkerGrain, prof.MaxUsefulWorkers)
-	if prof.FittedAt != "" {
-		fmt.Fprintf(out, " fitted_at=%s", prof.FittedAt)
-	}
-	fmt.Fprintln(out)
 	if p.Features.Probed {
 		fmt.Fprintf(out, "probe: n=%d sampled_labels=%d short_cycle_frac=%.2f\n",
 			p.Features.N, p.Features.SampledLabels, p.Features.ShortCycleFrac)

@@ -6,9 +6,8 @@
 //	sfcpbench -all             # everything
 //	sfcpbench -all -quick      # smaller sweeps
 //	sfcpbench -list            # show available experiments
-//	sfcpbench -exp A4 -out BENCH_planner.json   # machine-readable crossover data
+//	sfcpbench -exp A6 -out BENCH_A6.json        # machine-readable calibration data
 //	sfcpbench -calibrate -out profile.json      # fit this host's planner profile
-//	sfcpbench -exp A4 -calibration-file profile.json   # re-run A4 under the fit
 package main
 
 import (
@@ -20,7 +19,6 @@ import (
 	"os"
 	"time"
 
-	"sfcp"
 	"sfcp/internal/bench"
 	"sfcp/internal/calib"
 )
@@ -47,10 +45,9 @@ func main() {
 	quick := flag.Bool("quick", false, "smaller sweeps")
 	list := flag.Bool("list", false, "list experiments")
 	seed := flag.Int64("seed", 1993, "workload seed")
-	outPath := flag.String("out", "", "write results to this file instead of stdout (e.g. BENCH_planner.json for -exp A4)")
-	calibrate := flag.Bool("calibrate", false, "fit a planner calibration profile on this host and write it as JSON (-out profile.json)")
+	outPath := flag.String("out", "", "write results to this file instead of stdout (e.g. BENCH_A6.json for -exp A6)")
+	calibrate := flag.Bool("calibrate", false, "fit the delta planner's calibration profile on this host and write it as JSON (-out profile.json)")
 	calibBudget := flag.Duration("calibrate-budget", 3*time.Second, "wall-clock budget for -calibrate (-quick shrinks it to 750ms)")
-	calibFile := flag.String("calibration-file", "", "load a fitted profile before running experiments (steers the planner's auto arm, e.g. in A4)")
 	flag.Parse()
 
 	out := &errTrackWriter{w: os.Stdout}
@@ -75,14 +72,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sfcpbench: writing results:", err)
 			os.Exit(1)
 		}
-	}
-	if *calibFile != "" {
-		prof, err := sfcp.LoadCalibrationProfile(*calibFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sfcpbench:", err)
-			os.Exit(1)
-		}
-		sfcp.SetCalibrationProfile(prof)
 	}
 	cfg := bench.Config{Out: out, Quick: *quick, Seed: *seed}
 	switch {

@@ -1,11 +1,10 @@
 // Command sfcpd serves single function coarsest partition solving over
 // HTTP. Every solve — synchronous, batched or async — runs four stages:
-// resolve (the adaptive planner picks a concrete solver per instance for
-// "auto"), lookup (results are cached by resolved algorithm, seed and
-// instance digest, in RAM and, with -data-dir, on disk), execute (small
-// linear solves are batched on the pool's batch crew, the rest scheduled
-// onto bounded per-algorithm crews) and fill (metrics, cache,
-// write-through).
+// resolve (the planner turns "auto" into the linear solver), lookup
+// (results are cached by resolved algorithm, seed and instance digest,
+// in RAM and, with -data-dir, on disk), execute (small linear solves are
+// batched on the pool's batch crew, the rest scheduled onto bounded
+// per-algorithm crews) and fill (metrics, cache, write-through).
 // Every response reports its own request's plan, cache hits included.
 //
 // Endpoints:
@@ -18,7 +17,7 @@
 //	DELETE /jobs/{id}        cooperative cancel
 //	POST   /instances        register a versioned instance -> digest + labels
 //	POST   /instances/{digest}/delta  incremental re-solve of an edited version
-//	POST   /calibrate        re-fit the planner profile on this host
+//	POST   /calibrate        re-fit the delta planner's profile on this host
 //	GET    /healthz
 //	GET    /metrics
 //
@@ -43,29 +42,28 @@
 // instance's SHA-256 digest; POST /instances/{digest}/delta applies a
 // batch of point edits (JSON {"edits":[{"node":0,"f":1,"b":2},...]} or
 // the binary delta frame, Content-Type: application/x-sfcp-delta),
-// re-solving only the dirty components when the planner's crossover
-// allows, and re-registers the session under the edited instance's
-// digest. Up to -instance-sessions sessions stay resident; evicted or
-// restart-lost versions rebuild from the blob tier when -data-dir is
-// set. Instance builds and deltas run on the linear solver's crew, so they
+// re-solving only the dirty components when the delta planner's
+// crossover allows, and re-registers the session under the edited
+// instance's digest. Up to -instance-sessions sessions stay resident;
+// evicted or restart-lost versions rebuild from the blob tier when
+// -data-dir is set. Instance builds and deltas run on the linear solver's crew, so they
 // share its -pool-workers bound and -queue depth with linear solves too
 // large for the batch crew.
 //
-// Small solves (requests whose plan resolves to the linear solver below
-// the planner's parallel crossover, 32768 elements) run on the pool's
-// batch crew, one worker per GOMAXPROCS: a worker that comes free takes
+// Small solves (requests whose plan resolves to the linear solver, below
+// 32768 elements) run on the pool's batch crew, one worker per GOMAXPROCS: a worker that comes free takes
 // every small solve already queued, up to 64, and solves them as one
 // sequential pass under a shared scratch arena, so batches form while
 // every worker is busy and a lone request runs at once. Responses report
 // "coalesced", "flush_reason" ("size" or "drain") and "queue_ms".
 //
-// The adaptive planner's crossover thresholds come from a calibration
-// profile: -calibration-file loads a fitted profile at startup (a
-// missing or corrupt file logs a warning and the built-in defaults
-// serve), -calibrate-on-start re-fits on this host before serving (and
-// persists to the calibration file when one is set), and POST /calibrate
-// re-fits a running daemon. /metrics reports sfcpd_plan_calibrated and
-// the active thresholds.
+// The delta planner's incremental-vs-full crossover comes from a
+// calibration profile: -calibration-file loads a fitted profile at
+// startup (a missing or corrupt file logs a warning and the built-in
+// default serves), -calibrate-on-start re-fits on this host before
+// serving (and persists to the calibration file when one is set), and
+// POST /calibrate re-fits a running daemon. /metrics reports
+// sfcpd_plan_calibrated and the active incr_max_dirty_frac.
 //
 // -data-dir opts into tiered durable storage: async jobs journal to
 // <dir>/jobs.journal, and instance payloads plus solved results persist
@@ -107,7 +105,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (addr, dataDir string, cfg serv
 	maxBody := fs.Int64("max-body", 64<<20, "largest accepted request body in bytes")
 	jobTTL := fs.Duration("job-ttl", 10*time.Minute, "how long finished async jobs are retained")
 	jobQueue := fs.Int("job-queue", 1024, "largest accepted async job backlog")
-	calibFile := fs.String("calibration-file", "", "planner calibration profile to load at startup and persist fits to")
+	calibFile := fs.String("calibration-file", "", "delta planner calibration profile to load at startup and persist fits to")
 	calibOnStart := fs.Bool("calibrate-on-start", false, "run a bounded calibration fit before serving")
 	calibBudget := fs.Duration("calibrate-budget", 0, "wall-clock budget per calibration fit (0 = 3s default)")
 	dir := fs.String("data-dir", "", "directory for the durable job journal and blob tier (empty = in-memory only)")

@@ -1,6 +1,6 @@
 // Package analysis is sfcpvet's analyzer suite: project-specific static
 // checks that turn the codebase's concurrency and dispatch conventions
-// into mechanically enforced invariants. The six analyzers are
+// into mechanically enforced invariants. The five analyzers are
 //
 //	enginedispatch — internal/coarsest solver entry points may only be
 //	                 invoked from internal/engine's dispatch table
@@ -14,10 +14,6 @@
 //	                 one sample site
 //	scratchalias   — slices handed out by a coarsest.Scratch arena must
 //	                 not be returned or stored without a copy
-//	crossoverconst — the planner's 1<<15 crossover default may be
-//	                 spelled literally only in internal/calib; everyone
-//	                 else consumes the named constant or the active
-//	                 calibration profile
 //
 // The module is deliberately dependency-free, so instead of building on
 // golang.org/x/tools/go/analysis this package carries a minimal clone of
@@ -101,7 +97,7 @@ func (f Finding) String() string {
 
 // Analyzers returns the full suite in canonical order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{EngineDispatch, CtxPath, LockHold, MetricName, ScratchAlias, CrossoverConst}
+	return []*Analyzer{EngineDispatch, CtxPath, LockHold, MetricName, ScratchAlias}
 }
 
 // Run executes the analyzers over the packages, applies //sfcpvet:ignore

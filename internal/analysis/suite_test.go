@@ -59,11 +59,6 @@ func TestMetricName(t *testing.T) {
 	analysistest.Run(t, analysis.MetricName, "sfcp/internal/server", "testdata/metricname/clean")
 }
 
-func TestCrossoverConst(t *testing.T) {
-	analysistest.Run(t, analysis.CrossoverConst, "sfcp/internal/engine", "testdata/crossoverconst/flagged")
-	analysistest.Run(t, analysis.CrossoverConst, "sfcp/internal/calib", "testdata/crossoverconst/clean")
-}
-
 func TestScratchAlias(t *testing.T) {
 	analysistest.Run(t, analysis.ScratchAlias, "sfcp/internal/coarsest", "testdata/scratchalias/flagged")
 	analysistest.Run(t, analysis.ScratchAlias, "sfcp/internal/coarsest", "testdata/scratchalias/clean")

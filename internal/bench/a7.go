@@ -22,7 +22,7 @@ import (
 // throughput against the in-memory store on the same payloads, and the
 // cold-start cost of journal replay plus manager recovery over a
 // realistically mixed job population. Emits one JSON document (like
-// A4–A6) for BENCH_A7.json trajectory tracking.
+// A5 and A6) for BENCH_A7.json trajectory tracking.
 func A7TieredStorage(cfg Config) {
 	type blobRow struct {
 		N           int     `json:"n"`

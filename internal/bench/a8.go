@@ -24,7 +24,7 @@ import (
 // count). The many-component DistinctCycles family is the incremental
 // path's home regime — small deltas invalidate a small dirty region while
 // the full solver always pays for all n elements. Emits one JSON document
-// (like A4–A7) for BENCH_A8.json trajectory tracking; the single-edit
+// (like A5–A7) for BENCH_A8.json trajectory tracking; the single-edit
 // rows at n >= 2^20 are the ones the acceptance gate reads.
 func A8IncrementalResolve(cfg Config) {
 	type row struct {

@@ -67,9 +67,8 @@ func All() []Experiment {
 		{"A1", "Ablation: integer sorting strategies", A1IntSort},
 		{"A2", "Ablation: list ranking methods", A2ListRank},
 		{"A3", "Ablation: m.s.p. recursion cutoff", A3Cutoff},
-		{"A4", "Planner crossover: auto vs forced algorithms (JSON)", A4PlannerCrossover},
 		{"A5", "Coalescing front door: micro-batched vs per-request small solves (JSON)", A5Coalescing},
-		{"A6", "Planner calibration: fitted profile and the measured curves behind it (JSON)", A6Calibration},
+		{"A6", "Planner calibration: fitted profile and the measured curve behind it (JSON)", A6Calibration},
 		{"A7", "Tiered storage: blob spill/read throughput and cold-start recovery (JSON)", A7TieredStorage},
 		{"A8", "Incremental re-solve: delta-apply latency vs full re-solve (JSON)", A8IncrementalResolve},
 	}
@@ -628,94 +627,6 @@ func A3Cutoff(cfg Config) {
 	w.Flush()
 }
 
-// A4PlannerCrossover measures the adaptive planner against every forced
-// algorithm at sizes straddling engine.MinParallelN, on the tree-heavy and
-// cycle-heavy families. Unlike the other experiments it emits one JSON
-// document — machine-readable rows suitable for BENCH_*.json trajectory
-// tracking — so regressions of the planner's crossover show up as data,
-// not prose.
-func A4PlannerCrossover(cfg Config) {
-	type row struct {
-		Family       string           `json:"family"`
-		N            int              `json:"n"`
-		AutoResolved string           `json:"auto_resolved"`
-		AutoWorkers  int              `json:"auto_workers"`
-		AutoNS       int64            `json:"auto_ns"`
-		ForcedNS     map[string]int64 `json:"forced_ns"`
-	}
-	prof := engine.ActiveProfile()
-	doc := struct {
-		Experiment    string                `json:"experiment"`
-		Title         string                `json:"title"`
-		GOMAXPROCS    int                   `json:"gomaxprocs"`
-		Host          calib.HostFingerprint `json:"host"`
-		ProfileSource string                `json:"profile_source"`
-		MinParallelN  int                   `json:"planner_min_parallel_n"`
-		RepsPerSample int                   `json:"reps_per_sample"`
-		Rows          []row                 `json:"rows"`
-	}{
-		Experiment:    "A4",
-		Title:         "planner crossover: auto vs forced algorithms",
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Host:          calib.Fingerprint(),
-		ProfileSource: prof.Source(),
-		MinParallelN:  prof.MinParallelN,
-		RepsPerSample: 3,
-	}
-	forced := []engine.Algorithm{engine.Linear, engine.Hopcroft, engine.NativeParallel}
-	// The n-bracket straddles the *active* profile's crossover, so a
-	// re-run under a fitted profile probes the planner exactly where its
-	// decision now flips.
-	ns := sizes(cfg,
-		[]int{prof.MinParallelN / 4, prof.MinParallelN / 2, prof.MinParallelN, 2 * prof.MinParallelN, 4 * prof.MinParallelN},
-		[]int{prof.MinParallelN / 2, prof.MinParallelN, 2 * prof.MinParallelN})
-	best := func(req engine.Request, in coarsest.Instance) (engine.Outcome, int64) {
-		var out engine.Outcome
-		bestNS := int64(1) << 62
-		for r := 0; r < doc.RepsPerSample; r++ {
-			o, err := engine.Run(context.Background(), in, req, nil)
-			if err != nil {
-				return engine.Outcome{}, -1
-			}
-			if ns := int64(o.Timings.Solve); ns < bestNS {
-				bestNS, out = ns, o
-			}
-		}
-		return out, bestNS
-	}
-	for _, fam := range []string{"random-function", "permutation"} {
-		for _, n := range ns {
-			var wl workload.Instance
-			if fam == "random-function" {
-				wl = workload.RandomFunction(cfg.Seed, n, 3)
-			} else {
-				wl = workload.RandomPermutation(cfg.Seed, n, 3)
-			}
-			in := coarsest.Instance{F: wl.F, B: wl.B}
-			auto, autoNS := best(engine.Request{Algorithm: engine.Auto}, in)
-			r := row{
-				Family:       fam,
-				N:            n,
-				AutoResolved: auto.Plan.Algorithm.String(),
-				AutoWorkers:  auto.Plan.Workers,
-				AutoNS:       autoNS,
-				ForcedNS:     map[string]int64{},
-			}
-			for _, algo := range forced {
-				out, forcedNS := best(engine.Request{Algorithm: algo}, in)
-				if forcedNS < 0 || !coarsest.SamePartition(out.Labels, auto.Labels) {
-					forcedNS = -1 // solver error or disagreement: poison the row visibly
-				}
-				r.ForcedNS[algo.String()] = forcedNS
-			}
-			doc.Rows = append(doc.Rows, r)
-		}
-	}
-	enc := json.NewEncoder(cfg.Out)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
-}
-
 func intSlicesEqual(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -905,14 +816,14 @@ func (p *a5Pool) close() {
 
 // A5Coalescing measures the coalescing micro-batch front door against
 // per-request handling on its target regime: many concurrent small solves
-// (well under engine.MinParallelN, so every plan lands on the sequential
-// linear solver). The per-request arm pays what sfcpd's pool path pays
-// per request — the planner's feature probe, plan construction, bounded
-// worker-pool dispatch, and a scratch checkout; the coalesced arm queues
-// requests for a miniature of the pool's batch crew, plans each pass once
-// (no probes) and solves its members back-to-back under one shared
-// scratch arena. Emits one JSON document (like A4) for BENCH_*.json
-// trajectory tracking.
+// (well under the batch crew's 32768-element threshold, and planned onto
+// the sequential linear solver). The per-request arm pays what sfcpd's
+// pool path pays per request — the planner's feature probe, plan
+// construction, bounded worker-pool dispatch, and a scratch checkout; the
+// coalesced arm queues requests for a miniature of the pool's batch crew,
+// plans each pass once (no probes) and solves its members back-to-back
+// under one shared scratch arena. Emits one JSON document (like A6–A8)
+// for BENCH_*.json trajectory tracking.
 func A5Coalescing(cfg Config) {
 	type row struct {
 		N             int     `json:"n"`
@@ -1094,11 +1005,11 @@ func A5Coalescing(cfg Config) {
 	_ = enc.Encode(doc)
 }
 
-// A6Calibration runs the condensed calibration experiment (internal/calib)
-// on this host and emits the fitted profile together with the crossover
-// and worker-scaling curves it was read off — the BENCH_A6.json trajectory
-// snapshot each perf PR checks in. The fit is budget-bounded; a truncated
-// report says so rather than extrapolating.
+// A6Calibration runs the calibration sweep (internal/calib) on this host
+// and emits the fitted profile together with the incremental-vs-full
+// curve it was read off — the BENCH_A6.json trajectory snapshot. The fit
+// is budget-bounded; a truncated report says so rather than
+// extrapolating.
 func A6Calibration(cfg Config) {
 	budget := 3 * time.Second
 	if cfg.Quick {
@@ -1116,7 +1027,7 @@ func A6Calibration(cfg Config) {
 		*calib.Report
 	}{
 		Experiment: "A6",
-		Title:      "planner calibration: fitted profile and the measured curves behind it",
+		Title:      "planner calibration: fitted profile and the measured curve behind it",
 		BudgetMS:   budget.Milliseconds(),
 		Report:     rep,
 	}
@@ -1127,10 +1038,9 @@ func A6Calibration(cfg Config) {
 
 // RunOne executes one experiment with the process-global planner profile
 // saved and restored around it. The profile is engine.SetProfile state
-// shared by every experiment in the process (and by the -calibration-file
-// flag), so an experiment that installs a fitted profile mid-run must not
-// skew the plans of whatever runs after it — -exp order and -all must
-// measure the same planner.
+// shared by every experiment in the process, so an experiment that
+// installs a fitted profile mid-run must not skew the plans of whatever
+// runs after it — -exp order and -all must measure the same planner.
 func RunOne(e Experiment, cfg Config) {
 	prev := engine.InstalledProfile()
 	defer engine.SetProfile(prev)

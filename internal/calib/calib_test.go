@@ -2,6 +2,7 @@ package calib
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,8 +21,8 @@ func TestDefaultProfileValidates(t *testing.T) {
 	if p.Source() != "default" {
 		t.Errorf("Source() = %q, want default", p.Source())
 	}
-	if p.MinParallelN != DefaultMinParallelN || p.WorkerGrain != DefaultWorkerGrain {
-		t.Errorf("default profile does not carry the default constants: %+v", p)
+	if p.IncrMaxDirtyFrac != DefaultIncrMaxDirtyFrac || p.IncrCrossover() != DefaultIncrMaxDirtyFrac {
+		t.Errorf("default profile does not carry the default crossover: %+v", p)
 	}
 	var nilProfile *Profile
 	if nilProfile.Source() != "default" {
@@ -42,11 +43,9 @@ func TestFingerprintSane(t *testing.T) {
 func TestValidateBounds(t *testing.T) {
 	bad := []func(*Profile){
 		func(p *Profile) { p.Version = ProfileVersion + 1 },
-		func(p *Profile) { p.MinParallelN = 0 },
-		func(p *Profile) { p.BreakEvenLogDivisor = 0 },
-		func(p *Profile) { p.BreakEvenLogDivisor = 65 },
-		func(p *Profile) { p.WorkerGrain = 0 },
-		func(p *Profile) { p.MaxUsefulWorkers = -1 },
+		func(p *Profile) { p.Version = 1 },
+		func(p *Profile) { p.IncrMaxDirtyFrac = -0.1 },
+		func(p *Profile) { p.IncrMaxDirtyFrac = 1.5 },
 	}
 	for i, mutate := range bad {
 		p := Default()
@@ -57,104 +56,42 @@ func TestValidateBounds(t *testing.T) {
 	}
 }
 
-// TestFitCrossover pins the sustained-win rule on synthetic sweeps: one
-// noisy parallel win below a loss must not move the crossover, and a
-// sweep where parallel never wins pushes the crossover past the bracket.
+// TestFitCrossover pins the crossover rule on synthetic sweeps: the
+// midpoint between the last incremental win and the first loss, the
+// largest measured fraction when incremental always wins, and the floor
+// when it never does.
 func TestFitCrossover(t *testing.T) {
-	pt := func(n int, lin, par int64) CrossoverPoint {
-		return CrossoverPoint{N: n, LinearNS: lin, ParallelNS: par}
+	pt := func(frac float64, incrNS, fullNS int64) IncrPoint {
+		return IncrPoint{DirtyFrac: frac, IncrNS: incrNS, FullNS: fullNS}
 	}
 	cases := []struct {
 		name   string
-		points []CrossoverPoint
-		want   int
+		points []IncrPoint
+		want   float64
+		ok     bool
 	}{
-		{"empty sweep keeps default", nil, DefaultMinParallelN},
-		{"clean crossover at 1<<14",
-			[]CrossoverPoint{pt(1<<12, 100, 300), pt(1<<13, 200, 250), pt(1<<14, 400, 350), pt(1<<15, 800, 500)},
-			1 << 14},
-		{"noisy early win ignored",
-			[]CrossoverPoint{pt(1<<12, 100, 90), pt(1<<13, 200, 250), pt(1<<14, 400, 350), pt(1<<15, 800, 500)},
-			1 << 14},
-		{"parallel never wins: crossover past the sweep",
-			[]CrossoverPoint{pt(1<<12, 100, 300), pt(1<<13, 200, 400), pt(1<<14, 400, 900)},
-			1 << 15},
-		{"parallel always wins: crossover at the sweep floor",
-			[]CrossoverPoint{pt(1<<12, 300, 100), pt(1<<13, 500, 200)},
-			1 << 12},
+		{"empty sweep keeps default", nil, 0, false},
+		{"clean crossover between 0.2 and 0.4",
+			[]IncrPoint{pt(0.1, 10, 100), pt(0.2, 40, 100), pt(0.4, 150, 100)}, 0.3, true},
+		{"incremental always wins: largest measured fraction",
+			[]IncrPoint{pt(0.1, 10, 100), pt(0.75, 90, 100)}, 0.75, true},
+		{"incremental never wins: floor",
+			[]IncrPoint{pt(0.01, 200, 100), pt(0.05, 300, 100)}, 0.01, true},
+		{"a win past the ceiling clamps to it",
+			[]IncrPoint{pt(0.99, 10, 100)}, 0.95, true},
 	}
 	for _, tc := range cases {
-		if got := FitCrossover(tc.points); got != tc.want {
-			t.Errorf("%s: FitCrossover = %d, want %d", tc.name, got, tc.want)
+		got, ok := FitIncrCrossover(tc.points)
+		if ok != tc.ok || math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("%s: FitIncrCrossover = %v, %v; want %v, %v", tc.name, got, ok, tc.want, tc.ok)
 		}
 	}
 }
 
-// TestFitWorkers pins the bandwidth-knee rule: scaling stops at the last
-// doubling that still delivered kneeGain, not at core count.
-func TestFitWorkers(t *testing.T) {
-	wp := func(w int, eps float64) WorkerPoint {
-		return WorkerPoint{Workers: w, ElementsPerSec: eps}
-	}
-	// Perfect scaling 1->2->4, saturation at 8 (gain < kneeGain).
-	maxW, grain, ok := FitWorkers(1<<17, []WorkerPoint{
-		wp(1, 100), wp(2, 195), wp(4, 380), wp(8, 400),
-	})
-	if !ok || maxW != 4 {
-		t.Fatalf("knee at 4 workers not found: maxW=%d ok=%v", maxW, ok)
-	}
-	if want := 1 << 15; grain != want {
-		t.Errorf("grain = %d, want %d (sweepN/maxUseful)", grain, want)
-	}
-	// Single-core sweep: cap is 1, grain clamps to the sweep size.
-	maxW, grain, ok = FitWorkers(1<<17, []WorkerPoint{wp(1, 100)})
-	if !ok || maxW != 1 || grain != 1<<17 {
-		t.Errorf("single-point sweep: maxW=%d grain=%d ok=%v", maxW, grain, ok)
-	}
-	// Immediate saturation: adding the 2nd worker gains nothing.
-	maxW, _, _ = FitWorkers(1<<17, []WorkerPoint{wp(1, 100), wp(2, 101), wp(4, 300)})
-	if maxW != 1 {
-		t.Errorf("immediate knee: maxW = %d, want 1 (later recovery is past the knee)", maxW)
-	}
-	// Tiny grain clamps at the floor.
-	_, grain, _ = FitWorkers(1<<12, []WorkerPoint{wp(1, 100), wp(2, 300)})
-	if grain != 1<<12 {
-		t.Errorf("grain floor: %d, want %d", grain, 1<<12)
-	}
-	if _, _, ok := FitWorkers(0, nil); ok {
-		t.Error("empty sweep must not fit")
-	}
-}
-
-// TestFitBreakEvenDivisor pins the slowdown-ratio rule on synthetic
-// measurements: one worker 4x slower than linear at n=2^17 (log2 ≈ 17)
-// needs ~4 cores, so d ≈ 17/4 ≈ 4.
-func TestFitBreakEvenDivisor(t *testing.T) {
-	cross := []CrossoverPoint{{N: 1 << 17, LinearNS: 1000}}
-	workers := []WorkerPoint{{Workers: 1, NS: 4000}}
-	d, ok := FitBreakEvenDivisor(cross, workers)
-	if !ok || d != 4 {
-		t.Errorf("divisor = %d ok=%v, want 4 true", d, ok)
-	}
-	// A parallel solver faster than linear on one worker clamps the
-	// ratio at 1: the divisor saturates at log2(n) capped to 64.
-	d, ok = FitBreakEvenDivisor(cross, []WorkerPoint{{Workers: 1, NS: 500}})
-	if !ok || d != 17 {
-		t.Errorf("clamped ratio: divisor = %d ok=%v, want 17 true", d, ok)
-	}
-	if _, ok := FitBreakEvenDivisor(nil, workers); ok {
-		t.Error("no crossover points must not fit")
-	}
-	if _, ok := FitBreakEvenDivisor(cross, nil); ok {
-		t.Error("no worker points must not fit")
-	}
-	if _, ok := FitBreakEvenDivisor(cross, []WorkerPoint{{Workers: 2, NS: 100}}); ok {
-		t.Error("sweep without a single-worker point must not fit")
-	}
-}
-
-// TestCalibrateQuick runs a real (tiny) fit end to end: the profile must
-// validate, be marked calibrated, and carry this host's fingerprint.
+// TestCalibrateQuick runs a real (tiny) fit end to end: the sweep must
+// finish inside its budget, and the profile must carry the crossover it
+// fits, validate, be marked calibrated, and carry this host's
+// fingerprint.
 func TestCalibrateQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing fit skipped in -short")
@@ -173,8 +110,11 @@ func TestCalibrateQuick(t *testing.T) {
 	if p.Host.GOMAXPROCS == 0 || p.FittedAt == "" {
 		t.Errorf("fitted profile missing host stamp or fit time: %+v", p)
 	}
-	if len(rep.Crossover) == 0 {
-		t.Error("report carries no crossover measurements")
+	if rep.Truncated || len(rep.Incr) != len(incrFracs) {
+		t.Errorf("fit truncated=%v with %d of %d incremental points", rep.Truncated, len(rep.Incr), len(incrFracs))
+	}
+	if want, _ := FitIncrCrossover(rep.Incr); p.IncrMaxDirtyFrac != want {
+		t.Errorf("profile incr_max_dirty_frac = %v, the sweep fits %v", p.IncrMaxDirtyFrac, want)
 	}
 }
 
@@ -193,8 +133,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "profile.json")
 	p := Default()
 	p.Calibrated = true
-	p.MinParallelN = 12345
-	p.MaxUsefulWorkers = 6
+	p.IncrMaxDirtyFrac = 0.125
 	p.FittedAt = "2026-08-07T00:00:00Z"
 	if err := p.Save(path); err != nil {
 		t.Fatal(err)
@@ -208,7 +147,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Atomic rewrite: saving over an existing file replaces it wholesale
 	// and leaves no temporary siblings behind.
-	p.MinParallelN = 54321
+	p.IncrMaxDirtyFrac = 0.375
 	if err := p.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +155,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.MinParallelN != 54321 {
+	if back.IncrMaxDirtyFrac != 0.375 {
 		t.Errorf("rewrite not visible: %+v", back)
 	}
 	entries, err := os.ReadDir(dir)
@@ -234,9 +173,19 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveRejectsInvalid(t *testing.T) {
 	p := Default()
-	p.WorkerGrain = 0
+	p.IncrMaxDirtyFrac = 2
 	if err := p.Save(filepath.Join(t.TempDir(), "p.json")); err == nil {
 		t.Fatal("invalid profile persisted")
+	}
+}
+
+// withSuffix writes a valid profile followed by suffix.
+func withSuffix(suffix string) func(path string) {
+	return func(path string) {
+		Default().Save(path)
+		f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		f.WriteString(suffix)
+		f.Close()
 	}
 }
 
@@ -254,21 +203,22 @@ func TestLoadLenientFallbacks(t *testing.T) {
 		{"corrupt JSON", func(path string) {
 			os.WriteFile(path, []byte("{nope"), 0o644)
 		}, "unusable"},
-		{"trailing garbage", func(path string) {
-			p := Default()
-			p.Save(path)
-			f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-			f.WriteString("{}")
-			f.Close()
-		}, "unusable"},
+		{"trailing garbage", withSuffix("{}"), "unusable"},
+		{"trailing word", withSuffix(" x"), "unusable"},
+		{"trailing brace", withSuffix("}"), "unusable"},
+		{"trailing bracket", withSuffix("]"), "unusable"},
+		{"trailing braces", withSuffix("}}"), "unusable"},
 		{"version skew", func(path string) {
-			os.WriteFile(path, []byte(`{"version":99,"min_parallel_n":1,"break_even_log_divisor":3,"worker_grain":1,"max_useful_workers":0,"host":{"gomaxprocs":1,"num_cpu":1,"goos":"linux","goarch":"amd64"},"calibrated":true}`), 0o644)
+			os.WriteFile(path, []byte(`{"version":99,"incr_max_dirty_frac":0.3,"host":{"gomaxprocs":1,"num_cpu":1,"goos":"linux","goarch":"amd64"},"calibrated":true}`), 0o644)
+		}, "unusable"},
+		{"version-1 profile", func(path string) {
+			os.WriteFile(path, []byte(`{"version":1,"min_parallel_n":32768,"break_even_log_divisor":3,"worker_grain":16384,"max_useful_workers":0,"incr_max_dirty_frac":0.3,"host":{"gomaxprocs":1,"num_cpu":1,"goos":"linux","goarch":"amd64"},"calibrated":true}`), 0o644)
 		}, "unusable"},
 		{"out-of-range field", func(path string) {
-			os.WriteFile(path, []byte(`{"version":1,"min_parallel_n":0,"break_even_log_divisor":3,"worker_grain":1,"max_useful_workers":0,"host":{"gomaxprocs":1,"num_cpu":1,"goos":"linux","goarch":"amd64"},"calibrated":true}`), 0o644)
+			os.WriteFile(path, []byte(`{"version":2,"incr_max_dirty_frac":1.5,"host":{"gomaxprocs":1,"num_cpu":1,"goos":"linux","goarch":"amd64"},"calibrated":true}`), 0o644)
 		}, "unusable"},
 		{"unknown field", func(path string) {
-			os.WriteFile(path, []byte(`{"version":1,"surprise":true}`), 0o644)
+			os.WriteFile(path, []byte(`{"version":2,"surprise":true}`), 0o644)
 		}, "unusable"},
 	}
 	for i, tc := range cases {

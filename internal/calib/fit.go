@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
-	"runtime"
 	"time"
 
 	"sfcp/internal/coarsest"
@@ -22,14 +20,15 @@ import (
 // Options configures a calibration run.
 type Options struct {
 	// Budget bounds the whole fit's wall clock (default 3s). A fit that
-	// runs out of budget keeps the defaults for whatever it had not yet
-	// measured and marks the report truncated — a bounded startup fit
-	// must never hold a server hostage.
+	// runs out of budget fits from the points it measured and marks the
+	// report truncated — a bounded startup fit must never hold a server
+	// hostage.
 	Budget time.Duration
 	// Seed drives the measurement workloads (default 1993).
 	Seed int64
-	// MaxN caps the largest instance the sweeps allocate (default 1<<17;
-	// the floor is 1<<12). Smaller caps make quicker, coarser fits.
+	// MaxN is the size of the instance the sweep re-solves (default
+	// 1<<17; the floor is 1<<12). Smaller sizes make quicker, coarser
+	// fits.
 	MaxN int
 	// Log, when non-nil, receives one line per measurement.
 	Log io.Writer
@@ -51,25 +50,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// CrossoverPoint is one row of the crossover sweep: the best-of-reps
-// wall time of the sequential linear solver and of the native-parallel
-// solver (at the worker count the planner would grant) on one instance
-// size.
-type CrossoverPoint struct {
-	N          int   `json:"n"`
-	Workers    int   `json:"workers"`
-	LinearNS   int64 `json:"linear_ns"`
-	ParallelNS int64 `json:"parallel_ns"`
-}
-
-// WorkerPoint is one row of the worker-scaling sweep at the fixed sweep
-// size: wall time and throughput with the given goroutine count.
-type WorkerPoint struct {
-	Workers        int     `json:"workers"`
-	NS             int64   `json:"ns"`
-	ElementsPerSec float64 `json:"elements_per_sec"`
-}
-
 // IncrPoint is one row of the incremental re-solve sweep: best-of-reps
 // wall time of a component-scoped delta application dirtying DirtyNodes
 // of an n-element instance, against a full re-solve of the same edited
@@ -84,25 +64,27 @@ type IncrPoint struct {
 
 // Report is a full calibration outcome: the fitted profile plus the raw
 // measurements behind it, so a checked-in BENCH_A6.json snapshot shows
-// not just the thresholds but the curve they were read off.
+// not just the threshold but the curve it was read off.
 type Report struct {
-	Profile   Profile          `json:"profile"`
-	Crossover []CrossoverPoint `json:"crossover"`
-	Workers   []WorkerPoint    `json:"worker_scaling"`
-	Incr      []IncrPoint      `json:"incr_resolve,omitempty"`
-	// Truncated reports that the budget expired before every sweep
-	// finished; unfitted fields kept their defaults.
+	Profile Profile     `json:"profile"`
+	Incr    []IncrPoint `json:"incr_resolve"`
+	// Truncated reports that the budget expired before the sweep
+	// finished; the fit used the points measured until then.
 	Truncated bool `json:"truncated"`
 	// Elapsed is the fit's total wall clock.
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// Calibrate runs the condensed A4-style crossover experiment and the
-// worker-scaling sweep on this host and fits a Profile. It respects ctx
-// and the budget: whatever is unmeasured when either expires stays at
-// the default value. The returned error is non-nil only when not a
-// single measurement completed (ctx already cancelled, or a pathological
-// budget) — a partial fit is a valid, truncated report.
+// incrFracs are the dirty fractions the sweep measures, ascending, so
+// FitIncrCrossover can walk them and a truncated sweep keeps its
+// low-fraction points.
+var incrFracs = []float64{0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75}
+
+// Calibrate runs the incremental re-solve sweep on this host and fits a
+// Profile. It respects ctx and the budget: the fit reads whatever points
+// completed before either expired. The returned error is non-nil only
+// when not a single point completed (ctx already cancelled, or a
+// pathological budget) — a partial fit is a valid, truncated report.
 func Calibrate(ctx context.Context, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
@@ -118,130 +100,59 @@ func Calibrate(ctx context.Context, opts Options) (*Report, error) {
 		return ctx.Err() != nil || time.Now().After(deadline)
 	}
 
-	// Sweep sizes: a geometric n-bracket straddling the default
-	// crossover, clipped to MaxN. Reps shrink as n grows so the sweep's
-	// cost stays roughly linear in its largest size.
-	var ns []int
-	for n := 1 << 12; n <= opts.MaxN; n <<= 1 {
-		ns = append(ns, n)
+	// DistinctCycles gives components of uniform size, so dirtying
+	// floor(frac*k) of k components (at least one) hits each target dirty
+	// fraction to within one component. The same edit batch re-applies every rep (recomputing an
+	// already-applied delta is idempotent and costs the same region
+	// work), and the full-solve baseline runs on the edited instance —
+	// both sides solve the same version.
+	const cycleLen = 64
+	k := opts.MaxN / cycleLen
+	n := k * cycleLen
+	wl := workload.DistinctCycles(opts.Seed, k, cycleLen, 3)
+	in := coarsest.Instance{F: wl.F, B: wl.B}
+	st, err := incr.Build(in)
+	if err != nil {
+		return nil, fmt.Errorf("calib: building the sweep instance: %w", err)
 	}
-	procs := runtime.GOMAXPROCS(0)
 	sc := &coarsest.Scratch{}
-
-	// Crossover sweep: linear vs native-parallel (at the worker count a
-	// default-profile planner would grant) on the random-function family
-	// at every bracketed size.
-	for _, n := range ns {
+	reps := repsFor(n)
+	for _, frac := range incrFracs {
 		if expired() {
 			rep.Truncated = true
 			break
 		}
-		wl := workload.RandomFunction(opts.Seed, n, 3)
-		in := coarsest.Instance{F: wl.F, B: wl.B}
-		reps := repsFor(n)
-		workers := grantedWorkers(n, procs, DefaultWorkerGrain)
-		linNS := bestOf(reps, func() {
+		dirty := max(int(frac*float64(k)), 1)
+		edits := make([]incr.Edit, dirty)
+		for c := range edits {
+			edits[c] = incr.Edit{Node: c * cycleLen, SetB: true, B: 7}
+			in.B[c*cycleLen] = 7
+		}
+		incrNS := bestOf(reps, func() {
+			_, _, _ = st.ApplyDelta(edits)
+		})
+		fullNS := bestOf(reps, func() {
 			coarsest.LinearSequentialScratch(in, sc)
 		})
-		parNS := bestOf(reps, func() {
-			_, _ = coarsest.NativeParallelCtx(ctx, in, workers, sc)
+		measured := float64(dirty*cycleLen) / float64(n)
+		rep.Incr = append(rep.Incr, IncrPoint{
+			N: n, DirtyNodes: dirty * cycleLen, DirtyFrac: measured,
+			IncrNS: incrNS, FullNS: fullNS,
 		})
-		rep.Crossover = append(rep.Crossover, CrossoverPoint{
-			N: n, Workers: workers, LinearNS: linNS, ParallelNS: parNS,
-		})
-		logf("calib: crossover n=%d workers=%d linear=%v parallel=%v",
-			n, workers, time.Duration(linNS), time.Duration(parNS))
+		logf("calib: incr n=%d dirty=%.2f incr=%v full=%v",
+			n, measured, time.Duration(incrNS), time.Duration(fullNS))
 	}
-	if len(rep.Crossover) == 0 {
+	if len(rep.Incr) == 0 {
 		return nil, fmt.Errorf("calib: no measurements inside budget %v: %w", opts.Budget, ctxErrOr(ctx))
-	}
-
-	// Worker-scaling sweep at the largest measured size: doubling worker
-	// counts up to GOMAXPROCS, watching for the memory-bandwidth knee.
-	sweepN := rep.Crossover[len(rep.Crossover)-1].N
-	wl := workload.RandomFunction(opts.Seed+1, sweepN, 3)
-	in := coarsest.Instance{F: wl.F, B: wl.B}
-	for w := 1; w <= procs; w <<= 1 {
-		if expired() {
-			rep.Truncated = true
-			break
-		}
-		nsBest := bestOf(2, func() {
-			_, _ = coarsest.NativeParallelCtx(ctx, in, w, sc)
-		})
-		rep.Workers = append(rep.Workers, WorkerPoint{
-			Workers:        w,
-			NS:             nsBest,
-			ElementsPerSec: float64(sweepN) / (float64(nsBest) / float64(time.Second)),
-		})
-		logf("calib: workers=%d n=%d wall=%v", w, sweepN, time.Duration(nsBest))
-	}
-
-	// Incremental re-solve sweep: DistinctCycles gives components of
-	// uniform size, so dirtying ceil(frac*k) of k components hits each
-	// target dirty fraction exactly. The same edit batch re-applies every
-	// rep (recomputing an already-applied delta is idempotent and costs
-	// the same region work), and the full-solve baseline runs on the
-	// edited instance — both sides solve the same version.
-	const incrCycleLen = 64
-	incrN := sweepN
-	if k := incrN / incrCycleLen; k >= 2 {
-		iwl := workload.DistinctCycles(opts.Seed+2, k, incrCycleLen, 3)
-		iin := coarsest.Instance{F: iwl.F, B: iwl.B}
-		st, buildErr := incr.Build(iin)
-		if buildErr == nil {
-			for _, frac := range []float64{0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75} {
-				if expired() {
-					rep.Truncated = true
-					break
-				}
-				dirty := int(frac * float64(k))
-				if dirty < 1 {
-					dirty = 1
-				}
-				edits := make([]incr.Edit, dirty)
-				for c := range edits {
-					edits[c] = incr.Edit{Node: c * incrCycleLen, SetB: true, B: 7}
-				}
-				for _, e := range edits {
-					iin.B[e.Node] = e.B
-				}
-				reps := repsFor(incrN)
-				incrNS := bestOf(reps, func() {
-					_, _, _ = st.ApplyDelta(edits)
-				})
-				fullNS := bestOf(reps, func() {
-					coarsest.LinearSequentialScratch(iin, sc)
-				})
-				measured := float64(dirty*incrCycleLen) / float64(incrN)
-				rep.Incr = append(rep.Incr, IncrPoint{
-					N: incrN, DirtyNodes: dirty * incrCycleLen, DirtyFrac: measured,
-					IncrNS: incrNS, FullNS: fullNS,
-				})
-				logf("calib: incr n=%d dirty=%.2f incr=%v full=%v",
-					incrN, measured, time.Duration(incrNS), time.Duration(fullNS))
-			}
-		}
 	}
 
 	p := Default()
 	p.Calibrated = true
 	p.FittedAt = start.UTC().Format(time.RFC3339)
-	p.MinParallelN = FitCrossover(rep.Crossover)
-	if d, ok := FitBreakEvenDivisor(rep.Crossover, rep.Workers); ok {
-		p.BreakEvenLogDivisor = d
-	}
-	if maxW, grain, ok := FitWorkers(sweepN, rep.Workers); ok {
-		p.MaxUsefulWorkers = maxW
-		p.WorkerGrain = grain
-	}
-	if frac, ok := FitIncrCrossover(rep.Incr); ok {
-		p.IncrMaxDirtyFrac = frac
-	}
+	p.IncrMaxDirtyFrac, _ = FitIncrCrossover(rep.Incr)
 	rep.Profile = *p
 	rep.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	logf("calib: fitted min_parallel_n=%d divisor=%d grain=%d max_workers=%d truncated=%v",
-		p.MinParallelN, p.BreakEvenLogDivisor, p.WorkerGrain, p.MaxUsefulWorkers, rep.Truncated)
+	logf("calib: fitted incr_max_dirty_frac=%.3f truncated=%v", p.IncrMaxDirtyFrac, rep.Truncated)
 	return rep, nil
 }
 
@@ -265,22 +176,8 @@ func repsFor(n int) int {
 	}
 }
 
-// grantedWorkers mirrors the planner's size-scaled worker grant: one
-// worker per grain elements, within the host budget.
-func grantedWorkers(n, budget, grain int) int {
-	w := n / grain
-	if w < 1 {
-		w = 1
-	}
-	if w > budget {
-		w = budget
-	}
-	return w
-}
-
 // bestOf runs fn reps times and returns the fastest wall time in
-// nanoseconds — min-of-reps sheds scheduler noise the same way the A4/A5
-// experiments do.
+// nanoseconds — min-of-reps sheds scheduler noise.
 func bestOf(reps int, fn func()) int64 {
 	best := int64(math.MaxInt64)
 	for r := 0; r < reps; r++ {
@@ -293,57 +190,6 @@ func bestOf(reps int, fn func()) int64 {
 	return best
 }
 
-// FitCrossover reads MinParallelN off the crossover sweep: the smallest
-// measured n from which the parallel solver wins at every larger
-// measured size too (a single noisy win below a loss does not move the
-// crossover). If parallel never sustainedly wins, the crossover is
-// pushed past the sweep (2x the largest measured n) — on this hardware
-// the sequential solver is the right call for everything the sweep
-// covered, and honesty beats extrapolation. Exposed (with FitWorkers and
-// FitBreakEvenDivisor) so the fitting rules are unit-testable on
-// synthetic measurements, independent of wall clocks.
-func FitCrossover(points []CrossoverPoint) int {
-	if len(points) == 0 {
-		return DefaultMinParallelN
-	}
-	fitted := 2 * points[len(points)-1].N
-	for i := len(points) - 1; i >= 0; i-- {
-		if points[i].ParallelNS >= points[i].LinearNS {
-			break
-		}
-		fitted = points[i].N
-	}
-	return fitted
-}
-
-// FitBreakEvenDivisor fits d in "parallel needs ~log2(n)/d cores to
-// break even" from the single-worker slowdown at the sweep's largest
-// size: if one worker is r times slower than linear, it needs about r
-// effective cores, so d ≈ log2(n)/r. Returns ok=false when the sweep
-// lacks a single-worker point (the default stands).
-func FitBreakEvenDivisor(cross []CrossoverPoint, workers []WorkerPoint) (int, bool) {
-	if len(cross) == 0 || len(workers) == 0 || workers[0].Workers != 1 {
-		return 0, false
-	}
-	largest := cross[len(cross)-1]
-	if largest.LinearNS <= 0 || workers[0].NS <= 0 {
-		return 0, false
-	}
-	ratio := float64(workers[0].NS) / float64(largest.LinearNS)
-	if ratio < 1 {
-		ratio = 1
-	}
-	log2n := bits.Len(uint(largest.N)) - 1
-	d := int(math.Round(float64(log2n) / ratio))
-	if d < 1 {
-		d = 1
-	}
-	if d > 64 {
-		d = 64
-	}
-	return d, true
-}
-
 // FitIncrCrossover reads IncrMaxDirtyFrac off the incremental sweep:
 // walking the ascending measured dirty fractions, the crossover is the
 // midpoint between the last fraction where the incremental path still
@@ -351,6 +197,8 @@ func FitBreakEvenDivisor(cross []CrossoverPoint, workers []WorkerPoint) (int, bo
 // every measured fraction the crossover is the largest one measured (no
 // extrapolation past the sweep); if it never wins the crossover collapses
 // to the floor. Returns ok=false on an empty sweep (the default stands).
+// Exposed so the fitting rule is unit-testable on synthetic
+// measurements, independent of wall clocks.
 func FitIncrCrossover(points []IncrPoint) (float64, bool) {
 	if len(points) == 0 {
 		return 0, false
@@ -377,35 +225,4 @@ func clampFrac(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// kneeGain is the minimum throughput multiple a doubling of workers must
-// deliver to count as scaling; below it the added workers are queueing
-// on memory bandwidth, not computing.
-const kneeGain = 1.15
-
-// FitWorkers reads the bandwidth knee off the worker-scaling sweep:
-// walking the doubling worker counts, scaling stops at the last point
-// whose throughput still beat its predecessor by kneeGain. Past the knee
-// more workers burn cache and bandwidth for nothing — the fitted cap is
-// deliberately below core count when the memory system saturates first.
-// WorkerGrain refits so the planner's size-scaled grant reaches the knee
-// exactly at the sweep size. Returns ok=false on an empty sweep.
-func FitWorkers(sweepN int, points []WorkerPoint) (maxUseful, grain int, ok bool) {
-	if len(points) == 0 || sweepN <= 0 {
-		return 0, 0, false
-	}
-	maxUseful = points[0].Workers
-	best := points[0].ElementsPerSec
-	for _, pt := range points[1:] {
-		if pt.ElementsPerSec < best*kneeGain {
-			break
-		}
-		maxUseful, best = pt.Workers, pt.ElementsPerSec
-	}
-	grain = sweepN / maxUseful
-	if grain < 1<<12 {
-		grain = 1 << 12
-	}
-	return maxUseful, grain, true
 }

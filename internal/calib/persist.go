@@ -11,8 +11,9 @@ import (
 
 // Decode parses and validates one persisted profile. It is strict —
 // unknown fields, trailing data, version skew and out-of-range values all
-// fail — because a profile steers every plan the host resolves: a file
-// the decoder is unsure about must fall back to defaults, not half-apply.
+// fail — because a profile steers every delta re-solve the host plans: a
+// file the decoder is unsure about must fall back to defaults, not
+// half-apply.
 func Decode(data []byte) (*Profile, error) {
 	var p Profile
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -20,7 +21,9 @@ func Decode(data []byte) (*Profile, error) {
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("calib: decoding profile: %w", err)
 	}
-	if dec.More() {
+	// Only JSON whitespace may follow the value. Decoder.More is no test
+	// for that: it reports false before a stray `}` or `]`.
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
 		return nil, errors.New("calib: trailing data after profile")
 	}
 	if err := p.Validate(); err != nil {

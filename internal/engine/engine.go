@@ -1,19 +1,23 @@
 // Package engine is the unified execution layer of the library: the one
 // place an Algorithm is chosen and the one place it is invoked.
 //
-// Every solve entry point — Solve/SolveWith/SolveWithContext, the reusable
-// Solver and its batches, sfcpd's synchronous handlers and async job
-// dispatchers, and the sfcp CLI — routes through Run, which
+// A solve has two stages, planning and execution:
 //
-//  1. computes cheap instance features (size, a sampled initial-label
-//     count, a sampled cycle/tree structure probe),
-//  2. resolves the request to an explainable Plan{Algorithm, Workers,
-//     Reason} — Auto picks the sequential linear-time solver below a
-//     benchmark-calibrated crossover and the goroutine-parallel solver
-//     above it, with the worker count scaled to the instance instead of
-//     always GOMAXPROCS — and
-//  3. executes the plan through the single dispatch table mapping each
-//     Algorithm to its internal/coarsest entry point.
+//  1. MakePlan (MakeBatchPlan for a batch) resolves a request to an
+//     explainable Plan{Algorithm, Workers, Reason, Features}. Auto runs a
+//     cheap probe (size, a sampled initial-label count, a sampled
+//     cycle/tree structure probe) and resolves to the sequential
+//     linear-time solver; explicit algorithms keep their name and only
+//     get a worker count.
+//  2. Execute dispatches a plan through the single dispatch table mapping
+//     each Algorithm to its internal/coarsest entry point.
+//
+// Run does both in one call; the library's Solve, SolveWith and Solver
+// use it. Callers that need the plan before the solve — sfcpd keys its
+// queue and cache on the resolved algorithm — call MakePlan through
+// sfcp.PlanWith or sfcp.PlanBatch, then Execute through sfcp.SolvePlanned
+// or Solver.SolvePlanned / SolveBatchPlanned. Delta re-solves have their
+// own planner, PlanResolve, the one reader of the calibration profile.
 //
 // Plans are deterministic: identical instances with identical requests
 // yield identical plans (the probe samples by fixed stride, never by RNG).
@@ -33,8 +37,7 @@ type Algorithm uint8
 
 // The solver catalogue, in canonical presentation order.
 const (
-	// Auto lets the planner pick per instance: the sequential linear-time
-	// solver below the calibrated crossover, NativeParallel above it.
+	// Auto lets the planner pick; it resolves to Linear.
 	Auto Algorithm = iota
 	// Moore is naive iterative refinement (O(n^2) worst case).
 	Moore

@@ -3,9 +3,9 @@ package engine
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
-	"sfcp/internal/calib"
 	"sfcp/internal/coarsest"
 	"sfcp/internal/workload"
 )
@@ -34,12 +34,12 @@ func families(seed int64, n int) map[string]coarsest.Instance {
 }
 
 // TestPlannerAgreesWithLinear is the differential gate on the planner:
-// whatever Auto resolves to — on either side of the crossover, with a
-// budget that forces the sequential branch and one that allows the
-// parallel branch — the labels must equal the linear reference exactly
-// (all solvers normalize by first occurrence, so equality is slice-wise).
+// whatever Auto resolves to — on either side of 2^15, the former
+// parallel crossover, with a one-worker and a wide budget — the labels
+// must equal the linear reference exactly (all solvers normalize by
+// first occurrence, so equality is slice-wise).
 func TestPlannerAgreesWithLinear(t *testing.T) {
-	for _, n := range []int{MinParallelN / 2, MinParallelN} {
+	for _, n := range []int{1 << 14, 1 << 15} {
 		for name, in := range families(1993, n) {
 			want := coarsest.LinearSequential(in)
 			for _, workers := range []int{1, 16} {
@@ -62,7 +62,7 @@ func TestPlannerAgreesWithLinear(t *testing.T) {
 // TestPlanDeterminism: identical instances and requests always yield
 // identical plans — reason string, features and all.
 func TestPlanDeterminism(t *testing.T) {
-	for name, in := range families(7, MinParallelN/2) {
+	for name, in := range families(7, 1<<14) {
 		for _, req := range []Request{
 			{Algorithm: Auto},
 			{Algorithm: Auto, Workers: 16},
@@ -86,44 +86,63 @@ func TestPlanDeterminism(t *testing.T) {
 	}
 }
 
-// TestCrossoverRules pins the planner's decision table: linear below the
-// crossover or under a starved budget, native-parallel (with size-scaled
-// workers) above it with budget to spare.
+// TestCrossoverRules pins the planner's decision table around 2^15, the
+// former parallel crossover. Auto resolves to the linear solver on one
+// worker at every size and budget, for single instances and batches
+// alike. An explicit native-parallel request keeps its grant: an
+// unstated budget gets one worker per 2^14 elements, at least one and at
+// most NumCPU, and an explicit count passes through.
 func TestCrossoverRules(t *testing.T) {
-	small := families(3, MinParallelN/2)["random-function"]
-	big := families(3, 4*MinParallelN)["random-function"]
-
+	cpus := runtime.NumCPU()
 	cases := []struct {
-		name        string
-		in          coarsest.Instance
-		workers     int
-		wantAlgo    Algorithm
-		wantWorkers int
+		n         int
+		npWorkers int // explicit native-parallel with Workers: 0
 	}{
-		{"below crossover, wide budget", small, 64, Linear, 1},
-		{"above crossover, single core", big, 1, Linear, 1},
-		{"above crossover, wide budget", big, 64, NativeParallel, 4 * MinParallelN / calib.DefaultWorkerGrain},
+		{1, 1},
+		{1<<15 - 1, 1},
+		{1 << 15, min(2, cpus)},
+		{1 << 20, min(64, cpus)},
 	}
+	small := families(3, 1<<10)["random-function"]
 	for _, tc := range cases {
-		plan, err := MakePlan(tc.in, Request{Algorithm: Auto, Workers: tc.workers})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		wl := workload.RandomFunction(3, tc.n, 3)
+		in := coarsest.Instance{F: wl.F, B: wl.B}
+		batch := []coarsest.Instance{small, in, small}
+		for _, workers := range []int{0, 1, 2, 8, 64} {
+			req := Request{Algorithm: Auto, Workers: workers}
+			plan, err := MakePlan(in, req)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", tc.n, workers, err)
+			}
+			if plan.Algorithm != Linear || plan.Workers != 1 || plan.Reason != autoReason || !plan.Features.Probed {
+				t.Errorf("n=%d workers=%d: auto plan = %+v, want probed linear/1", tc.n, workers, plan)
+			}
+			bplan, err := MakeBatchPlan(batch, req)
+			if err != nil {
+				t.Fatalf("batch max n=%d workers=%d: %v", tc.n, workers, err)
+			}
+			if bplan.Algorithm != Linear || bplan.Workers != 1 || bplan.Features.N != tc.n+2*len(small.F) {
+				t.Errorf("batch max n=%d workers=%d: auto plan = %+v, want linear/1", tc.n, workers, bplan)
+			}
 		}
-		if plan.Algorithm != tc.wantAlgo || plan.Workers != tc.wantWorkers {
-			t.Errorf("%s: plan = %s/%d workers, want %s/%d (reason %q)",
-				tc.name, plan.Algorithm, plan.Workers, tc.wantAlgo, tc.wantWorkers, plan.Reason)
-		}
-		if plan.Reason == "" || !plan.Features.Probed {
-			t.Errorf("%s: auto plan missing reason or probe: %+v", tc.name, plan)
+		for _, w := range []struct{ req, want int }{{0, tc.npWorkers}, {3, 3}} {
+			plan, err := MakePlan(in, Request{Algorithm: NativeParallel, Workers: w.req})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Algorithm != NativeParallel || plan.Workers != w.want {
+				t.Errorf("n=%d explicit native-parallel workers=%d: %s/%d, want native-parallel/%d",
+					tc.n, w.req, plan.Algorithm, plan.Workers, w.want)
+			}
 		}
 	}
 }
 
-// TestExplicitPlans: explicit algorithm requests are honored verbatim; an
-// explicit worker count on native-parallel is an instruction, while an
-// unstated one is scaled to the instance.
+// TestExplicitPlans: explicit algorithm requests are honored verbatim,
+// without the probe, and an explicit worker count on native-parallel is
+// an instruction.
 func TestExplicitPlans(t *testing.T) {
-	in := families(5, 4*MinParallelN)["random-function"]
+	in := families(5, 1<<17)["random-function"]
 	for _, algo := range []Algorithm{Moore, Hopcroft, Linear, ParallelPRAM, NativeParallel, DoublingHash, DoublingSort} {
 		plan, err := MakePlan(in, Request{Algorithm: algo, Workers: 3})
 		if err != nil {
@@ -139,10 +158,6 @@ func TestExplicitPlans(t *testing.T) {
 	explicit, _ := MakePlan(in, Request{Algorithm: NativeParallel, Workers: 64})
 	if explicit.Workers != 64 {
 		t.Errorf("explicit worker count overridden: %d", explicit.Workers)
-	}
-	scaled, _ := MakePlan(in, Request{Algorithm: NativeParallel})
-	if want := scaleWorkers(len(in.F), 1<<30, calib.Default()); scaled.Workers > want {
-		t.Errorf("unstated worker budget not size-scaled: %d > %d", scaled.Workers, want)
 	}
 }
 

@@ -4,69 +4,24 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 	"time"
 
-	"sfcp/internal/calib"
 	"sfcp/internal/coarsest"
 	"sfcp/internal/par"
 	"sfcp/internal/pram"
 )
 
-// Planner calibration. The crossover model comes from measuring
-// LinearSequential against NativeParallel on random-function and
-// permutation workloads (regenerate with `sfcpbench -exp A4`, or re-fit
-// for this host with `sfcpbench -calibrate`): on one core the parallel
-// solver is 1.9–2.1x slower at n=2^10 and 5–7.6x slower at n=2^20 — its
-// pointer-doubling structure discovery does ~log2(n) near-linear passes,
-// each costing roughly a third of the linear solver's single pass. It
-// therefore needs about log2(n)/divisor effective cores to break even,
-// and below the crossover size the goroutine fan-out and barrier overhead
-// dominate regardless of core count.
-//
-// The default thresholds live in internal/calib (the one home of the
-// crossover constants); a host-fitted calib.Profile injected via
-// SetProfile — or passed directly to MakePlanWithProfile — replaces them.
-const (
-	// MinParallelN is the default instance size below which Auto never
-	// picks the goroutine-parallel solver. A calibrated profile overrides
-	// it per host; this constant remains the zero-config fallback and the
-	// public crossover landmark (sfcp.LinearCrossoverN).
-	MinParallelN = calib.DefaultMinParallelN
-	// minParallelCores is the floor on the break-even estimate: with
-	// fewer than two cores the parallel solver cannot win at any size.
-	minParallelCores = 2
-)
+// nativeParallelGrain is the elements per goroutine an explicit
+// native-parallel request with an unstated worker budget is granted:
+// spreading fewer than this across extra goroutines costs more in
+// startup and barriers than the added parallelism returns.
+const nativeParallelGrain = 1 << 14
 
-// activeProfile is the process-wide planner profile. Nil means the
-// built-in defaults; SetProfile stores a fitted one. Reads are on every
-// Auto plan, so the pointer is atomic rather than locked.
-var activeProfile atomic.Pointer[calib.Profile]
-
-// SetProfile installs the planner profile consulted by MakePlan,
-// MakeBatchPlan and Run. Passing nil reverts to the built-in defaults.
-// The profile must be valid (calib.Profile.Validate) — planners divide
-// by its fields.
-func SetProfile(p *calib.Profile) {
-	activeProfile.Store(p)
-}
-
-// ActiveProfile returns the profile the planner is currently consulting;
-// never nil (the default profile stands in when none was injected).
-func ActiveProfile() *calib.Profile {
-	if p := activeProfile.Load(); p != nil {
-		return p
-	}
-	return calib.Default()
-}
-
-// InstalledProfile returns exactly what SetProfile last stored — nil when
-// the planner is on its built-in defaults. ActiveProfile is the consulting
-// accessor; this one exists so a caller can save and restore the installed
-// state without turning "defaults" into a pinned copy.
-func InstalledProfile() *calib.Profile {
-	return activeProfile.Load()
-}
+// autoReason explains every Auto plan. native-parallel's pointer
+// doubling does O(n log n) work against the linear solver's O(n), and
+// no measured host has shown it winning, so Auto never picks it; it runs
+// only when a caller asks for it by name.
+const autoReason = "auto: sequential linear-time solver (native-parallel runs only on explicit request)"
 
 // Probe sampling budgets. Sampling is by fixed stride — never randomized —
 // so identical instances always produce identical features and plans.
@@ -75,8 +30,8 @@ const (
 	probeWalks        = 64
 )
 
-// Features are the cheap instance measurements the planner reads: O(probe
-// budget) work, independent of instance size.
+// Features are the cheap instance measurements every Auto plan records:
+// O(probe budget) work, independent of instance size.
 type Features struct {
 	// N is the instance size.
 	N int `json:"n"`
@@ -161,14 +116,12 @@ type Request struct {
 
 // Plan is a resolved, explainable execution decision. Algorithm is always
 // concrete (never Auto) and Workers is the exact goroutine count the
-// parallel solvers will use. ProfileSource names the threshold source the
-// decision consulted ("calibrated" or "default").
+// parallel solvers will use.
 type Plan struct {
-	Algorithm     Algorithm `json:"algorithm"`
-	Workers       int       `json:"workers"`
-	Reason        string    `json:"reason"`
-	ProfileSource string    `json:"profile_source,omitempty"`
-	Features      Features  `json:"features"`
+	Algorithm Algorithm `json:"algorithm"`
+	Workers   int       `json:"workers"`
+	Reason    string    `json:"reason"`
+	Features  Features  `json:"features"`
 }
 
 // Timings reports where a solve spent its time, stage by stage.
@@ -189,202 +142,68 @@ type Outcome struct {
 	Timings Timings
 }
 
-// coresToBreakEven estimates how many effective cores NativeParallel needs
-// to match the sequential linear solver on an n-element instance, using
-// the profile's fitted log-divisor.
-func coresToBreakEven(n int, p *calib.Profile) int {
-	need := bits.Len(uint(n)) / p.BreakEvenLogDivisor
-	if need < minParallelCores {
-		need = minParallelCores
-	}
-	return need
-}
-
-// scaleWorkers sizes the goroutine count to the instance: one worker per
-// profile-grain elements, within the budget.
-func scaleWorkers(n, budget int, p *calib.Profile) int {
-	w := n / p.WorkerGrain
-	if w < 1 {
-		w = 1
-	}
-	if w > budget {
-		w = budget
-	}
-	return w
-}
-
-// workerBudget resolves the goroutine budget for a request under a
-// profile: an explicit request is an instruction and passes through
-// untouched; an unstated one (Workers==0) starts at the host core count
-// and is capped at the profile's measured bandwidth knee — past
-// MaxUsefulWorkers, added goroutines queue on memory, not compute.
-func workerBudget(reqWorkers int, p *calib.Profile) int {
-	budget := par.Workers(reqWorkers)
-	if reqWorkers == 0 && p.MaxUsefulWorkers > 0 && budget > p.MaxUsefulWorkers {
-		budget = p.MaxUsefulWorkers
-	}
-	return budget
-}
-
-// MakePlan resolves a request against a validated instance using the
-// process-wide active profile (SetProfile). Explicit algorithm choices
-// are honored as-is (only the worker count is resolved); Auto runs the
-// probe and applies the profile's crossover. Plans are deterministic in
-// (instance, request, profile).
+// MakePlan resolves a request against a validated instance. Auto runs
+// the probe and resolves to the sequential linear-time solver; explicit
+// algorithm choices are honored as-is, with only the worker count
+// resolved. Plans are deterministic in (instance, request).
 func MakePlan(in coarsest.Instance, req Request) (Plan, error) {
-	return MakePlanWithProfile(in, req, ActiveProfile())
-}
-
-// MakePlanWithProfile is MakePlan against an explicit profile, for
-// callers (and tests) that must not depend on process-wide state. A nil
-// profile means the built-in defaults.
-func MakePlanWithProfile(in coarsest.Instance, req Request, prof *calib.Profile) (Plan, error) {
-	if prof == nil {
-		prof = calib.Default()
-	}
 	n := len(in.F)
-	if req.Algorithm != Auto {
-		if _, ok := dispatch[req.Algorithm]; !ok {
-			return Plan{}, fmt.Errorf("sfcp: unknown algorithm %v", req.Algorithm)
-		}
-		p := Plan{
-			Algorithm:     req.Algorithm,
-			Workers:       1,
-			Reason:        fmt.Sprintf("explicit %s request", req.Algorithm),
-			ProfileSource: prof.Source(),
-			Features:      Features{N: n},
-		}
-		switch req.Algorithm {
-		case NativeParallel:
-			if req.Workers == 0 {
-				// An unstated budget is scaled to the instance; an explicit
-				// one is an instruction, not a hint.
-				p.Workers = scaleWorkers(n, workerBudget(0, prof), prof)
-			} else {
-				p.Workers = par.Workers(req.Workers)
-			}
-		case ParallelPRAM, DoublingHash, DoublingSort:
+	if req.Algorithm == Auto {
+		return Plan{Algorithm: Linear, Workers: 1, Reason: autoReason, Features: Probe(in)}, nil
+	}
+	if _, ok := dispatch[req.Algorithm]; !ok {
+		return Plan{}, fmt.Errorf("sfcp: unknown algorithm %v", req.Algorithm)
+	}
+	p := Plan{
+		Algorithm: req.Algorithm,
+		Workers:   1,
+		Reason:    fmt.Sprintf("explicit %s request", req.Algorithm),
+		Features:  Features{N: n},
+	}
+	switch req.Algorithm {
+	case NativeParallel:
+		if req.Workers == 0 {
+			// An unstated budget is scaled to the instance; an explicit
+			// one is an instruction, not a hint.
+			p.Workers = min(max(n/nativeParallelGrain, 1), par.Workers(0))
+		} else {
 			p.Workers = par.Workers(req.Workers)
 		}
-		return p, nil
+	case ParallelPRAM, DoublingHash, DoublingSort:
+		p.Workers = par.Workers(req.Workers)
 	}
-
-	ft := Probe(in)
-	budget := workerBudget(req.Workers, prof)
-	need := coresToBreakEven(n, prof)
-	src := prof.Source()
-	switch {
-	case n < prof.MinParallelN:
-		return Plan{
-			Algorithm:     Linear,
-			Workers:       1,
-			ProfileSource: src,
-			Reason: fmt.Sprintf("auto: n=%d below parallel crossover %d [%s profile]; sequential linear-time solver avoids goroutine fan-out",
-				n, prof.MinParallelN, src),
-			Features: ft,
-		}, nil
-	case budget < need:
-		return Plan{
-			Algorithm:     Linear,
-			Workers:       1,
-			ProfileSource: src,
-			Reason: fmt.Sprintf("auto: worker budget %d under break-even ~log2(n)/%d = %d cores at n=%d [%s profile]; sequential linear-time solver",
-				budget, prof.BreakEvenLogDivisor, need, n, src),
-			Features: ft,
-		}, nil
-	default:
-		w := scaleWorkers(n, budget, prof)
-		return Plan{
-			Algorithm:     NativeParallel,
-			Workers:       w,
-			ProfileSource: src,
-			Reason: fmt.Sprintf("auto: n=%d at or above crossover %d and budget %d covers break-even %d cores [%s profile]; native-parallel with %d workers (~%d elements each)",
-				n, prof.MinParallelN, budget, need, src, w, n/w),
-			Features: ft,
-		}, nil
-	}
+	return p, nil
 }
 
-// MakeBatchPlan resolves one plan for a coalesced batch of instances
-// using the process-wide active profile: the batch — not each member — is
-// the planning unit, so N tiny requests pay for one resolution instead of
-// N probes. Auto plans by the largest member (a batch of all-small
-// instances runs one sequential linear pass per member under a shared
-// scratch arena; if any member reaches the parallel crossover the whole
-// batch gets the parallel plan that member needs); explicit algorithms
-// are honored as in MakePlan, with workers resolved against the largest
-// member. Features.N reports the batch's total elements. Plans are
-// deterministic in (instances, request, profile).
+// MakeBatchPlan resolves one plan for a coalesced batch of instances: the
+// batch — not each member — is the planning unit, so N tiny requests pay
+// for one resolution instead of N probes. Auto resolves to one sequential
+// linear pass per member under a shared scratch arena; explicit
+// algorithms are honored as in MakePlan, with workers resolved against
+// the largest member. Features.N reports the batch's total elements.
+// Plans are deterministic in (instances, request).
 func MakeBatchPlan(ins []coarsest.Instance, req Request) (Plan, error) {
-	return MakeBatchPlanWithProfile(ins, req, ActiveProfile())
-}
-
-// MakeBatchPlanWithProfile is MakeBatchPlan against an explicit profile.
-// A nil profile means the built-in defaults.
-func MakeBatchPlanWithProfile(ins []coarsest.Instance, req Request, prof *calib.Profile) (Plan, error) {
-	if prof == nil {
-		prof = calib.Default()
-	}
 	if len(ins) == 0 {
 		return Plan{}, fmt.Errorf("sfcp: empty batch")
 	}
-	maxN, totalN := 0, 0
+	largest, totalN := ins[0], 0
 	for _, in := range ins {
-		n := len(in.F)
-		totalN += n
-		if n > maxN {
-			maxN = n
+		totalN += len(in.F)
+		if len(in.F) > len(largest.F) {
+			largest = in
 		}
 	}
-	if req.Algorithm != Auto {
-		largest := ins[0]
-		for _, in := range ins[1:] {
-			if len(in.F) > len(largest.F) {
-				largest = in
-			}
-		}
-		p, err := MakePlanWithProfile(largest, req, prof)
-		if err != nil {
-			return Plan{}, err
-		}
-		p.Reason = fmt.Sprintf("explicit %s request for coalesced batch of %d members (total n=%d)",
-			req.Algorithm, len(ins), totalN)
-		p.Features = Features{N: totalN}
-		return p, nil
+	if req.Algorithm == Auto {
+		return Plan{Algorithm: Linear, Workers: 1, Reason: autoReason, Features: Features{N: totalN}}, nil
 	}
-	ft := Features{N: totalN}
-	src := prof.Source()
-	if maxN < prof.MinParallelN {
-		return Plan{
-			Algorithm:     Linear,
-			Workers:       1,
-			ProfileSource: src,
-			Reason: fmt.Sprintf("auto: coalesced batch of %d members (max n=%d, total n=%d) below parallel crossover %d [%s profile]; one sequential linear pass per member under a shared scratch arena",
-				len(ins), maxN, totalN, prof.MinParallelN, src),
-			Features: ft,
-		}, nil
+	p, err := MakePlan(largest, req)
+	if err != nil {
+		return Plan{}, err
 	}
-	budget := workerBudget(req.Workers, prof)
-	need := coresToBreakEven(maxN, prof)
-	if budget < need {
-		return Plan{
-			Algorithm:     Linear,
-			Workers:       1,
-			ProfileSource: src,
-			Reason: fmt.Sprintf("auto: coalesced batch of %d members; worker budget %d under break-even %d cores at max n=%d [%s profile]; sequential linear-time solver",
-				len(ins), budget, need, maxN, src),
-			Features: ft,
-		}, nil
-	}
-	w := scaleWorkers(maxN, budget, prof)
-	return Plan{
-		Algorithm:     NativeParallel,
-		Workers:       w,
-		ProfileSource: src,
-		Reason: fmt.Sprintf("auto: coalesced batch of %d members with max n=%d at or above crossover %d [%s profile]; native-parallel with %d workers per member",
-			len(ins), maxN, prof.MinParallelN, src, w),
-		Features: ft,
-	}, nil
+	p.Reason = fmt.Sprintf("explicit %s request for coalesced batch of %d members (total n=%d)",
+		req.Algorithm, len(ins), totalN)
+	p.Features = Features{N: totalN}
+	return p, nil
 }
 
 // Run is the engine's front door: probe, plan, dispatch, with per-stage

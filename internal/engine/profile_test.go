@@ -1,209 +1,131 @@
 package engine
 
 import (
-	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"sfcp/internal/calib"
 	"sfcp/internal/coarsest"
+	"sfcp/internal/incr"
+	"sfcp/internal/workload"
 )
 
-// synthetic extreme profiles for the differential suite: one that turns
-// everything parallel, one that never parallelizes.
-func extremeProfiles() map[string]*calib.Profile {
-	alwaysPar := calib.Default()
-	alwaysPar.Calibrated = true
-	alwaysPar.MinParallelN = 1
-	alwaysPar.BreakEvenLogDivisor = 64 // break-even at the 2-core floor
-	alwaysPar.WorkerGrain = 1
-	neverPar := calib.Default()
-	neverPar.Calibrated = true
-	neverPar.MinParallelN = 1 << 30
-	neverPar.BreakEvenLogDivisor = 1
-	neverPar.MaxUsefulWorkers = 1
-	return map[string]*calib.Profile{
-		"always-parallel": alwaysPar,
-		"never-parallel":  neverPar,
-	}
-}
-
-// fittedLikeProfile mimics what Calibrate produces on a
-// bandwidth-starved host: crossover pushed up, worker cap below cores.
-func fittedLikeProfile() *calib.Profile {
+// withIncrFrac returns a calibrated profile with the given crossover.
+func withIncrFrac(frac float64) *calib.Profile {
 	p := calib.Default()
 	p.Calibrated = true
-	p.MinParallelN = 1 << 18
-	p.BreakEvenLogDivisor = 4
-	p.WorkerGrain = 1 << 16
-	p.MaxUsefulWorkers = 2
-	p.FittedAt = "2026-08-07T00:00:00Z"
+	p.IncrMaxDirtyFrac = frac
 	return p
 }
 
-// TestDifferentialUnderProfiles is the conformance gate the calibration
-// refactor must clear: whatever profile steers the planner — default,
-// fitted-like, or either synthetic extreme — every family on both sides
-// of each profile's crossover must still produce labels identical to the
-// sequential linear reference. Profiles may change *which* solver runs,
-// never *what* it computes.
+// resolveFixture builds k components of 16 nodes and an edit batch that
+// relabels one node in each of the first dirty components, so the delta
+// dirties exactly dirty/k of the instance. It returns the edited
+// instance alongside the pre-edit state.
+func resolveFixture(t *testing.T, k, dirty int) (*incr.State, []incr.Edit, coarsest.Instance) {
+	t.Helper()
+	wl := workload.DistinctCycles(11, k, 16, 3)
+	st, err := incr.Build(coarsest.Instance{F: wl.F, B: wl.B})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := coarsest.Instance{F: wl.F, B: append([]int(nil), wl.B...)}
+	edits := make([]incr.Edit, dirty)
+	for c := range edits {
+		edits[c] = incr.Edit{Node: c * 16, SetB: true, B: 7}
+		edited.B[c*16] = 7
+	}
+	return st, edits, edited
+}
+
+// TestDifferentialUnderProfiles: whatever profile steers the resolve
+// planner — default or either synthetic extreme — a delta's labels equal
+// a full solve of the edited instance, and Auto solves stay on the
+// linear solver. Profiles may change *which* mode runs, never *what* it
+// computes.
 func TestDifferentialUnderProfiles(t *testing.T) {
-	profs := extremeProfiles()
-	profs["default"] = nil
-	profs["fitted-like"] = fittedLikeProfile()
-	for pname, prof := range profs {
-		for _, n := range []int{1 << 10, MinParallelN} {
-			for fname, in := range families(1993, n) {
-				want := coarsest.LinearSequential(in)
-				plan, err := MakePlanWithProfile(in, Request{Algorithm: Auto, Workers: 8}, prof)
-				if err != nil {
-					t.Fatalf("%s/%s n=%d: %v", pname, fname, n, err)
-				}
-				if plan.Algorithm == Auto {
-					t.Fatalf("%s/%s: plan not resolved past Auto", pname, fname)
-				}
-				got, _, err := Execute(context.Background(), in, plan, 0, nil)
-				if err != nil {
-					t.Fatalf("%s/%s n=%d (%s): %v", pname, fname, n, plan.Algorithm, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s n=%d: %s disagrees with linear reference",
-						pname, fname, n, plan.Algorithm)
-				}
-			}
+	defer SetProfile(InstalledProfile())
+	profs := map[string]struct {
+		prof *calib.Profile
+		mode string
+	}{
+		"default":            {nil, ResolveIncremental},
+		"always-incremental": {withIncrFrac(1), ResolveIncremental},
+		"always-full":        {withIncrFrac(1e-6), ResolveFullFallback},
+	}
+	for pname, tc := range profs {
+		SetProfile(tc.prof)
+		st, edits, edited := resolveFixture(t, 64, 4)
+		out, err := ResolveDelta(st, edits)
+		if err != nil {
+			t.Fatalf("%s: %v", pname, err)
+		}
+		if out.Plan.Mode != tc.mode {
+			t.Errorf("%s: mode %s, want %s (%s)", pname, out.Plan.Mode, tc.mode, out.Plan.Reason)
+		}
+		if want := coarsest.LinearSequential(edited); !reflect.DeepEqual(out.Labels, want) {
+			t.Errorf("%s: %s re-solve disagrees with a full solve of the edited instance", pname, out.Plan.Mode)
+		}
+		plan, err := MakePlan(edited, Request{Algorithm: Auto, Workers: 8})
+		if err != nil || plan.Algorithm != Linear {
+			t.Errorf("%s: auto plan = %+v (%v), want linear", pname, plan, err)
 		}
 	}
 }
 
 // TestProfileMovesCrossover pins that the injected profile — not the
-// package default — decides the crossover, and that plan reasons name
-// their threshold source.
+// package default — decides the incremental-vs-full crossover, and that
+// resolve plan reasons name their threshold source.
 func TestProfileMovesCrossover(t *testing.T) {
-	in := families(3, MinParallelN)["random-function"]
-	req := Request{Algorithm: Auto, Workers: 8}
+	st, edits, _ := resolveFixture(t, 64, 6) // dirty fraction 6/64 ≈ 0.09
 
-	def, err := MakePlanWithProfile(in, req, nil)
+	def, err := PlanResolveWithProfile(st, edits, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Algorithm != NativeParallel {
-		t.Fatalf("default profile at n=crossover: %s, want native-parallel", def.Algorithm)
+	if def.Mode != ResolveIncremental {
+		t.Fatalf("default profile at dirty fraction %.3f: %s, want incremental", def.DirtyFrac, def.Mode)
 	}
 	if def.ProfileSource != "default" || !strings.Contains(def.Reason, "[default profile]") {
 		t.Errorf("default plan does not name its source: %+v", def)
 	}
 
-	raised := calib.Default()
-	raised.Calibrated = true
-	raised.MinParallelN = 4 * MinParallelN
-	cal, err := MakePlanWithProfile(in, req, raised)
+	cal, err := PlanResolveWithProfile(st, edits, withIncrFrac(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cal.Algorithm != Linear {
-		t.Fatalf("raised crossover ignored: %s, want linear", cal.Algorithm)
+	if cal.Mode != ResolveFullFallback {
+		t.Fatalf("lowered crossover ignored: %s, want full_fallback", cal.Mode)
 	}
 	if cal.ProfileSource != "calibrated" || !strings.Contains(cal.Reason, "[calibrated profile]") {
 		t.Errorf("calibrated plan does not name its source: %+v", cal)
 	}
 }
 
-// TestBatchPlanUsesProfile is the satellite regression: MakeBatchPlan
-// compares the batch's largest member against the *injected* crossover,
-// so a calibrated MinParallelN must move the batch decision exactly as it
-// moves per-instance ones.
-func TestBatchPlanUsesProfile(t *testing.T) {
-	small := families(5, 1<<10)["random-function"]
-	big := families(5, MinParallelN)["random-function"]
-	batch := []coarsest.Instance{small, big, small}
-	req := Request{Algorithm: Auto, Workers: 8}
+// TestSetProfileSteersResolve: the process-wide profile installed via
+// SetProfile steers PlanResolve, and nil reverts to defaults.
+func TestSetProfileSteersResolve(t *testing.T) {
+	defer SetProfile(InstalledProfile())
+	st, edits, _ := resolveFixture(t, 64, 6)
 
-	def, err := MakeBatchPlanWithProfile(batch, req, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Algorithm != NativeParallel {
-		t.Fatalf("default profile: batch with max n=%d planned %s, want native-parallel", len(big.F), def.Algorithm)
-	}
-
-	raised := calib.Default()
-	raised.Calibrated = true
-	raised.MinParallelN = 4 * MinParallelN
-	cal, err := MakeBatchPlanWithProfile(batch, req, raised)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal.Algorithm != Linear {
-		t.Fatalf("calibrated MinParallelN=%d did not move the batch decision: %s", raised.MinParallelN, cal.Algorithm)
-	}
-	if cal.ProfileSource != "calibrated" || !strings.Contains(cal.Reason, "[calibrated profile]") {
-		t.Errorf("batch plan does not name its source: %+v", cal)
-	}
-
-	// Lowering the crossover under the members flips the batch the other
-	// way even when every member is below the default crossover.
-	lowered := calib.Default()
-	lowered.Calibrated = true
-	lowered.MinParallelN = 1 << 9
-	low, err := MakeBatchPlanWithProfile([]coarsest.Instance{small, small}, req, lowered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if low.Algorithm != NativeParallel {
-		t.Errorf("lowered crossover ignored by batch planner: %s", low.Algorithm)
-	}
-}
-
-// TestMaxUsefulWorkersCap: the fitted bandwidth knee caps the default
-// worker budget, but an explicit worker request remains an instruction.
-func TestMaxUsefulWorkersCap(t *testing.T) {
-	in := families(7, 4*MinParallelN)["random-function"]
-	capped := calib.Default()
-	capped.Calibrated = true
-	capped.MaxUsefulWorkers = 2
-	capped.WorkerGrain = 1 << 12 // small grain so the cap, not the grain, binds
-
-	auto, err := MakePlanWithProfile(in, Request{Algorithm: Auto}, capped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Algorithm == NativeParallel && auto.Workers > 2 {
-		t.Errorf("default budget ignores the bandwidth knee: %d workers > cap 2", auto.Workers)
-	}
-
-	explicit, err := MakePlanWithProfile(in, Request{Algorithm: NativeParallel, Workers: 6}, capped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if explicit.Workers != 6 {
-		t.Errorf("explicit worker instruction capped: %d, want 6", explicit.Workers)
-	}
-}
-
-// TestSetProfileSteersRun: the process-wide profile installed via
-// SetProfile steers Run and MakePlan, and nil reverts to defaults.
-func TestSetProfileSteersRun(t *testing.T) {
-	defer SetProfile(nil)
-	in := families(9, MinParallelN)["random-function"]
-
-	never := calib.Default()
-	never.Calibrated = true
-	never.MinParallelN = 1 << 30
-	SetProfile(never)
+	SetProfile(withIncrFrac(0.05))
 	if got := ActiveProfile(); !got.Calibrated {
 		t.Fatal("ActiveProfile does not reflect SetProfile")
 	}
-	out, err := Run(context.Background(), in, Request{Algorithm: Auto, Workers: 8}, nil)
+	plan, err := PlanResolve(st, edits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Plan.Algorithm != Linear || out.Plan.ProfileSource != "calibrated" {
-		t.Errorf("installed profile not consulted: %+v", out.Plan)
+	if plan.Mode != ResolveFullFallback || plan.ProfileSource != "calibrated" {
+		t.Errorf("installed profile not consulted: %+v", plan)
 	}
 
 	SetProfile(nil)
-	if got := ActiveProfile(); got.Calibrated || got.MinParallelN != MinParallelN {
+	if got := ActiveProfile(); got.Calibrated || got.IncrCrossover() != calib.DefaultIncrMaxDirtyFrac {
 		t.Errorf("nil SetProfile did not revert to defaults: %+v", got)
+	}
+	if plan, err := PlanResolve(st, edits); err != nil || plan.Mode != ResolveIncremental {
+		t.Errorf("default profile plan = %+v (%v), want incremental", plan, err)
 	}
 }

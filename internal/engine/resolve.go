@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"sfcp/internal/calib"
@@ -41,6 +42,36 @@ type ResolveOutcome struct {
 	Plan       ResolvePlan
 	Info       incr.Info
 	Duration   time.Duration
+}
+
+// activeProfile is the process-wide planner profile. Nil means the
+// built-in defaults; SetProfile stores a fitted one. Delta re-solves
+// read it on every Auto resolve plan, so the pointer is atomic rather
+// than locked.
+var activeProfile atomic.Pointer[calib.Profile]
+
+// SetProfile installs the calibration profile the resolve planner
+// (PlanResolve) consults. Passing nil reverts to the built-in defaults.
+// The profile must be valid (calib.Profile.Validate).
+func SetProfile(p *calib.Profile) {
+	activeProfile.Store(p)
+}
+
+// ActiveProfile returns the profile the planner is currently consulting;
+// never nil (the default profile stands in when none was injected).
+func ActiveProfile() *calib.Profile {
+	if p := activeProfile.Load(); p != nil {
+		return p
+	}
+	return calib.Default()
+}
+
+// InstalledProfile returns exactly what SetProfile last stored — nil when
+// the planner is on its built-in defaults. ActiveProfile is the consulting
+// accessor; this one exists so a caller can save and restore the installed
+// state without turning "defaults" into a pinned copy.
+func InstalledProfile() *calib.Profile {
+	return activeProfile.Load()
 }
 
 // NewIncremental builds the reusable decomposition state for an

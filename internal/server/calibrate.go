@@ -37,15 +37,12 @@ func (s *Server) initCalibration() {
 	}
 }
 
-// CalibrateResponse is the JSON reply of POST /calibrate: the fitted
-// profile now steering the planner, the raw measurements behind it,
-// whether the budget cut the fit short, and where it was persisted.
+// CalibrateResponse is the JSON reply of POST /calibrate: the report of
+// the fit now steering the delta planner — the fitted profile, the sweep
+// it was read off and whether the budget cut it short — and where it was
+// persisted.
 type CalibrateResponse struct {
-	Profile   sfcp.CalibrationProfile `json:"profile"`
-	Crossover []calib.CrossoverPoint  `json:"crossover"`
-	Workers   []calib.WorkerPoint     `json:"worker_scaling"`
-	Truncated bool                    `json:"truncated"`
-	ElapsedMS float64                 `json:"elapsed_ms"`
+	*calib.Report
 	// Persisted is the calibration file the profile was atomically
 	// written to (empty when the server has none configured).
 	Persisted string `json:"persisted,omitempty"`
@@ -55,12 +52,11 @@ type CalibrateResponse struct {
 	PersistError string `json:"persist_error,omitempty"`
 }
 
-// handleCalibrate re-runs the calibration experiment on this host,
-// installs the fitted profile process-wide, and persists it to the
-// configured calibration file. The fit deliberately saturates the solver
-// cores, so concurrent fits are refused (409) rather than queued, and
-// the wall clock is bounded by the server's budget (lowerable per
-// request with ?budget=).
+// handleCalibrate re-runs the calibration sweep on this host, installs
+// the fitted profile process-wide, and persists it to the configured
+// calibration file. The fit is a wall-clock measurement, so concurrent
+// fits are refused (409) rather than queued, and the wall clock is
+// bounded by the server's budget (lowerable per request with ?budget=).
 func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.request("calibrate")
 	if !s.calibrating.CompareAndSwap(false, true) {
@@ -92,13 +88,7 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 	}
 	sfcp.SetCalibrationProfile(&rep.Profile)
 
-	resp := CalibrateResponse{
-		Profile:   rep.Profile,
-		Crossover: rep.Crossover,
-		Workers:   rep.Workers,
-		Truncated: rep.Truncated,
-		ElapsedMS: rep.ElapsedMS,
-	}
+	resp := CalibrateResponse{Report: rep}
 	if s.cfg.CalibrationFile != "" {
 		if err := rep.Profile.Save(s.cfg.CalibrationFile); err != nil {
 			resp.PersistError = err.Error()

@@ -21,8 +21,8 @@ func resetProfile(t *testing.T) {
 }
 
 // TestCalibrateEndpoint drives a real (tiny-budget) fit through POST
-// /calibrate: the response carries a calibrated profile and raw
-// measurements, the profile becomes the active one, it is persisted
+// /calibrate: the response carries a calibrated profile and the sweep it
+// was read off, the profile becomes the active one, it is persisted
 // atomically to the configured file, and /metrics flips
 // sfcpd_plan_calibrated to 1.
 func TestCalibrateEndpoint(t *testing.T) {
@@ -44,8 +44,8 @@ func TestCalibrateEndpoint(t *testing.T) {
 	if !cr.Profile.Calibrated {
 		t.Errorf("response profile not marked calibrated: %+v", cr.Profile)
 	}
-	if len(cr.Crossover) == 0 {
-		t.Errorf("response carries no crossover measurements")
+	if len(cr.Incr) == 0 {
+		t.Errorf("response carries no incr_resolve measurements: %s", data)
 	}
 	if cr.Persisted != path {
 		t.Errorf("Persisted = %q, want %q (persist_error=%q)", cr.Persisted, path, cr.PersistError)
@@ -57,8 +57,8 @@ func TestCalibrateEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading persisted profile: %v", err)
 	}
-	if onDisk.MinParallelN != cr.Profile.MinParallelN {
-		t.Errorf("persisted MinParallelN = %d, response says %d", onDisk.MinParallelN, cr.Profile.MinParallelN)
+	if onDisk.IncrMaxDirtyFrac != cr.Profile.IncrMaxDirtyFrac {
+		t.Errorf("persisted incr_max_dirty_frac = %v, response says %v", onDisk.IncrMaxDirtyFrac, cr.Profile.IncrMaxDirtyFrac)
 	}
 	if m := fetchMetrics(t, ts); !strings.Contains(m, "sfcpd_plan_calibrated 1") {
 		t.Errorf("/metrics after fit missing \"sfcpd_plan_calibrated 1\":\n%s", m)
@@ -104,7 +104,7 @@ func TestCalibrationFileBoot(t *testing.T) {
 	resetProfile(t)
 	path := filepath.Join(t.TempDir(), "profile.json")
 	prof := calib.Default()
-	prof.MinParallelN = 1 << 18
+	prof.IncrMaxDirtyFrac = 0.125
 	prof.Calibrated = true
 	prof.FittedAt = "2026-01-01T00:00:00Z"
 	if err := prof.Save(path); err != nil {
@@ -112,15 +112,15 @@ func TestCalibrationFileBoot(t *testing.T) {
 	}
 
 	_, ts := newTestServer(t, Config{CalibrationFile: path})
-	if got := sfcp.ActiveCalibrationProfile().MinParallelN; got != 1<<18 {
-		t.Fatalf("active MinParallelN = %d after boot, want %d", got, 1<<18)
+	if got := sfcp.ActiveCalibrationProfile().IncrMaxDirtyFrac; got != 0.125 {
+		t.Fatalf("active incr_max_dirty_frac = %v after boot, want 0.125", got)
 	}
 	m := fetchMetrics(t, ts)
 	if !strings.Contains(m, "sfcpd_plan_calibrated 1") {
 		t.Errorf("/metrics missing \"sfcpd_plan_calibrated 1\":\n%s", m)
 	}
-	if !strings.Contains(m, `sfcpd_plan_profile{field="min_parallel_n"} 262144`) {
-		t.Errorf("/metrics missing the fitted min_parallel_n threshold:\n%s", m)
+	if !strings.Contains(m, `sfcpd_plan_profile{field="incr_max_dirty_frac"} 0.125`) {
+		t.Errorf("/metrics missing the fitted incr_max_dirty_frac threshold:\n%s", m)
 	}
 }
 

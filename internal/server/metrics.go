@@ -52,10 +52,10 @@ const (
 	metricBatcherQueueSecondsSum   = "sfcpd_batcher_queue_seconds_sum"
 	metricBatcherQueueSecondsCount = "sfcpd_batcher_queue_seconds_count"
 
-	// Calibration families: whether the planner is steering by a fitted
-	// profile (1) or the built-in defaults (0), and the active profile's
-	// threshold fields so a scrape shows the exact numbers behind every
-	// plan this host resolves.
+	// Calibration families: whether the delta planner is steering by a
+	// fitted profile (1) or the built-in defaults (0), and the active
+	// profile's threshold so a scrape shows the exact number behind every
+	// resolve plan this host makes.
 	metricPlanCalibrated = "sfcpd_plan_calibrated"
 	metricPlanProfile    = "sfcpd_plan_profile"
 
@@ -338,8 +338,8 @@ func renderJobs(c jobs.Counts) string {
 	return string(b)
 }
 
-// renderCalibration writes the planner-profile gauges from the profile
-// the planner is consulting right now (process-wide state owned by the
+// renderCalibration writes the profile gauges from the profile the
+// delta planner is consulting right now (process-wide state owned by the
 // engine, so — like renderJobs — the metrics mutex has nothing to guard).
 func renderCalibration(p *sfcp.CalibrationProfile) string {
 	var b []byte
@@ -354,12 +354,8 @@ func renderCalibration(p *sfcp.CalibrationProfile) string {
 	emit("%s %d\n", metricPlanCalibrated, calibrated)
 	emit(typeHeader(metricPlanProfile, "gauge"))
 	if p != nil {
-		emit("%s{field=%q} %d\n", metricPlanProfile, "min_parallel_n", p.MinParallelN)
-		emit("%s{field=%q} %d\n", metricPlanProfile, "break_even_log_divisor", p.BreakEvenLogDivisor)
-		emit("%s{field=%q} %d\n", metricPlanProfile, "worker_grain", p.WorkerGrain)
-		emit("%s{field=%q} %d\n", metricPlanProfile, "max_useful_workers", p.MaxUsefulWorkers)
 		// The effective incremental-vs-full crossover (package default
-		// when the profile predates the field).
+		// when the profile leaves the field unset).
 		emit("%s{field=%q} %g\n", metricPlanProfile, "incr_max_dirty_frac", p.IncrCrossover())
 	}
 	return string(b)

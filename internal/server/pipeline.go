@@ -19,7 +19,7 @@ import (
 //	lookup   instance digest → RAM cache → durable blob tier. A hit is
 //	         answered with this request's own plan, never the plan of
 //	         the request that populated the entry.
-//	execute  the only branch: a linear plan below sfcp.LinearCrossoverN
+//	execute  the only branch: a linear plan below batchMaxN elements
 //	         goes to the pool's batch crew, to be solved in one pass with
 //	         the requests queued beside it; everything else to its
 //	         algorithm's crew.
@@ -145,15 +145,13 @@ func (s *Server) lookup(key string, algo sfcp.Algorithm, seed uint64, digest str
 	return res, true
 }
 
-// execute runs a resolved request on the pool. Linear plans below the
-// parallel crossover — the regime where per-request queue and dispatch
-// overhead rivals the solve itself — go to the batch crew, the rest to
-// their algorithm's crew, each solving exactly the plan that chose its
-// queue and cache key.
+// execute runs a resolved request on the pool. Linear plans below
+// batchMaxN go to the batch crew, the rest to their algorithm's crew,
+// each solving exactly the plan that chose its queue and cache key.
 func (s *Server) execute(ctx context.Context, ins sfcp.Instance, plan sfcp.Plan, seed uint64) solveOutcome {
 	start := time.Now()
 	var out solveOutcome
-	if plan.Algorithm == sfcp.AlgorithmLinear && len(ins.F) < sfcp.LinearCrossoverN {
+	if plan.Algorithm == sfcp.AlgorithmLinear && len(ins.F) < batchMaxN {
 		out = s.pool.submitBatch(ctx, ins)
 	} else {
 		out = s.pool.submit(ctx, plan.Algorithm, func(ctx context.Context) (sfcp.Result, error) {

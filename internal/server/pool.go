@@ -14,10 +14,13 @@ import (
 // errShutdown is returned by submit once the pool is closed.
 var errShutdown = errors.New("server: pool shut down")
 
-// The batch crew's shape. A pass takes at most batchCap requests, and the
-// queue holds two passes' worth, so a full pass never blocks the senders
-// of the next one.
+// The batch crew's shape. A linear solve of fewer than batchMaxN
+// elements — the regime where per-request queue and dispatch overhead
+// rivals the solve itself — goes to the batch crew. A pass takes at most
+// batchCap requests, and the queue holds two passes' worth, so a full
+// pass never blocks the senders of the next one.
 const (
+	batchMaxN  = 1 << 15
 	batchCap   = 64
 	batchDepth = 2 * batchCap
 )

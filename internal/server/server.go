@@ -5,7 +5,7 @@
 //	POST /solve/batch               many instances, solved concurrently
 //	POST /instances                 register a versioned instance (solve + content address)
 //	POST /instances/{digest}/delta  apply edits to a version, solved incrementally
-//	POST /calibrate                 re-fit the planner's calibration profile on this host
+//	POST /calibrate                 re-fit the delta planner's calibration profile on this host
 //	GET  /healthz                   liveness
 //	GET  /metrics                   Prometheus-style counters
 //
@@ -24,13 +24,13 @@
 //
 // Every solve — /solve, each /solve/batch member, every async job — runs
 // one pipeline of four stages (pipeline.go): resolve (the library's
-// adaptive planner turns "auto" into a concrete solver chosen per
-// instance, and the resolved algorithm keys everything downstream),
-// lookup (an LRU keyed by resolved algorithm, seed and instance digest,
-// then the durable blob tier), execute (on one worker pool: linear plans
-// below the parallel crossover run on its batch crew, solved in one pass
-// with whatever else is queued there, everything else on bounded
-// per-algorithm crews) and fill (metrics, cache, write-through). Hot
+// planner turns "auto" into the linear solver, and the resolved
+// algorithm keys everything downstream), lookup (an LRU keyed by
+// resolved algorithm, seed and instance digest, then the durable blob
+// tier), execute (on one worker pool: linear plans below 32768 elements
+// run on its batch crew, solved in one pass with whatever else is queued
+// there, everything else on bounded per-algorithm crews) and fill
+// (metrics, cache, write-through). Hot
 // instances — the "millions of users asking the same question" regime —
 // are served without recomputation, and an "auto" request shares its
 // entry with the explicit request it resolves to. Every response reports
@@ -239,9 +239,9 @@ type Server struct {
 	// solve-path traffic both land in the sfcpd_store_* counters.
 	blobs *store.Metered
 
-	// calibrating serializes POST /calibrate: a fit saturates the solver
-	// cores by design, so a second concurrent one would only corrupt both
-	// measurements. CAS, not a mutex — the loser gets a 409, not a queue.
+	// calibrating serializes POST /calibrate: a fit is a wall-clock
+	// measurement, so a second concurrent one would only corrupt both.
+	// CAS, not a mutex — the loser gets a 409, not a queue.
 	calibrating atomic.Bool
 }
 

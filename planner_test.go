@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"sfcp/internal/engine"
 	"sfcp/internal/workload"
 )
 
@@ -40,17 +39,13 @@ func TestResultCarriesPlan(t *testing.T) {
 	}
 }
 
-// TestPlanWithAllocs pins the cost of planning on the zero-config path
-// (no calibration profile installed), which sfcpd pays on every request:
-// the default profile's host fingerprint must not re-read /proc/cpuinfo
-// per plan, a read that costs 11 allocations and ~12 KB.
+// TestPlanWithAllocs pins the cost of planning an Auto request, which
+// sfcpd pays on every request: validation, the probe and the plan with
+// its fixed reason allocate nothing on a small instance.
 func TestPlanWithAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	orig := engine.InstalledProfile()
-	engine.SetProfile(nil)
-	t.Cleanup(func() { engine.SetProfile(orig) })
 	wl := workload.RandomFunction(7, 16, 3)
 	ins := Instance{F: wl.F, B: wl.B}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -58,8 +53,8 @@ func TestPlanWithAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4 {
-		t.Errorf("PlanWith at n=16 allocates %.0f times per call, want <= 4", allocs)
+	if allocs > 0 {
+		t.Errorf("PlanWith at n=16 allocates %.0f times per call, want 0", allocs)
 	}
 }
 

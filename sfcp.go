@@ -50,23 +50,15 @@ func (ins Instance) Validate() error {
 	return coarsest.Instance{F: ins.F, B: ins.B}.Validate()
 }
 
-// LinearCrossoverN is the instance size below which the adaptive planner
-// never picks a parallel solver for AlgorithmAuto — the "small request"
-// regime where per-invocation overhead dominates and coalescing several
-// requests into one planned batch pays off.
-const LinearCrossoverN = engine.MinParallelN
-
 // Algorithm selects a solver. It aliases the execution engine's type, so
 // the engine's planner and dispatch table are the single source of truth
 // for what each value means and how it runs.
 type Algorithm = engine.Algorithm
 
 const (
-	// AlgorithmAuto defers the choice to the adaptive planner, which
-	// resolves it per instance: the sequential linear-time solver below a
-	// benchmark-calibrated crossover (where goroutine fan-out costs more
-	// than it returns), NativeParallel with a size-scaled worker count
-	// above it. Result.Plan reports the resolved algorithm and why.
+	// AlgorithmAuto defers the choice to the planner, which resolves it
+	// to the sequential linear-time solver for every instance and worker
+	// budget. Result.Plan reports the resolved algorithm and why.
 	AlgorithmAuto = engine.Auto
 	// AlgorithmMoore is naive iterative refinement (O(n^2) worst case).
 	AlgorithmMoore = engine.Moore
@@ -78,7 +70,9 @@ const (
 	// CRCW PRAM simulator (Theorem 5.1); Result.Stats reports its
 	// parallel rounds and operations.
 	AlgorithmParallelPRAM = engine.ParallelPRAM
-	// AlgorithmNativeParallel runs goroutines on real cores.
+	// AlgorithmNativeParallel runs goroutines on real cores. Its pointer
+	// doubling does O(n log n) work, so the planner never picks it; it
+	// runs only when requested by name.
 	AlgorithmNativeParallel = engine.NativeParallel
 	// AlgorithmDoublingHash is the O(n log n)-work parallel baseline
 	// (Galley–Iliopoulos cost shape) on the simulator.
@@ -107,12 +101,13 @@ func fromPRAM(s pram.Stats) *Stats {
 
 // Options configures SolveWith and NewSolver.
 type Options struct {
-	// Algorithm selects the solver (default AlgorithmAuto, resolved per
-	// instance by the adaptive planner; see Result.Plan).
+	// Algorithm selects the solver (default AlgorithmAuto, resolved by
+	// the planner; see Result.Plan).
 	Algorithm Algorithm
 	// Workers bounds host goroutines for the parallel solvers. 0 lets the
 	// engine choose: a NumCPU budget, scaled down to the instance size for
-	// native-parallel solves (PlanWith reports the exact count).
+	// native-parallel solves (PlanWith reports the exact count). Auto
+	// plans always run the linear solver on one goroutine.
 	Workers int
 	// Seed drives the simulator's deterministic arbitrary-write choices.
 	Seed uint64
