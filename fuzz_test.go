@@ -8,7 +8,10 @@ import (
 )
 
 // FuzzSolve cross-checks the paper's parallel algorithm against naive
-// refinement on arbitrary byte-derived instances. Run longer with:
+// refinement on arbitrary byte-derived instances. Labels lie in [0, 5),
+// or, when rawB has an odd byte at index n, are spread over [2^30, 2^31)
+// so that the linear solver renames them through its map (ParallelPRAM's
+// pair coder takes labels below 2^31 only). Run longer with:
 //
 //	go test -fuzz=FuzzSolve -fuzztime 30s
 func FuzzSolve(f *testing.F) {
@@ -16,16 +19,21 @@ func FuzzSolve(f *testing.F) {
 	f.Add([]byte{1, 0}, []byte{0, 0})
 	f.Add([]byte{0}, []byte{5})
 	f.Add([]byte{3, 3, 3, 3, 2, 1, 0, 7}, []byte{1, 1, 2, 2, 1, 1, 2, 2})
+	f.Add([]byte{3, 3, 3, 3, 2, 1, 0, 7}, []byte{1, 1, 2, 2, 1, 1, 2, 2, 1})
 	f.Fuzz(func(t *testing.T, rawF, rawB []byte) {
 		n := len(rawF)
 		if n == 0 || n > 300 {
 			return
 		}
+		wide := len(rawB) > n && rawB[n]%2 == 1
 		ins := Instance{F: make([]int, n), B: make([]int, n)}
 		for i := range rawF {
 			ins.F[i] = int(rawF[i]) % n
 			if i < len(rawB) {
 				ins.B[i] = int(rawB[i] % 5)
+			}
+			if wide {
+				ins.B[i] = ins.B[i]<<24 | 1<<30
 			}
 		}
 		ref, err := SolveWith(ins, Options{Algorithm: AlgorithmMoore})

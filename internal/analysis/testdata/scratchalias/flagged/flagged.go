@@ -6,6 +6,8 @@ type scratch struct{ i32 [][]int32 }
 
 func (s *scratch) bufI32(n int) []int32 { return nil }
 
+func (s *scratch) bufI32Raw(n int) []int32 { return nil }
+
 type holder struct{ kept []int32 }
 
 func escapeReturn(sc *scratch, n int) []int32 {
@@ -17,6 +19,10 @@ func escapeReturn(sc *scratch, n int) []int32 {
 func escapeReslice(sc *scratch, n int) []int32 {
 	buf := sc.bufI32(n)
 	return buf[:n/2] // want "returning a slice backed by the Scratch arena"
+}
+
+func escapeRaw(sc *scratch, n int) []int32 {
+	return sc.bufI32Raw(n) // want "returning a slice backed by the Scratch arena"
 }
 
 func escapeThroughAppend(sc *scratch, n int) []int32 {

@@ -1,5 +1,6 @@
-// The calibration experiment times the raw solver entry points against
-// each other — routing them through the engine would measure the planner
+// The calibration experiment times the incremental state's two re-solve
+// paths, ApplyDelta and Rebuild, against each other on a state built
+// directly — routing them through the engine would measure the planner
 // being fitted, a circular experiment (and an import cycle).
 //
 //sfcpvet:ignore-file enginedispatch -- calibration measures the raw solvers to fit the planner's thresholds; going through the engine would measure the planner instead (and cycle the import graph)
@@ -52,14 +53,16 @@ func (o Options) withDefaults() Options {
 
 // IncrPoint is one row of the incremental re-solve sweep: best-of-reps
 // wall time of a component-scoped delta application dirtying DirtyNodes
-// of an n-element instance, against a full re-solve of the same edited
-// instance.
+// of an n-element instance, against the full fallback on the same edits.
 type IncrPoint struct {
 	N          int     `json:"n"`
 	DirtyNodes int     `json:"dirty_nodes"`
 	DirtyFrac  float64 `json:"dirty_frac"`
 	IncrNS     int64   `json:"incr_ns"`
-	FullNS     int64   `json:"full_ns"`
+	// FullNS times incr.State.Rebuild on the same edits: the full re-solve
+	// engine.ResolveDelta runs when the dirty fraction is over the
+	// crossover, including the rebuild of the session's incremental state.
+	FullNS int64 `json:"full_ns"`
 }
 
 // Report is a full calibration outcome: the fitted profile plus the raw
@@ -102,20 +105,18 @@ func Calibrate(ctx context.Context, opts Options) (*Report, error) {
 
 	// DistinctCycles gives components of uniform size, so dirtying
 	// floor(frac*k) of k components (at least one) hits each target dirty
-	// fraction to within one component. The same edit batch re-applies every rep (recomputing an
-	// already-applied delta is idempotent and costs the same region
-	// work), and the full-solve baseline runs on the edited instance —
-	// both sides solve the same version.
+	// fraction to within one component. The same edit batch re-applies
+	// every rep on both arms: recomputing an already-applied delta is
+	// idempotent and costs the same work, so both arms solve the same
+	// version.
 	const cycleLen = 64
 	k := opts.MaxN / cycleLen
 	n := k * cycleLen
 	wl := workload.DistinctCycles(opts.Seed, k, cycleLen, 3)
-	in := coarsest.Instance{F: wl.F, B: wl.B}
-	st, err := incr.Build(in)
+	st, err := incr.Build(coarsest.Instance{F: wl.F, B: wl.B})
 	if err != nil {
 		return nil, fmt.Errorf("calib: building the sweep instance: %w", err)
 	}
-	sc := &coarsest.Scratch{}
 	reps := repsFor(n)
 	for _, frac := range incrFracs {
 		if expired() {
@@ -126,13 +127,12 @@ func Calibrate(ctx context.Context, opts Options) (*Report, error) {
 		edits := make([]incr.Edit, dirty)
 		for c := range edits {
 			edits[c] = incr.Edit{Node: c * cycleLen, SetB: true, B: 7}
-			in.B[c*cycleLen] = 7
 		}
 		incrNS := bestOf(reps, func() {
 			_, _, _ = st.ApplyDelta(edits)
 		})
 		fullNS := bestOf(reps, func() {
-			coarsest.LinearSequentialScratch(in, sc)
+			_, _, _ = st.Rebuild(edits)
 		})
 		measured := float64(dirty*cycleLen) / float64(n)
 		rep.Incr = append(rep.Incr, IncrPoint{

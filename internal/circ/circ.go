@@ -11,13 +11,19 @@
 //     Shiloach's fast canonization (cited as [17]), O(n).
 //   - SmallestRepeatingPrefix: KMP-based period computation, O(n).
 //
+// The sequential algorithms take any Symbol string: plain ints at the
+// public API, int32 inside the linear solver's arena.
+//
 // Parallel algorithms live in msp_pram.go.
 package circ
+
+// Symbol is the element type of a circular string.
+type Symbol interface{ ~int | ~int32 }
 
 // BruteMSP returns the minimal starting point of the circular string s by
 // comparing all rotations pairwise in O(n^2) time. Among equivalent minimal
 // rotations (repeating strings) it returns the smallest index.
-func BruteMSP(s []int) int {
+func BruteMSP[S Symbol](s []S) int {
 	n := len(s)
 	if n == 0 {
 		return -1
@@ -72,10 +78,10 @@ func BoothMSP(s []int) int {
 	return k % n
 }
 
-// DuvalMSP returns the minimal starting point of s in O(n) time with the
-// classic two-candidate three-pointer scan. Among equivalent minimal
-// rotations it returns the smallest index.
-func DuvalMSP(s []int) int {
+// DuvalMSP returns the minimal starting point of s in O(n) time and O(1)
+// extra space with the classic two-candidate three-pointer scan. Among
+// equivalent minimal rotations it returns the smallest index.
+func DuvalMSP[S Symbol](s []S) int {
 	n := len(s)
 	if n == 0 {
 		return -1
@@ -106,12 +112,21 @@ func DuvalMSP(s []int) int {
 // SmallestRepeatingPrefix returns the length p of the shortest prefix P of
 // s with P^(n/p) == s. For a primitive (nonrepeating) string it returns n.
 // O(n) time via the KMP failure function.
-func SmallestRepeatingPrefix(s []int) int {
+func SmallestRepeatingPrefix[S Symbol](s []S) int {
+	return SmallestRepeatingPrefixBuf(s, make([]S, len(s)))
+}
+
+// SmallestRepeatingPrefixBuf is SmallestRepeatingPrefix with the failure
+// table in fail, a caller-supplied buffer of at least len(s) elements
+// whose contents are overwritten. Its entries are prefix lengths, so the
+// string's own element type holds them.
+func SmallestRepeatingPrefixBuf[S Symbol](s, fail []S) int {
 	n := len(s)
 	if n == 0 {
 		return 0
 	}
-	fail := make([]int, n)
+	fail = fail[:n]
+	fail[0] = 0
 	for i := 1; i < n; i++ {
 		j := fail[i-1]
 		for j > 0 && s[i] != s[j] {
@@ -122,7 +137,7 @@ func SmallestRepeatingPrefix(s []int) int {
 		}
 		fail[i] = j
 	}
-	p := n - fail[n-1]
+	p := n - int(fail[n-1])
 	if n%p == 0 {
 		return p
 	}

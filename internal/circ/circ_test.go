@@ -67,11 +67,13 @@ func TestMSPProperty(t *testing.T) {
 			return true
 		}
 		s := make([]int, len(raw))
+		s32 := make([]int32, len(raw))
 		for i, v := range raw {
 			s[i] = int(v % 5)
+			s32[i] = int32(s[i])
 		}
 		want := BruteMSP(s)
-		return BoothMSP(s) == want && DuvalMSP(s) == want
+		return BoothMSP(s) == want && DuvalMSP(s) == want && DuvalMSP(s32) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -132,12 +134,23 @@ func periodRef(s []int) int {
 }
 
 func TestSmallestRepeatingPrefixProperty(t *testing.T) {
+	// The buffered int32 form must not read what fail held before.
+	var fail []int32
 	f := func(raw []uint8) bool {
 		s := make([]int, len(raw))
+		s32 := make([]int32, len(raw))
 		for i, v := range raw {
 			s[i] = int(v % 3) // small alphabet encourages periodicity
+			s32[i] = int32(s[i])
 		}
-		return SmallestRepeatingPrefix(s) == periodRef(s)
+		if len(fail) < len(s) {
+			fail = make([]int32, len(s))
+		}
+		for i := range fail {
+			fail[i] = int32(len(fail))
+		}
+		want := periodRef(s)
+		return SmallestRepeatingPrefix(s) == want && SmallestRepeatingPrefixBuf(s32, fail) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -27,6 +27,7 @@ package coarsest
 
 import (
 	"fmt"
+	"math"
 )
 
 // Instance is a single function coarsest partition problem: F[x] = f(x) and
@@ -36,9 +37,16 @@ type Instance struct {
 	B []int
 }
 
-// Validate checks the instance is well formed.
+// maxN is the largest instance the solvers accept: the linear and
+// native-parallel solvers hold node indexes in int32.
+const maxN = math.MaxInt32
+
+// Validate checks the instance is well formed and at most maxN nodes.
 func (ins Instance) Validate() error {
 	n := len(ins.F)
+	if err := checkSize(n); err != nil {
+		return err
+	}
 	if len(ins.B) != n {
 		return fmt.Errorf("coarsest: |F| = %d but |B| = %d", n, len(ins.B))
 	}
@@ -51,6 +59,14 @@ func (ins Instance) Validate() error {
 		if b < 0 {
 			return fmt.Errorf("coarsest: B[%d] = %d negative", x, b)
 		}
+	}
+	return nil
+}
+
+// checkSize rejects an instance of more than maxN nodes.
+func checkSize(n int) error {
+	if n > maxN {
+		return fmt.Errorf("coarsest: n = %d exceeds the limit of %d (math.MaxInt32) nodes", n, maxN)
 	}
 	return nil
 }

@@ -1,23 +1,37 @@
 package coarsest
 
 import (
+	"encoding/binary"
+
 	"sfcp/internal/circ"
 )
 
 // LinearSequential solves the coarsest partition problem in O(n) expected
 // time with the cycle/tree decomposition of the paper run sequentially —
 // the structure of Paige, Tarjan & Bonic's linear-time solution (reference
-// [16]):
+// [16]). F is copied into the arena as int32 and B becomes int32 classes
+// (its own values when they lie in [0, n), a first-occurrence rename
+// otherwise); then
 //
-//  1. find the cycles of the pseudo-forest,
-//  2. reduce each cycle's B-label string to its smallest repeating prefix,
-//     rotate to the minimal starting point (Booth), and group equal
+//  1. find the cycles of the pseudo-forest: the walk that closes a cycle
+//     appends it, in rank order, to one sequence of cycle nodes, and each
+//     cycle gets one row (start, length) indexed by a cycle id per node,
+//  2. reduce each cycle's class string to its smallest repeating prefix
+//     (KMP), rotate that to its least rotation (Duval), and group equal
 //     canonical strings: nodes at equal offsets of equivalent cycles share
-//     a Q-label (Section 3 of the paper),
-//  3. mark tree nodes whose root-path B-labels match the cycle (Lemma 4.1)
-//     level by level, giving them the cycle labels,
-//  4. label the remaining forest top-down by (B-label, parent Q-label)
-//     pair codes (Lemma 4.2).
+//     a Q-code (Section 3 of the paper),
+//  3. resolve tree nodes parents first along memoized walks: a node whose
+//     parent is marked and whose class matches its counterpart on the
+//     cycle is marked and takes the counterpart's code (Lemma 4.1); any
+//     other node records its depth below the marked set,
+//  4. code the unmarked nodes depth by depth below the marked set (the
+//     sequential form of Lemma 4.2): counting-sort each depth by parent
+//     code, then give each distinct class within a parent group a fresh
+//     code.
+//
+// Every per-node array is an int32 arena slice, and none grows with the
+// number of distinct labels. The codes stay below n, and a final
+// first-occurrence renumber makes the labels canonical.
 func LinearSequential(ins Instance) []int {
 	return LinearSequentialScratch(ins, nil)
 }
@@ -35,22 +49,8 @@ func LinearSequentialScratch(ins Instance, sc *Scratch) []int {
 		sc = &Scratch{}
 	}
 	sc.reset()
-	raw, codes := linearSequentialRaw(ins, sc)
-	// Canonical first-occurrence rename. Raw codes can reach 2n-1, so a
-	// codes-bounded scratch table is used instead of NormalizeLabels
-	// (whose dense path requires labels < n).
-	out := make([]int, len(raw))
-	ids := sc.bufInt(codes)
-	next := 0
-	for i, c := range raw {
-		id := ids[c]
-		if id == 0 {
-			next++
-			id = next
-			ids[c] = id
-		}
-		out[i] = id - 1
-	}
+	out := make([]int, len(ins.F))
+	solveLinear(ins, sc, out)
 	return out
 }
 
@@ -80,24 +80,34 @@ func LinearSequentialBatch(members []Instance, sc *Scratch) (out [][]int, classe
 			continue
 		}
 		sc.reset()
-		raw, codes := linearSequentialRaw(m, sc)
 		labels := slab[:n:n]
 		slab = slab[n:]
-		ids := sc.bufInt(codes)
-		next := 0
-		for j, c := range raw {
-			id := ids[c]
-			if id == 0 {
-				next++
-				id = next
-				ids[c] = id
-			}
-			labels[j] = id - 1
-		}
 		out[i] = labels
-		classes[i] = next
+		classes[i] = solveLinear(m, sc, labels)
 	}
 	return out, classes
+}
+
+// solveLinear writes the canonical labels of a non-empty instance into out
+// and returns the class count. The caller owns resetting sc.
+//
+// Instances up to mooreCutoff take the Moore-refinement fast path first;
+// the full algorithm is the fallback (and the only path at scale).
+func solveLinear(ins Instance, sc *Scratch, out []int) int {
+	if len(ins.F) <= mooreCutoff {
+		if classes, ok := mooreSmall(ins, sc, out); ok {
+			return classes
+		}
+		// Discard the fast path's checkouts; the full algorithm checks out
+		// from slot zero again (pairArr's zero invariant was restored).
+		sc.reset()
+	}
+	l := newLinear(ins, sc)
+	l.findCycles()
+	l.canonicalize()
+	l.mark()
+	l.codeUnmarked()
+	return l.finish(out)
 }
 
 // mooreCutoff gates the tiny-instance fast path: below it, plain Moore
@@ -119,29 +129,29 @@ const mooreMaxRounds = 32
 // Splitting is monotone, so a round that does not grow the class count
 // changed nothing and the partition is stable — the classic Moore
 // argument, and stability from B gives exactly the partition the linear
-// algorithm computes. Returns ok=false (caller falls back) when B is too
-// sparse for the dense rename table or refinement outruns mooreMaxRounds.
+// algorithm computes. Every round numbers classes by first occurrence, so
+// the stable labels are already canonical and are copied into out.
+// Returns ok=false (caller falls back, out untouched) when B is too sparse
+// for the dense rename table or refinement outruns mooreMaxRounds.
 //
 // Pair renaming goes through sc.pairArr, which must stay all-zero between
 // solves; every round's touched slots are undone, including on bailout.
-func mooreSmall(ins Instance, sc *Scratch) (rawLabels []int, codes int, ok bool) {
+func mooreSmall(ins Instance, sc *Scratch, out []int) (classes int, ok bool) {
 	n := len(ins.F)
 	f, b := ins.F, ins.B
 
 	// Initial rename of B through a dense table (first occurrence order).
-	maxB := 0
+	maxB := uint(0)
 	for _, v := range b {
-		if v > maxB {
-			maxB = v
-		}
+		maxB = max(maxB, uint(v))
 	}
-	if maxB >= 4*n {
-		return nil, 0, false
+	if maxB >= uint(4*n) {
+		return 0, false
 	}
-	tbl := sc.bufInt(maxB + 1)
-	lab := sc.bufIntRaw(n)
-	next := sc.bufIntRaw(n)
-	L := 0
+	tbl := sc.bufI32(int(maxB) + 1)
+	lab := sc.bufI32Raw(n)
+	next := sc.bufI32Raw(n)
+	L := int32(0)
 	for x, v := range b {
 		id := tbl[v]
 		if id == 0 {
@@ -153,14 +163,14 @@ func mooreSmall(ins Instance, sc *Scratch) (rawLabels []int, codes int, ok bool)
 	}
 
 	if cap(sc.pairArr) < n*n {
-		sc.pairArr = make([]int, n*n)
+		sc.pairArr = make([]int32, n*n)
 	}
 	pairArr := sc.pairArr[:n*n]
 	for round := 0; round < mooreMaxRounds; round++ {
 		touched := sc.pairTouched[:0]
-		newL := 0
+		newL := int32(0)
 		for x := 0; x < n; x++ {
-			idx := lab[x]*n + lab[f[x]]
+			idx := lab[x]*int32(n) + lab[f[x]]
 			id := pairArr[idx]
 			if id == 0 {
 				newL++
@@ -176,379 +186,338 @@ func mooreSmall(ins Instance, sc *Scratch) (rawLabels []int, codes int, ok bool)
 		sc.pairTouched = touched[:0]
 		lab, next = next, lab
 		if newL == L {
-			return lab, L, true
+			for i, c := range lab {
+				out[i] = int(c)
+			}
+			return int(L), true
 		}
 		L = newL
 	}
-	return nil, 0, false
+	return 0, false
 }
 
-// linearSequentialRaw runs the linear-time algorithm on a non-empty
-// instance and returns scratch-backed provisional labels (dense codes in
-// [0, codes), not yet normalized). The caller owns resetting sc.
-//
-// Instances below mooreCutoff take the Moore-refinement fast path first;
-// the full algorithm is the fallback (and the only path at scale).
-//
-// Coding is array-backed throughout: the only hashing left is one
-// canonical-string lookup per distinct cycle, plus map fallbacks for
-// pathologically label-rich B. The array coders rely on codes < 2n —
-// cycle codes ≤ #cycle nodes (each consumes a reserved (class, offset)
-// slot), anchor codes ≤ cycle codes, and pair codes ≤ #unmarked tree
-// nodes, so their sum is at most 2·#cycle nodes + #unmarked ≤ 2n.
-func linearSequentialRaw(ins Instance, sc *Scratch) (rawLabels []int, codes int) {
+// State tags of linear.cyc; cycle ids are non-negative.
+const (
+	unseen   = -1 // step 1: not walked yet
+	onPath   = -2 // step 1: on the current walk
+	tree     = -3 // a tree node step 3 has not resolved yet
+	unmarked = -4 // a tree node outside the marked set
+)
+
+// cycle is one row of per-cycle facts: the cycle's nodes are
+// seq[start : start+len], in rank order.
+type cycle struct {
+	start, len int32
+}
+
+// linear is one solve of the full algorithm. Its slices are arena
+// checkouts that die with the solve; path, aux, seq and rank take a second
+// role once their first is over, as noted per field.
+type linear struct {
+	sc *Scratch
+	f  []int32 // F
+	// cls holds the classes of B: injective, each in [0, n).
+	cls []int32
+	// cyc is the cycle id of a cycle node or a marked tree node (that of
+	// its root's cycle); otherwise one of the state tags.
+	cyc []int32
+	// rank is a cycle node's rank on its cycle, a marked tree node's
+	// counterpart's rank, and an unmarked node's depth below the marked
+	// set. Step 4: counts of its counting sort by parent code.
+	rank []int32
+	// code is the provisional Q-code; codes are dense in [0, next).
+	code []int32
+	// seq holds the cycle nodes, cycle after cycle in rank order. Step 4:
+	// the unmarked nodes sorted by depth.
+	seq []int32
+	// path is the walk stack of steps 1 and 3. Step 2: a cycle's class
+	// string. Step 4: one depth's nodes sorted by parent code.
+	path []int32
+	// aux holds the cycle starts in step 1, the KMP failure table in step
+	// 2 and the depth boundaries in step 4; it has n+1 slots.
+	aux []int32
+	// ids is all-zero between uses. Step 4: class -> code+1 within a
+	// parent group. Finish: code -> label+1.
+	ids  []int32
+	rows []cycle
+
+	next      int32 // next free code; after step 2, codes below it are cycle codes
+	nUnmarked int32 // number of unmarked tree nodes
+	maxDepth  int32 // deepest unmarked node's depth below the marked set
+}
+
+// newLinear checks out the solve's arrays and loads the inputs: F as
+// int32, B as classes. Labels already in [0, n) are their own classes;
+// anything else is renamed by first occurrence through sc.bRename.
+func newLinear(ins Instance, sc *Scratch) linear {
 	n := len(ins.F)
-	f, b := ins.F, ins.B
-
-	if n <= mooreCutoff {
-		if labels, codes, ok := mooreSmall(ins, sc); ok {
-			return labels, codes
-		}
-		// Discard the fast path's scratch checkouts; the full algorithm
-		// re-checks out from index zero (bufInt re-zeroes on grab, and
-		// pairArr's zero invariant was restored above).
-		sc.reset()
+	l := linear{
+		sc:   sc,
+		f:    sc.bufI32Raw(n),
+		cls:  sc.bufI32Raw(n),
+		cyc:  sc.bufI32Raw(n),
+		rank: sc.bufI32Raw(n),
+		code: sc.bufI32Raw(n),
+		seq:  sc.bufI32Raw(n),
+		path: sc.bufI32Raw(n),
+		aux:  sc.bufI32Raw(n + 1),
+		ids:  sc.bufI32(n),
 	}
+	for x, y := range ins.F {
+		l.f[x] = int32(y)
+	}
+	dense := true
+	for x, v := range ins.B {
+		if uint(v) >= uint(n) {
+			dense = false
+			break
+		}
+		l.cls[x] = int32(v)
+	}
+	if !dense {
+		if sc.bRename == nil {
+			sc.bRename = make(map[int]int32)
+		}
+		for x, v := range ins.B {
+			id, ok := sc.bRename[v]
+			if !ok {
+				id = int32(len(sc.bRename))
+				sc.bRename[v] = id
+			}
+			l.cls[x] = id
+		}
+	}
+	return l
+}
 
-	// Step 1: cycle detection with visit stamps.
-	state := sc.bufI8(n) // 0 unvisited, 1 in progress, 2 done
-	onCycle := sc.bufBool(n)
-	path := sc.bufIntRaw(n)
-	for s := 0; s < n; s++ {
-		if state[s] != 0 {
+// findCycles is step 1. It walks forward from every unseen node until it
+// meets a node seen before. If that node is on the current walk, the
+// walk's suffix from it is a new cycle, already in rank order; every
+// other node of the walk is a tree node.
+func (l *linear) findCycles() {
+	f, cyc, rank, seq, path, starts := l.f, l.cyc, l.rank, l.seq, l.path, l.aux
+	for x := range cyc {
+		cyc[x] = unseen
+	}
+	k, nseq := int32(0), int32(0)
+	for s := range f {
+		if cyc[s] != unseen {
 			continue
 		}
 		np := 0
-		x := s
-		for state[x] == 0 {
-			state[x] = 1
+		x := int32(s)
+		for cyc[x] == unseen {
+			cyc[x] = onPath
 			path[np] = x
 			np++
 			x = f[x]
 		}
-		if state[x] == 1 {
-			for i := np - 1; i >= 0; i-- {
-				onCycle[path[i]] = true
-				if path[i] == x {
-					break
-				}
+		if cyc[x] == onPath {
+			i := np - 1
+			for path[i] != x {
+				i--
 			}
+			starts[k] = nseq
+			for r, y := range path[i:np] {
+				cyc[y] = k
+				rank[y] = int32(r)
+				seq[nseq] = y
+				nseq++
+			}
+			k++
+			np = i
 		}
 		for _, y := range path[:np] {
-			state[y] = 2
+			cyc[y] = tree
 		}
 	}
-
-	// Step 2: canonical form per cycle; Q-codes for cycle nodes.
-	// labels[x] holds a provisional dense Q-code. Each canonical class
-	// reserves period consecutive slots in codeArr (total reserved ≤ n),
-	// so the (class, offset) -> code lookup is one array index.
-	labels := sc.bufIntRaw(n)
-	if sc.canonCls == nil {
-		sc.canonCls = make(map[string]int)
+	starts[k] = nseq
+	l.rows = l.sc.cycleRows(int(k))
+	for c := range l.rows {
+		l.rows[c] = cycle{start: starts[c], len: starts[c+1] - starts[c]}
 	}
-	classBase := sc.bufIntRaw(n) // class -> first slot in codeArr
-	codeArr := sc.bufInt(n)   // slot -> code+1 (0 = unassigned)
-	reserved := 0
-	nextCode := 0
+}
 
-	cycleSeen := sc.bufBool(n)
-	// cycleInfo per node for the tree phase.
-	cycleOf := sc.bufIntRaw(n)  // leader node of x's cycle (cycle nodes only)
-	rankOf := sc.bufIntRaw(n)   // rank of x within its cycle from the leader
-	cycleLen := sc.bufIntRaw(n) // full cycle length
-	cycleCls := sc.bufIntRaw(n) // canonical class of the cycle
-	cycleOff := sc.bufIntRaw(n) // canonical offset shift: Q-offset(x) = (rankOf[x]-msp) mod period
-	cyclePer := sc.bufIntRaw(n) // period of the cycle's B-string
-	cycSeq := sc.bufIntRaw(n)   // all cycles' nodes, concatenated in rank order
-	cycStart := sc.bufIntRaw(n) // leader -> start of its run in cycSeq
-	bsBuf := sc.bufIntRaw(n)
-	nseq := 0
-	key := sc.key[:0]
-
-	for s := 0; s < n; s++ {
-		if !onCycle[s] || cycleSeen[s] {
-			continue
+// canonicalize is step 2. Each new canonical string reserves one code
+// per offset of its period, so the node at rank i of a cycle whose least
+// rotation starts at msp takes its class's first code plus (i-msp) mod p.
+func (l *linear) canonicalize() {
+	cls, code, seq, str, fail := l.cls, l.code, l.seq, l.path, l.aux
+	sc := l.sc
+	if sc.canon == nil {
+		sc.canon = make(map[string]int32)
+	}
+	key := sc.key
+	next := int32(0)
+	for _, row := range l.rows {
+		nodes := seq[row.start : row.start+row.len]
+		s := str[:len(nodes)]
+		for i, y := range nodes {
+			s[i] = cls[y]
 		}
-		start := nseq
-		x := s
-		for !cycleSeen[x] {
-			cycleSeen[x] = true
-			cycSeq[nseq] = x
-			nseq++
-			x = f[x]
-		}
-		cyc := cycSeq[start:nseq]
-		cycStart[s] = start
-		bs := bsBuf[:len(cyc)]
-		for i, y := range cyc {
-			bs[i] = b[y]
-		}
-		p := circ.SmallestRepeatingPrefix(bs)
-		prefix := bs[:p]
-		msp := circ.BoothMSP(prefix)
-		// Varint-encode the rotated prefix straight into the reusable key
-		// buffer; the map lookup on string(key) does not allocate, and a
-		// string is materialized only when the class is new.
+		p := circ.SmallestRepeatingPrefixBuf(s, fail)
+		msp := circ.DuvalMSP(s[:p])
+		// The rotated prefix goes into the reusable key buffer as varints;
+		// the lookup on string(key) does not allocate, and a string is
+		// materialized only when the class is new.
 		key = key[:0]
-		for i := 0; i < p; i++ {
-			v := prefix[(msp+i)%p]
-			for v >= 0x80 {
-				key = append(key, byte(v)|0x80)
-				v >>= 7
-			}
-			key = append(key, byte(v), 0xff)
+		for _, v := range s[msp:p] {
+			key = binary.AppendUvarint(key, uint64(v))
 		}
-		cls, ok := sc.canonCls[string(key)]
+		for _, v := range s[:msp] {
+			key = binary.AppendUvarint(key, uint64(v))
+		}
+		base, ok := sc.canon[string(key)]
 		if !ok {
-			cls = len(sc.canonCls)
-			sc.canonCls[string(key)] = cls
-			classBase[cls] = reserved
-			reserved += p
+			base = next
+			next += int32(p)
+			sc.canon[string(key)] = base
 		}
-		base := classBase[cls]
-		for i, y := range cyc {
-			cycleOf[y] = s
-			rankOf[y] = i
-			cycleLen[y] = len(cyc)
-			cycleCls[y] = cls
-			cyclePer[y] = p
-			cycleOff[y] = msp
-			off := ((i-msp)%p + p) % p
-			code := codeArr[base+off]
-			if code == 0 {
-				nextCode++
-				code = nextCode
-				codeArr[base+off] = code
+		off, per := int32((p-msp)%p), int32(p)
+		for _, y := range nodes {
+			code[y] = base + off
+			if off++; off == per {
+				off = 0
 			}
-			labels[y] = code - 1
 		}
 	}
 	sc.key = key // keep the grown buffer for the next solve
-
-	// Order tree nodes by level. Levels are computed iteratively (deep
-	// paths would overflow a recursion stack): walk up to the first
-	// resolved ancestor, then unwind. The step-1 path buffer is reused.
-	level := sc.bufInt(n)
-	root := sc.bufIntRaw(n)
-	maxLevel := 0
-	for s := 0; s < n; s++ {
-		x := s
-		np := 0
-		for !onCycle[x] && level[x] == 0 {
-			path[np] = x
-			np++
-			x = f[x]
-		}
-		base, r := level[x], x
-		if onCycle[x] {
-			base, r = 0, x
-		} else {
-			r = root[x]
-		}
-		for i := np - 1; i >= 0; i-- {
-			base++
-			level[path[i]] = base
-			root[path[i]] = r
-			if base > maxLevel {
-				maxLevel = base
-			}
-		}
-		if onCycle[s] {
-			root[s] = s
-		}
-	}
-	// Counting sort on level replaces per-level append slices: order holds
-	// the tree nodes grouped by ascending level, starts[l] the first index
-	// of level l's run.
-	cnt := sc.bufInt(maxLevel + 2)
-	nTree := 0
-	for x := 0; x < n; x++ {
-		if !onCycle[x] {
-			cnt[level[x]]++
-			nTree++
-		}
-	}
-	starts := sc.bufIntRaw(maxLevel + 2)
-	sum := 0
-	for l := 1; l <= maxLevel; l++ {
-		starts[l] = sum
-		sum += cnt[l]
-	}
-	starts[maxLevel+1] = sum
-	order := sc.bufIntRaw(nTree)
-	copy(cnt[1:maxLevel+1], starts[1:maxLevel+1]) // reuse cnt as fill cursors
-	for x := 0; x < n; x++ {
-		if !onCycle[x] {
-			l := level[x]
-			order[cnt[l]] = x
-			cnt[l]++
-		}
-	}
-
-	// Step 3: mark tree nodes matching their cycle counterpart (Lemma 4.1)
-	// top-down, so a node is marked only if its whole root path matches.
-	marked := sc.bufBool(n)
-	for x := 0; x < n; x++ {
-		marked[x] = onCycle[x]
-	}
-	for l := 1; l <= maxLevel; l++ {
-		for _, x := range order[starts[l]:starts[l+1]] {
-			if !marked[f[x]] {
-				continue
-			}
-			r := root[x]
-			k := cycleLen[r]
-			// Corresponding cycle node: rank (rank(r) - level) mod k,
-			// compared directly on the cycle (rank cr from the leader); on
-			// match x inherits that node's Q-code, which step 2 already
-			// assigned (a cycle covers every offset of its class).
-			cr := ((rankOf[r]-l)%k + k) % k
-			if b[x] == b[cycSeq[cycStart[cycleOf[r]]+cr]] {
-				p := cyclePer[r]
-				off := ((cr-cycleOff[r])%p + p) % p
-				marked[x] = true
-				labels[x] = codeArr[classBase[cycleCls[r]]+off] - 1
-			}
-		}
-	}
-
-	// Step 4: unmarked nodes top-down with (B, parent-code) pairs
-	// (Lemma 4.2). Anchor codes of marked parents are re-coded first so
-	// they cannot collide with inner pair codes.
-	//
-	// Pair identity only needs injectivity of the B half, so unmarked
-	// nodes' B-labels are first densely renamed to [0, L); pairs then code
-	// through pairArr[parentCode*L + bclass] while the table stays within
-	// 16 ints per node (parentCode < 2n), with sc.pairCodes as the map
-	// fallback for label-rich B. pairArr keeps its all-zero invariant by
-	// undoing exactly the touched slots afterwards.
-	bcls := sc.bufIntRaw(n)
-	L := 0
-	{
-		minB, maxB := 0, 0
-		first := true
-		for i := 0; i < nTree; i++ {
-			x := order[i]
-			if marked[x] {
-				continue
-			}
-			v := b[x]
-			if first {
-				minB, maxB, first = v, v, false
-			} else if v < minB {
-				minB = v
-			} else if v > maxB {
-				maxB = v
-			}
-		}
-		switch {
-		case first:
-			// No unmarked nodes; nothing to rename.
-		case minB >= 0 && maxB < 4*n:
-			tbl := sc.bufInt(maxB + 1)
-			for i := 0; i < nTree; i++ {
-				x := order[i]
-				if marked[x] {
-					continue
-				}
-				id := tbl[b[x]]
-				if id == 0 {
-					L++
-					id = L
-					tbl[b[x]] = id
-				}
-				bcls[x] = id - 1
-			}
-		default:
-			if sc.bRename == nil {
-				sc.bRename = make(map[int]int)
-			}
-			for i := 0; i < nTree; i++ {
-				x := order[i]
-				if marked[x] {
-					continue
-				}
-				id, ok := sc.bRename[b[x]]
-				if !ok {
-					id = L
-					L++
-					sc.bRename[b[x]] = id
-				}
-				bcls[x] = id
-			}
-		}
-	}
-
-	anchor := sc.bufInt(nextCode) // marked-parent Q-code (a cycle code) -> anchor code+1
-	codeCap := 2 * n
-	useArr := L > 0 && codeCap*L <= 16*n
-	var pairArr []int
-	touched := sc.pairTouched[:0]
-	if useArr {
-		if cap(sc.pairArr) < codeCap*L {
-			sc.pairArr = make([]int, codeCap*L)
-		}
-		pairArr = sc.pairArr[:codeCap*L]
-	} else if L > 0 && sc.pairCodes == nil {
-		sc.pairCodes = make(map[int64]int)
-	}
-	for l := 1; l <= maxLevel; l++ {
-		for _, x := range order[starts[l]:starts[l+1]] {
-			if marked[x] {
-				continue
-			}
-			var parentCode int
-			if marked[f[x]] {
-				a := anchor[labels[f[x]]]
-				if a == 0 {
-					nextCode++
-					a = nextCode
-					anchor[labels[f[x]]] = a
-				}
-				parentCode = a - 1
-			} else {
-				parentCode = labels[f[x]]
-			}
-			if useArr {
-				idx := parentCode*L + bcls[x]
-				code := pairArr[idx]
-				if code == 0 {
-					nextCode++
-					code = nextCode
-					pairArr[idx] = code
-					touched = append(touched, idx)
-				}
-				labels[x] = code - 1
-			} else {
-				k := int64(parentCode)*int64(L) + int64(bcls[x])
-				code, ok := sc.pairCodes[k]
-				if !ok {
-					nextCode++
-					code = nextCode
-					sc.pairCodes[k] = code
-				}
-				labels[x] = code - 1
-			}
-		}
-	}
-	for _, idx := range touched {
-		pairArr[idx] = 0
-	}
-	sc.pairTouched = touched[:0]
-
-	return labels, nextCode
+	l.next = next
 }
 
-// intsKey builds a map key from an int slice.
-func intsKey(s []int) string {
-	buf := make([]byte, 0, len(s)*5)
-	for _, v := range s {
-		for v >= 0x80 {
-			buf = append(buf, byte(v)|0x80)
-			v >>= 7
+// mark is step 3 (Lemma 4.1). A walk climbs to the first resolved node and
+// resolves its path on the way back down, so every node is resolved after
+// its parent. The counterpart of a marked node's child sits one rank back
+// on the cycle; a child whose class matches it is marked too.
+func (l *linear) mark() {
+	f, cls, cyc, rank, code, seq, path, rows := l.f, l.cls, l.cyc, l.rank, l.code, l.seq, l.path, l.rows
+	count, maxDepth := int32(0), int32(0)
+	for s := range f {
+		if cyc[s] != tree {
+			continue
 		}
-		buf = append(buf, byte(v), 0xff)
+		np := 0
+		for x := int32(s); cyc[x] == tree; x = f[x] {
+			path[np] = x
+			np++
+		}
+		for i := np - 1; i >= 0; i-- {
+			x := path[i]
+			p := f[x]
+			if c := cyc[p]; c >= 0 {
+				row := rows[c]
+				r := rank[p] - 1
+				if r < 0 {
+					r += row.len
+				}
+				if y := seq[row.start+r]; cls[x] == cls[y] {
+					cyc[x], rank[x], code[x] = c, r, code[y]
+					continue
+				}
+				rank[x] = 1
+			} else {
+				rank[x] = rank[p] + 1
+			}
+			cyc[x] = unmarked
+			count++
+			maxDepth = max(maxDepth, rank[x])
+		}
 	}
-	return string(buf)
+	l.nUnmarked, l.maxDepth = count, maxDepth
+}
+
+// codeUnmarked is step 4 (Lemma 4.2), depth by depth below the marked
+// set. Equivalent nodes share that depth, so codes never have to match
+// across depths: each depth takes fresh codes, one per distinct (parent
+// code, class) pair. Its parents are the previous depth, whose codes form
+// one contiguous range (cycle codes for depth 1), so a counting sort
+// groups the depth by parent. Within a group, ids maps a class to its
+// code; an entry older than the group's first code is stale, so the table
+// is never cleared.
+func (l *linear) codeUnmarked() {
+	if l.nUnmarked == 0 {
+		return
+	}
+	f, cls, code, ids := l.f, l.cls, l.code, l.ids
+
+	// Counting sort by depth: depth d's nodes end up in
+	// order[ends[d-1]:ends[d]].
+	order := l.seq[:l.nUnmarked]
+	ends := l.aux[:l.maxDepth+1]
+	clear(ends)
+	for x, c := range l.cyc {
+		if c == unmarked {
+			ends[l.rank[x]]++
+		}
+	}
+	sum := int32(0)
+	for d, c := range ends {
+		ends[d] = sum
+		sum += c
+	}
+	for x, c := range l.cyc {
+		if c == unmarked {
+			d := l.rank[x]
+			order[ends[d]] = int32(x)
+			ends[d]++
+		}
+	}
+
+	next := l.next
+	lo := int32(0) // parent codes of the current depth: [lo, next at its start)
+	for d := int32(1); d <= l.maxDepth; d++ {
+		nodes := order[ends[d-1]:ends[d]]
+		// Counting sort by parent code; afterwards group j, the children
+		// of code lo+j, is byParent[groupEnd[j-1]:groupEnd[j]].
+		groupEnd := l.rank[:next-lo]
+		clear(groupEnd)
+		for _, x := range nodes {
+			groupEnd[code[f[x]]-lo]++
+		}
+		sum := int32(0)
+		for j, c := range groupEnd {
+			groupEnd[j] = sum
+			sum += c
+		}
+		byParent := l.path[:len(nodes)]
+		for _, x := range nodes {
+			j := code[f[x]] - lo
+			byParent[groupEnd[j]] = x
+			groupEnd[j]++
+		}
+		lo = next
+		start := int32(0)
+		for _, end := range groupEnd {
+			first := next
+			for _, x := range byParent[start:end] {
+				e := ids[cls[x]]
+				if e <= first {
+					next++
+					e = next
+					ids[cls[x]] = e
+				}
+				code[x] = e - 1
+			}
+			start = end
+		}
+	}
+	l.next = next
+}
+
+// finish renumbers the codes by first occurrence into out and returns the
+// class count.
+func (l *linear) finish(out []int) int {
+	ids := l.ids[:l.next]
+	clear(ids)
+	next := int32(0)
+	for x, c := range l.code {
+		id := ids[c]
+		if id == 0 {
+			next++
+			id = next
+			ids[c] = id
+		}
+		out[x] = int(id - 1)
+	}
+	return int(next)
 }

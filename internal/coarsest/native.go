@@ -3,8 +3,8 @@ package coarsest
 import (
 	"context"
 	"math/bits"
-
 	"sync/atomic"
+	"unsafe"
 
 	"sfcp/internal/circ"
 	"sfcp/internal/par"
@@ -12,108 +12,99 @@ import (
 
 // Scratch holds the working buffers of NativeParallel and
 // LinearSequentialScratch so repeated solves (batch serving, benchmark
-// loops) reuse one arena instead of reallocating ~13 n-sized slices per
-// call. A Scratch is not safe for concurrent use; callers wanting
-// concurrency keep one per worker (e.g. via sync.Pool). The zero value
-// is ready to use.
+// loops) reuse one arena instead of reallocating their n-sized slices per
+// call: nine int32 slices for the linear solver (36 B/elem) plus its
+// per-cycle rows. A Scratch is not safe for concurrent use; callers
+// wanting concurrency keep one per worker (e.g. via sync.Pool). The zero
+// value is ready to use.
 type Scratch struct {
-	i32                          [][]int32
-	i64                          [][]int64
-	bools                        [][]bool
-	ints                         [][]int
-	i8                           [][]int8
-	ni32, ni64, nbool, nint, ni8 int
+	i32               [][]int32
+	i64               [][]int64
+	bools             [][]bool
+	ni32, ni64, nbool int
 
-	// Linear-solver dictionaries, reused across calls so the per-call cost
-	// is a clear (proportional to the previous solve's entries) instead of
-	// fresh bucket allocation.
-	canonCls  map[string]int // canonical cycle string -> class
-	pairCodes map[int64]int  // fallback pair coder when B is label-rich
-	bRename   map[int]int    // fallback dense rename for huge B values
-	key       []byte         // canonical-string key build buffer
-	// pairArr is the fast pair coder: indexed parentCode*L + bclass, value
+	// Linear-solver state, reused across calls so the per-call cost of a
+	// map is a clear (proportional to the previous solve's entries)
+	// instead of fresh bucket allocation.
+	rows    []cycle          // one row per cycle
+	canon   map[string]int32 // canonical cycle string -> its class's first code
+	bRename map[int]int32    // B label -> class, when B leaves [0, n)
+	key     []byte           // canonical-string key build buffer
+	// pairArr is mooreSmall's pair coder: indexed class*n + class, value
 	// code+1. It is kept all-zero BETWEEN solves by undoing the touched
-	// entries (recorded in pairTouched) at the end of each solve, so a new
+	// entries (recorded in pairTouched) at the end of each round, so a new
 	// solve never pays an O(len) clear.
-	pairArr     []int
-	pairTouched []int
+	pairArr     []int32
+	pairTouched []int32
 }
 
 func (s *Scratch) reset() {
-	s.ni32, s.ni64, s.nbool, s.nint, s.ni8 = 0, 0, 0, 0, 0
-	clear(s.canonCls)
-	clear(s.pairCodes)
+	s.ni32, s.ni64, s.nbool = 0, 0, 0
+	clear(s.canon)
 	clear(s.bRename)
 }
 
-// bufI32 hands out the next zeroed int32 buffer of length n, growing the
-// arena on first use (and whenever n outgrows a stored buffer).
-func (s *Scratch) bufI32(n int) []int32 {
-	if s.ni32 == len(s.i32) {
-		s.i32 = append(s.i32, make([]int32, n))
-	} else if cap(s.i32[s.ni32]) < n {
-		s.i32[s.ni32] = make([]int32, n)
+// footprint returns the bytes of slice capacity the arena retains between
+// solves; the maps are not counted.
+func (s *Scratch) footprint() int {
+	b := 0
+	for _, buf := range s.i32 {
+		b += 4 * cap(buf)
 	}
-	buf := s.i32[s.ni32][:n]
-	clear(buf)
-	s.ni32++
+	for _, buf := range s.i64 {
+		b += 8 * cap(buf)
+	}
+	for _, buf := range s.bools {
+		b += cap(buf)
+	}
+	b += int(unsafe.Sizeof(cycle{})) * cap(s.rows)
+	return b + cap(s.key) + 4*(cap(s.pairArr)+cap(s.pairTouched))
+}
+
+// checkout hands out the next buffer of length n from pool, growing the
+// pool on first use (and whenever n outgrows a stored buffer). Its
+// contents are whatever the last solve left there.
+func checkout[T any](pool *[][]T, next *int, n int) []T {
+	if *next == len(*pool) {
+		*pool = append(*pool, make([]T, n))
+	} else if cap((*pool)[*next]) < n {
+		(*pool)[*next] = make([]T, n)
+	}
+	buf := (*pool)[*next][:n]
+	*next++
 	return buf
 }
 
-func (s *Scratch) bufI64(n int) []int64 {
-	if s.ni64 == len(s.i64) {
-		s.i64 = append(s.i64, make([]int64, n))
-	} else if cap(s.i64[s.ni64]) < n {
-		s.i64[s.ni64] = make([]int64, n)
-	}
-	buf := s.i64[s.ni64][:n]
+// bufI32 hands out the next zeroed int32 buffer of length n.
+func (s *Scratch) bufI32(n int) []int32 {
+	buf := checkout(&s.i32, &s.ni32, n)
 	clear(buf)
-	s.ni64++
+	return buf
+}
+
+// bufI32Raw is bufI32 without the zeroing pass, for buffers that are fully
+// written before they are read.
+func (s *Scratch) bufI32Raw(n int) []int32 { return checkout(&s.i32, &s.ni32, n) }
+
+func (s *Scratch) bufI64(n int) []int64 {
+	buf := checkout(&s.i64, &s.ni64, n)
+	clear(buf)
 	return buf
 }
 
 func (s *Scratch) bufBool(n int) []bool {
-	if s.nbool == len(s.bools) {
-		s.bools = append(s.bools, make([]bool, n))
-	} else if cap(s.bools[s.nbool]) < n {
-		s.bools[s.nbool] = make([]bool, n)
-	}
-	buf := s.bools[s.nbool][:n]
-	clear(buf)
-	s.nbool++
-	return buf
-}
-
-func (s *Scratch) bufInt(n int) []int {
-	buf := s.bufIntRaw(n)
+	buf := checkout(&s.bools, &s.nbool, n)
 	clear(buf)
 	return buf
 }
 
-// bufIntRaw is bufInt without the zeroing pass — for buffers that are
-// fully written before they are read, where the clear is pure overhead on
-// the small-solve hot path.
-func (s *Scratch) bufIntRaw(n int) []int {
-	if s.nint == len(s.ints) {
-		s.ints = append(s.ints, make([]int, n))
-	} else if cap(s.ints[s.nint]) < n {
-		s.ints[s.nint] = make([]int, n)
+// cycleRows hands out k rows for the linear solver's per-cycle facts,
+// growing to exactly k when the retained rows are too few.
+func (s *Scratch) cycleRows(k int) []cycle {
+	if cap(s.rows) < k {
+		s.rows = make([]cycle, k)
 	}
-	buf := s.ints[s.nint][:n]
-	s.nint++
-	return buf
-}
-
-func (s *Scratch) bufI8(n int) []int8 {
-	if s.ni8 == len(s.i8) {
-		s.i8 = append(s.i8, make([]int8, n))
-	} else if cap(s.i8[s.ni8]) < n {
-		s.i8[s.ni8] = make([]int8, n)
-	}
-	buf := s.i8[s.ni8][:n]
-	clear(buf)
-	s.ni8++
-	return buf
+	return s.rows[:k]
 }
 
 // NativeParallel solves the coarsest partition problem with plain
@@ -431,4 +422,17 @@ func NativeParallelCtx(ctx context.Context, ins Instance, workers int, sc *Scrat
 		labels[x] = id
 	}
 	return labels, nil
+}
+
+// intsKey builds a map key from an int slice.
+func intsKey(s []int) string {
+	buf := make([]byte, 0, len(s)*5)
+	for _, v := range s {
+		for v >= 0x80 {
+			buf = append(buf, byte(v)|0x80)
+			v >>= 7
+		}
+		buf = append(buf, byte(v), 0xff)
+	}
+	return string(buf)
 }

@@ -18,8 +18,8 @@ import (
 type resultCache struct {
 	mu       sync.Mutex
 	cap      int
-	maxBytes int64 // 0 = unbounded (the seed behavior)
-	bytes    int64 // estimated resident bytes of all entries
+	maxBytes int64      // 0 = unbounded (the seed behavior)
+	bytes    int64      // estimated resident bytes of all entries
 	order    *list.List // front = most recent; values are *cacheEntry
 	entries  map[string]*list.Element
 }
