@@ -25,8 +25,8 @@
 //
 // The default -algo auto defers to the planner, which resolves it to the
 // sequential linear-time solver; the summary's ran= field reports the
-// resolved choice and -explain prints the full plan (reason, probe
-// features, stage timings).
+// resolved choice and -explain prints the full plan (workers, reason,
+// stage timings).
 package main
 
 import (
@@ -48,7 +48,7 @@ func main() {
 	algoName := flag.String("algo", "auto", "solver algorithm")
 	inPath := flag.String("in", "", "input file (default stdin)")
 	stats := flag.Bool("stats", false, "print PRAM complexity counters to stderr")
-	explain := flag.Bool("explain", false, "print the resolved execution plan (algorithm, workers, reason, probe, stage timings) to stderr")
+	explain := flag.Bool("explain", false, "print the resolved execution plan (algorithm, workers, reason, stage timings) to stderr")
 	workers := flag.Int("workers", 0, "host goroutines for the parallel solvers (0 = NumCPU)")
 	seed := flag.Uint64("seed", 0, "simulator seed for the PRAM algorithms")
 	server := flag.String("server", "", "sfcpd base URL for -submit (e.g. http://localhost:8080)")
@@ -136,15 +136,11 @@ func main() {
 }
 
 // explainPlan prints the resolved execution plan: what the planner chose,
-// why, what the probe saw, and where the time went.
+// why, and where the time went.
 func explainPlan(out io.Writer, requested sfcp.Algorithm, res sfcp.Result) {
 	p := res.Plan
 	fmt.Fprintf(out, "plan: requested=%s resolved=%s workers=%d\n", requested, p.Algorithm, p.Workers)
 	fmt.Fprintf(out, "reason: %s\n", p.Reason)
-	if p.Features.Probed {
-		fmt.Fprintf(out, "probe: n=%d sampled_labels=%d short_cycle_frac=%.2f\n",
-			p.Features.N, p.Features.SampledLabels, p.Features.ShortCycleFrac)
-	}
 	fmt.Fprintf(out, "timings: plan=%v solve=%v\n",
 		res.Timings.Plan.Round(time.Microsecond), res.Timings.Solve.Round(time.Microsecond))
 }

@@ -84,6 +84,27 @@ func TestReadAnyDetectsFormat(t *testing.T) {
 	}
 }
 
+// TestExplainPlan pins -explain's three lines: the resolved plan, the
+// planner's reason and the stage timings.
+func TestExplainPlan(t *testing.T) {
+	res, err := sfcp.SolveWith(sfcp.Instance{F: []int{1, 2, 0}, B: []int{0, 1, 0}}, sfcp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	explainPlan(&buf, sfcp.AlgorithmAuto, res)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	want := []string{"plan: requested=auto resolved=linear workers=1", "reason: auto: ", "timings: plan="}
+	if len(lines) != len(want) {
+		t.Fatalf("-explain printed %d lines, want %d:\n%s", len(lines), len(want), buf.String())
+	}
+	for i, prefix := range want {
+		if !strings.HasPrefix(lines[i], prefix) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], prefix)
+		}
+	}
+}
+
 func TestParseAlgo(t *testing.T) {
 	for _, name := range []string{"auto", "moore", "hopcroft", "linear",
 		"parallel-pram", "native-parallel", "doubling-hash", "doubling-sort"} {

@@ -1,7 +1,9 @@
 package sfcp
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"sfcp/internal/workload"
@@ -10,7 +12,10 @@ import (
 // conformanceFamilies enumerates every internal/workload generator family,
 // sized so the PRAM simulator stays fast while all structural regimes are
 // exercised: random pseudo-forests, pure permutations, equivalent and
-// distinct cycle families, deep brooms, wide stars, and unary DFAs.
+// distinct cycle families, deep brooms, wide stars, and unary DFAs — plus
+// random functions whose labels all lie at or above 2^31, beyond what the
+// PRAM pair coder packs, so every solver's label renaming is held to
+// Moore too.
 var conformanceFamilies = []struct {
 	name string
 	gen  func(seed int64) workload.Instance
@@ -22,6 +27,13 @@ var conformanceFamilies = []struct {
 	{"broom", func(s int64) workload.Instance { return workload.Broom(s, 200, 12, 4) }},
 	{"star", func(s int64) workload.Instance { return workload.Star(s, 150, 3) }},
 	{"dfa", func(s int64) workload.Instance { return workload.UnaryDFA(s, 180, 300) }},
+	{"wide-labels", func(s int64) workload.Instance {
+		w := workload.RandomFunction(s, 240, 3)
+		for i, b := range w.B {
+			w.B[i] = b<<40 | 1<<62
+		}
+		return w
+	}},
 }
 
 // TestConformanceAllAlgorithms is the differential suite: every Algorithm
@@ -138,40 +150,74 @@ func intSqrt(n int) int {
 	return r
 }
 
-// TestConformanceSolverBatch drives the same differential check through the
-// reusable Solver's batch path, so the scratch-arena reuse and worker-budget
-// splitting are covered by the conformance suite too.
+// TestConformanceSolverBatch drives the same differential check through
+// the batch path sfcpd's batch crew runs — PlanBatch, then
+// Solver.SolveBatchPlanned — for every algorithm, so the linear one-pass
+// branch, the per-member branch and the shared scratch arena are all held
+// to Moore. An invalid member rides in the middle of the batch and must
+// fail alone at its position. Each batch runs twice, so the second pass
+// reuses the first one's arena.
 func TestConformanceSolverBatch(t *testing.T) {
-	instances := make([]Instance, len(conformanceFamilies))
-	refs := make([]Result, len(conformanceFamilies))
-	for i, fam := range conformanceFamilies {
-		instances[i] = Instance(fam.gen(7))
-		ref, err := SolveWith(instances[i], Options{Algorithm: AlgorithmMoore})
+	var instances []Instance
+	var names []string
+	var refs []Result
+	for _, fam := range conformanceFamilies {
+		ins := Instance(fam.gen(7))
+		ref, err := SolveWith(ins, Options{Algorithm: AlgorithmMoore})
 		if err != nil {
 			t.Fatalf("%s: moore reference: %v", fam.name, err)
 		}
-		refs[i] = ref
+		instances, names, refs = append(instances, ins), append(names, fam.name), append(refs, ref)
 	}
+	bad := len(instances) / 2
+	instances = slices.Insert(instances, bad, Instance{F: []int{5}, B: []int{0}})
+	names = slices.Insert(names, bad, "invalid")
+	refs = slices.Insert(refs, bad, Result{})
 	for _, algo := range Algorithms() {
 		t.Run(algo.String(), func(t *testing.T) {
-			s := NewSolver(Options{Algorithm: algo, Parallelism: 3, Seed: 7})
-			results, err := s.SolveBatch(instances)
+			plan, err := PlanBatch(instances, Options{Algorithm: algo})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, res := range results {
-				if !SamePartition(res.Labels, refs[i].Labels) {
-					t.Errorf("%s: partition disagrees with moore", conformanceFamilies[i].name)
-					continue
+			s := NewSolver(Options{Seed: 7})
+			for pass := 0; pass < 2; pass++ {
+				results, errs := s.SolveBatchPlanned(context.Background(), instances, plan)
+				if len(results) != len(instances) || len(errs) != len(instances) {
+					t.Fatalf("%d results and %d errors for %d members", len(results), len(errs), len(instances))
 				}
-				for j := range res.Labels {
-					if res.Labels[j] != refs[i].Labels[j] {
-						t.Errorf("%s: labels[%d] = %d not normalized like moore's %d",
-							conformanceFamilies[i].name, j, res.Labels[j], refs[i].Labels[j])
-						break
+				for i, res := range results {
+					if i == bad {
+						if errs[i] == nil || res.Labels != nil || res.Plan != nil {
+							t.Errorf("pass %d: invalid member: err %v, result %+v", pass, errs[i], res)
+						}
+						continue
+					}
+					if errs[i] != nil {
+						t.Errorf("pass %d %s: %v", pass, names[i], errs[i])
+						continue
+					}
+					if len(res.Labels) != len(refs[i].Labels) || res.NumClasses != refs[i].NumClasses || res.Plan == nil || *res.Plan != plan {
+						t.Errorf("pass %d %s: %d labels in %d classes (moore %d in %d), plan %v", pass, names[i],
+							len(res.Labels), res.NumClasses, len(refs[i].Labels), refs[i].NumClasses, res.Plan)
+						continue
+					}
+					for j := range res.Labels {
+						if res.Labels[j] != refs[i].Labels[j] {
+							t.Errorf("pass %d %s: labels[%d] = %d, moore says %d (first divergence)",
+								pass, names[i], j, res.Labels[j], refs[i].Labels[j])
+							break
+						}
 					}
 				}
 			}
 		})
+	}
+
+	// An empty batch has nothing to plan, and executing one yields nothing.
+	if _, err := PlanBatch(nil, Options{}); err == nil {
+		t.Error("PlanBatch accepted an empty batch")
+	}
+	if res, errs := NewSolver(Options{}).SolveBatchPlanned(context.Background(), nil, Plan{Algorithm: AlgorithmLinear, Workers: 1}); len(res) != 0 || len(errs) != 0 {
+		t.Errorf("empty batch: %d results, %d errors", len(res), len(errs))
 	}
 }

@@ -9,9 +9,10 @@ import (
 
 // FuzzSolve cross-checks the paper's parallel algorithm against naive
 // refinement on arbitrary byte-derived instances. Labels lie in [0, 5),
-// or, when rawB has an odd byte at index n, are spread over [2^30, 2^31)
-// so that the linear solver renames them through its map (ParallelPRAM's
-// pair coder takes labels below 2^31 only). Run longer with:
+// or, when rawB has an odd byte at index n, are lifted to b<<40 | 1<<62,
+// far above 2^31: the linear solver renames them through its map, and
+// ParallelPRAM and native-parallel rename them densely before their pair
+// coders, which pack labels below 2^31 only. Run longer with:
 //
 //	go test -fuzz=FuzzSolve -fuzztime 30s
 func FuzzSolve(f *testing.F) {
@@ -33,7 +34,7 @@ func FuzzSolve(f *testing.F) {
 				ins.B[i] = int(rawB[i] % 5)
 			}
 			if wide {
-				ins.B[i] = ins.B[i]<<24 | 1<<30
+				ins.B[i] = ins.B[i]<<40 | 1<<62
 			}
 		}
 		ref, err := SolveWith(ins, Options{Algorithm: AlgorithmMoore})

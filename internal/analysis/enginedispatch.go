@@ -34,6 +34,8 @@ var dispatchRules = []dispatchRule{
 			"Moore":                   true,
 			"Hopcroft":                true,
 			"LinearSequential":        true,
+			"LinearSequentialScratch": true,
+			"LinearSequentialBatch":   true,
 			"NativeParallel":          true,
 			"NativeParallelScratch":   true,
 			"NativeParallelCtx":       true,

@@ -13,6 +13,15 @@ func solverValueEscapes() func(coarsest.Instance) []int {
 	return f
 }
 
+func scratchSolve(in coarsest.Instance, sc *coarsest.Scratch) []int {
+	return coarsest.LinearSequentialScratch(in, sc) // want "direct use of coarsest.LinearSequentialScratch"
+}
+
+func batchSolve(members []coarsest.Instance) [][]int {
+	labels, _ := coarsest.LinearSequentialBatch(members, nil) // want "direct use of coarsest.LinearSequentialBatch"
+	return labels
+}
+
 func helpersAreFine(labels []int) int {
 	// Non-solver helpers stay usable everywhere.
 	return coarsest.NumClasses(labels)

@@ -818,11 +818,11 @@ func (p *a5Pool) close() {
 // per-request handling on its target regime: many concurrent small solves
 // (well under the batch crew's 32768-element threshold, and planned onto
 // the sequential linear solver). The per-request arm pays what sfcpd's
-// pool path pays per request — the planner's feature probe, plan
-// construction, bounded worker-pool dispatch, and a scratch checkout; the
+// pool path pays per request — validation and the constant Auto plan
+// (PlanWith), bounded worker-pool dispatch, and a scratch checkout; the
 // coalesced arm queues requests for a miniature of the pool's batch crew,
-// plans each pass once (no probes) and solves its members back-to-back
-// under one shared scratch arena. Emits one JSON document (like A6–A8)
+// plans each pass once and solves its members back-to-back under one
+// shared scratch arena. Emits one JSON document (like A6–A8)
 // for BENCH_*.json trajectory tracking.
 func A5Coalescing(cfg Config) {
 	type row struct {
@@ -902,8 +902,8 @@ func A5Coalescing(cfg Config) {
 			return time.Since(t0), agree.Load()
 		}
 
-		// Coalesced arm's batch solve: one batch plan (no probes) and one
-		// scratch arena per pass.
+		// Coalesced arm's batch solve: one batch plan and one scratch arena
+		// per pass.
 		coSolver := sfcp.NewSolver(sfcp.Options{})
 		solveBatch := func(instances []sfcp.Instance) ([]sfcp.Result, []error) {
 			plan, err := sfcp.PlanBatch(instances, sfcp.Options{Algorithm: sfcp.AlgorithmAuto})
@@ -920,7 +920,7 @@ func A5Coalescing(cfg Config) {
 		// depth 8 per algorithm crew.
 		crews := newA5Pool(2, 8, solveBatch)
 
-		// Per-request arm: probe + plan on the caller, then bounded
+		// Per-request arm: validate + plan on the caller, then bounded
 		// worker-pool dispatch and a scratch checkout — the pool path's
 		// per-request work with HTTP and caching stripped away.
 		perReq := sfcp.NewSolver(sfcp.Options{})

@@ -109,6 +109,22 @@ func NormalizeLabels(labels []int) []int {
 	return out
 }
 
+// narrowLabels returns labels both pair coders can take: b itself when
+// every label is below 2^31, else b's first-occurrence renaming, which
+// induces the same partition with labels below n. pram.PairCode packs two
+// 31-bit components into one key and par.Dict.Code two 32-bit ones, so a
+// wider label would panic the first and collide in the second. In the
+// PRAM solver the rename is host work done before the machine starts
+// counting (DESIGN.md section 7).
+func narrowLabels(b []int) []int {
+	for _, l := range b {
+		if int64(l) >= 1<<31 {
+			return NormalizeLabels(b)
+		}
+	}
+	return b
+}
+
 // NumClasses returns the number of distinct labels. Dense labels (all in
 // [0, n)) are counted through a slice-backed seen-table with zero map
 // allocations; sparse labels fall back to a map.

@@ -144,7 +144,7 @@ func NativeParallelCtx(ctx context.Context, ins Instance, workers int, sc *Scrat
 	}
 	sc.reset()
 	workers = par.Workers(workers)
-	f, b := ins.F, ins.B
+	f, b := ins.F, narrowLabels(ins.B)
 
 	// Phase 1: cycle nodes = the image of f^N for any N >= n, found by
 	// parallel pointer doubling.

@@ -70,7 +70,7 @@ func ParallelPRAMContext(ctx context.Context, ins Instance, opts ParallelOptions
 	m := pram.New(opts.Model, machineOptions(ctx, opts)...)
 
 	fArr := m.NewArrayFromInts(ins.F)
-	bArr := m.NewArrayFromInts(ins.B)
+	bArr := m.NewArrayFromInts(narrowLabels(ins.B))
 	m.ResetStats()
 
 	// Step 1 (+ tree bookkeeping): Euler-tour analysis of the pseudo-forest.

@@ -4,28 +4,28 @@
 // A solve has two stages, planning and execution:
 //
 //  1. MakePlan (MakeBatchPlan for a batch) resolves a request to an
-//     explainable Plan{Algorithm, Workers, Reason, Features}. Auto runs a
-//     cheap probe (size, a sampled initial-label count, a sampled
-//     cycle/tree structure probe) and resolves to the sequential
-//     linear-time solver; explicit algorithms keep their name and only
-//     get a worker count.
-//  2. Execute dispatches a plan through the single dispatch table mapping
-//     each Algorithm to its internal/coarsest entry point.
+//     explainable Plan{Algorithm, Workers, Reason}. Auto resolves to the
+//     sequential linear-time solver on one worker without reading the
+//     instance; explicit algorithms keep their name and only get a
+//     worker count.
+//  2. Execute (ExecuteBatch for a batch) dispatches a plan through the
+//     single dispatch table mapping each Algorithm to its
+//     internal/coarsest entry point.
 //
-// Run does both in one call; the library's Solve, SolveWith and Solver
-// use it. Callers that need the plan before the solve — sfcpd keys its
-// queue and cache on the resolved algorithm — call MakePlan through
-// sfcp.PlanWith or sfcp.PlanBatch, then Execute through sfcp.SolvePlanned
-// or Solver.SolvePlanned / SolveBatchPlanned. Delta re-solves have their
-// own planner, PlanResolve, the one reader of the calibration profile.
+// The library reaches both stages one way: sfcp.PlanWith or
+// sfcp.PlanBatch plan, and sfcp.SolvePlanned, Solver.SolvePlanned or
+// Solver.SolveBatchPlanned execute; sfcp.Solve and sfcp.SolveWith are
+// PlanWith followed by the same execution. Delta re-solves have their own
+// planner, PlanResolve, the one reader of the calibration profile.
 //
 // Plans are deterministic: identical instances with identical requests
-// yield identical plans (the probe samples by fixed stride, never by RNG).
+// yield identical plans.
 package engine
 
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"sfcp/internal/coarsest"
 	"sfcp/internal/pram"
@@ -147,16 +147,96 @@ var dispatch = map[Algorithm]entry{
 	},
 }
 
+// Solution is what executing a plan produced for one instance: its
+// labels, their class count, the simulator counters for the PRAM
+// algorithms (nil otherwise) and the solve's wall clock.
+type Solution struct {
+	Labels     []int
+	NumClasses int
+	Stats      *pram.Stats
+	Solve      time.Duration
+}
+
 // Execute runs a resolved plan on a validated instance. plan.Algorithm must
 // be concrete (MakePlan never returns Auto); sc may be nil — the linear and
 // native-parallel solvers use it, the rest ignore it.
-func Execute(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, sc *coarsest.Scratch) ([]int, *pram.Stats, error) {
+func Execute(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, sc *coarsest.Scratch) (Solution, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return Solution{}, err
 	}
 	run, ok := dispatch[plan.Algorithm]
 	if !ok {
-		return nil, nil, fmt.Errorf("sfcp: no solver for algorithm %v", plan.Algorithm)
+		return Solution{}, fmt.Errorf("sfcp: no solver for algorithm %v", plan.Algorithm)
 	}
-	return run(ctx, in, plan, seed, sc)
+	start := time.Now()
+	labels, stats, err := run(ctx, in, plan, seed, sc)
+	if err != nil {
+		return Solution{}, err
+	}
+	return Solution{Labels: labels, NumClasses: coarsest.NumClasses(labels), Stats: stats, Solve: time.Since(start)}, nil
+}
+
+// ExecuteBatch runs one resolved plan (MakeBatchPlan) over every member on
+// the calling goroutine under one scratch arena; sc may be nil. Unlike
+// Execute it validates each member, and an invalid member fails alone at
+// its position. Solutions and errors are positional: a nil error at
+// position i means ins[i] solved.
+//
+// Under a linear plan the valid members run back-to-back through
+// coarsest.LinearSequentialBatch, one arena and one label slab for the
+// whole pass, and each member's Solve reports its size-proportional share
+// of the pass; a context cancelled before the pass fails every valid
+// member. Any other plan runs each valid member through Execute in turn.
+func ExecuteBatch(ctx context.Context, ins []coarsest.Instance, plan Plan, seed uint64, sc *coarsest.Scratch) ([]Solution, []error) {
+	sols := make([]Solution, len(ins))
+	errs := make([]error, len(ins))
+	totalN, invalid := 0, 0
+	for i, in := range ins {
+		if errs[i] = in.Validate(); errs[i] != nil {
+			invalid++
+			continue
+		}
+		totalN += len(in.F)
+	}
+	if plan.Algorithm != Linear {
+		for i, in := range ins {
+			if errs[i] == nil {
+				sols[i], errs[i] = Execute(ctx, in, plan, seed, sc)
+			}
+		}
+		return sols, errs
+	}
+	if err := ctx.Err(); err != nil {
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = err
+			}
+		}
+		return sols, errs
+	}
+	members := ins
+	if invalid > 0 {
+		members = make([]coarsest.Instance, 0, len(ins)-invalid)
+		for i, in := range ins {
+			if errs[i] == nil {
+				members = append(members, in)
+			}
+		}
+	}
+	start := time.Now()
+	labels, classes := coarsest.LinearSequentialBatch(members, sc)
+	elapsed := time.Since(start)
+	j := 0
+	for i := range ins {
+		if errs[i] != nil {
+			continue
+		}
+		share := elapsed
+		if totalN > 0 {
+			share = elapsed * time.Duration(len(members[j].F)) / time.Duration(totalN)
+		}
+		sols[i] = Solution{Labels: labels[j], NumClasses: classes[j], Solve: share}
+		j++
+	}
+	return sols, errs
 }

@@ -35,24 +35,31 @@ func families(seed int64, n int) map[string]coarsest.Instance {
 
 // TestPlannerAgreesWithLinear is the differential gate on the planner:
 // whatever Auto resolves to — on either side of 2^15, the former
-// parallel crossover, with a one-worker and a wide budget — the labels
-// must equal the linear reference exactly (all solvers normalize by
-// first occurrence, so equality is slice-wise).
+// parallel crossover, with a one-worker and a wide budget — executing the
+// plan must give labels equal to the linear reference exactly (all
+// solvers normalize by first occurrence, so equality is slice-wise).
 func TestPlannerAgreesWithLinear(t *testing.T) {
 	for _, n := range []int{1 << 14, 1 << 15} {
 		for name, in := range families(1993, n) {
 			want := coarsest.LinearSequential(in)
 			for _, workers := range []int{1, 16} {
-				out, err := Run(context.Background(), in, Request{Algorithm: Auto, Workers: workers}, nil)
+				plan, err := MakePlan(in, Request{Algorithm: Auto, Workers: workers})
 				if err != nil {
 					t.Fatalf("n=%d %s workers=%d: %v", n, name, workers, err)
 				}
-				if !reflect.DeepEqual(out.Labels, want) {
-					t.Errorf("n=%d %s workers=%d: auto (resolved %s) disagrees with linear",
-						n, name, workers, out.Plan.Algorithm)
-				}
-				if out.Plan.Algorithm == Auto {
+				if plan.Algorithm == Auto {
 					t.Errorf("n=%d %s: plan not resolved past Auto", n, name)
+				}
+				sol, err := Execute(context.Background(), in, plan, 0, nil)
+				if err != nil {
+					t.Fatalf("n=%d %s workers=%d: %v", n, name, workers, err)
+				}
+				if !reflect.DeepEqual(sol.Labels, want) {
+					t.Errorf("n=%d %s workers=%d: auto (resolved %s) disagrees with linear",
+						n, name, workers, plan.Algorithm)
+				}
+				if sol.NumClasses != coarsest.NumClasses(want) {
+					t.Errorf("n=%d %s: NumClasses %d, want %d", n, name, sol.NumClasses, coarsest.NumClasses(want))
 				}
 			}
 		}
@@ -60,7 +67,7 @@ func TestPlannerAgreesWithLinear(t *testing.T) {
 }
 
 // TestPlanDeterminism: identical instances and requests always yield
-// identical plans — reason string, features and all.
+// identical plans, reason string and all.
 func TestPlanDeterminism(t *testing.T) {
 	for name, in := range families(7, 1<<14) {
 		for _, req := range []Request{
@@ -114,15 +121,15 @@ func TestCrossoverRules(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", tc.n, workers, err)
 			}
-			if plan.Algorithm != Linear || plan.Workers != 1 || plan.Reason != autoReason || !plan.Features.Probed {
-				t.Errorf("n=%d workers=%d: auto plan = %+v, want probed linear/1", tc.n, workers, plan)
+			if plan != autoPlan {
+				t.Errorf("n=%d workers=%d: auto plan = %+v, want %+v", tc.n, workers, plan, autoPlan)
 			}
 			bplan, err := MakeBatchPlan(batch, req)
 			if err != nil {
 				t.Fatalf("batch max n=%d workers=%d: %v", tc.n, workers, err)
 			}
-			if bplan.Algorithm != Linear || bplan.Workers != 1 || bplan.Features.N != tc.n+2*len(small.F) {
-				t.Errorf("batch max n=%d workers=%d: auto plan = %+v, want linear/1", tc.n, workers, bplan)
+			if bplan != autoPlan {
+				t.Errorf("batch max n=%d workers=%d: auto plan = %+v, want %+v", tc.n, workers, bplan, autoPlan)
 			}
 		}
 		for _, w := range []struct{ req, want int }{{0, tc.npWorkers}, {3, 3}} {
@@ -139,8 +146,7 @@ func TestCrossoverRules(t *testing.T) {
 }
 
 // TestExplicitPlans: explicit algorithm requests are honored verbatim,
-// without the probe, and an explicit worker count on native-parallel is
-// an instruction.
+// and an explicit worker count on native-parallel is an instruction.
 func TestExplicitPlans(t *testing.T) {
 	in := families(5, 1<<17)["random-function"]
 	for _, algo := range []Algorithm{Moore, Hopcroft, Linear, ParallelPRAM, NativeParallel, DoublingHash, DoublingSort} {
@@ -151,39 +157,10 @@ func TestExplicitPlans(t *testing.T) {
 		if plan.Algorithm != algo {
 			t.Errorf("explicit %v request resolved to %v", algo, plan.Algorithm)
 		}
-		if plan.Features.Probed {
-			t.Errorf("%v: explicit request ran the probe", algo)
-		}
 	}
 	explicit, _ := MakePlan(in, Request{Algorithm: NativeParallel, Workers: 64})
 	if explicit.Workers != 64 {
 		t.Errorf("explicit worker count overridden: %d", explicit.Workers)
-	}
-}
-
-// TestProbeFeatures sanity-checks the structure probe on instances whose
-// shape is known by construction.
-func TestProbeFeatures(t *testing.T) {
-	n := 1 << 12
-	shortCycles := workload.CycleFamily(11, n/16, 16, 4)
-	ft := Probe(coarsest.Instance{F: shortCycles.F, B: shortCycles.B})
-	if ft.ShortCycleFrac != 1.0 {
-		t.Errorf("16-cycles family: ShortCycleFrac = %v, want 1.0", ft.ShortCycleFrac)
-	}
-	star := workload.Star(11, n, 3)
-	if ft := Probe(coarsest.Instance{F: star.F, B: star.B}); ft.ShortCycleFrac != 1.0 {
-		t.Errorf("star: ShortCycleFrac = %v, want 1.0 (every walk hits the self-loop)", ft.ShortCycleFrac)
-	}
-	perm := workload.RandomPermutation(11, n, 3)
-	if ft := Probe(coarsest.Instance{F: perm.F, B: perm.B}); ft.ShortCycleFrac > 0.25 {
-		t.Errorf("random permutation: ShortCycleFrac = %v, want near 0 (cycles are long)", ft.ShortCycleFrac)
-	}
-	if ft := Probe(coarsest.Instance{}); ft.N != 0 || !ft.Probed {
-		t.Errorf("empty instance probe = %+v", ft)
-	}
-	uniform := coarsest.Instance{F: []int{1, 2, 0}, B: []int{5, 5, 5}}
-	if ft := Probe(uniform); ft.SampledLabels != 1 {
-		t.Errorf("uniform labels: SampledLabels = %d, want 1", ft.SampledLabels)
 	}
 }
 
@@ -194,7 +171,7 @@ func TestUnknownAlgorithm(t *testing.T) {
 	if _, err := MakePlan(in, Request{Algorithm: Algorithm(99)}); err == nil {
 		t.Error("MakePlan accepted Algorithm(99)")
 	}
-	if _, _, err := Execute(context.Background(), in, Plan{Algorithm: Auto}, 0, nil); err == nil {
+	if _, err := Execute(context.Background(), in, Plan{Algorithm: Auto}, 0, nil); err == nil {
 		t.Error("Execute accepted an unresolved Auto plan")
 	}
 }

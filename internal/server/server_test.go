@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,6 +81,32 @@ func TestSolveEndpointTable(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /solve: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestWideLabelParallelPRAM: a label of 2^31, which Validate accepts, once
+// panicked the PRAM pair coder inside a simulator worker goroutine, where
+// no recover could catch it, and took the daemon down. The request must
+// answer 200 with the linear solver's labels, and the server keep serving.
+func TestWideLabelParallelPRAM(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	labels := func(algo string) []int {
+		t.Helper()
+		resp, data := post(t, ts.URL+"/solve", `{"algorithm":"`+algo+`","f":[1,2,0,0],"b":[0,2147483648,1,0]}`)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d (body %s)", algo, resp.StatusCode, data)
+		}
+		var out struct {
+			Labels []int `json:"labels"`
+		}
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatalf("%s: %v (body %s)", algo, err, data)
+		}
+		return out.Labels
+	}
+	got := labels("parallel-pram")
+	if want := labels("linear"); len(want) != 4 || !slices.Equal(got, want) {
+		t.Errorf("parallel-pram labels %v, linear %v", got, want)
 	}
 }
 

@@ -1,6 +1,8 @@
 package sfcp
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -19,80 +21,84 @@ func TestResultCarriesPlan(t *testing.T) {
 	if res.Plan == nil {
 		t.Fatal("Result.Plan is nil")
 	}
-	if res.Plan.Algorithm == AlgorithmAuto {
-		t.Error("plan not resolved past auto")
+	if res.Plan.Algorithm != AlgorithmLinear || res.Plan.Workers != 1 || res.Plan.Reason == "" {
+		t.Errorf("auto plan = %+v, want linear on one worker with a reason", res.Plan)
 	}
-	if res.Plan.Reason == "" || !res.Plan.Features.Probed {
-		t.Errorf("auto plan missing reason or probe features: %+v", res.Plan)
-	}
-	if res.Timings.Solve <= 0 {
-		t.Errorf("missing solve timing: %+v", res.Timings)
+	if res.Timings.Plan <= 0 || res.Timings.Solve <= 0 {
+		t.Errorf("missing stage timings: %+v", res.Timings)
 	}
 
-	// An explicit request resolves to itself, without probing.
+	// An explicit request resolves to itself.
 	res, err = SolveWith(ins, Options{Algorithm: AlgorithmHopcroft})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan == nil || res.Plan.Algorithm != AlgorithmHopcroft || res.Plan.Features.Probed {
+	if res.Plan == nil || res.Plan.Algorithm != AlgorithmHopcroft {
 		t.Errorf("explicit plan = %+v", res.Plan)
 	}
 }
 
 // TestPlanWithAllocs pins the cost of planning an Auto request, which
-// sfcpd pays on every request: validation, the probe and the plan with
-// its fixed reason allocate nothing on a small instance.
+// sfcpd pays on every request, cache hits included: validation and the
+// constant plan allocate nothing at any size, also with one label per
+// element.
 func TestPlanWithAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	wl := workload.RandomFunction(7, 16, 3)
-	ins := Instance{F: wl.F, B: wl.B}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := PlanWith(ins, Options{}); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{16, 4096, 1 << 16} {
+		wl := workload.RandomFunction(7, n, 3)
+		for i := range wl.B {
+			wl.B[i] = i
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("PlanWith at n=16 allocates %.0f times per call, want 0", allocs)
+		ins := Instance{F: wl.F, B: wl.B}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := PlanWith(ins, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("PlanWith at n=%d allocates %.0f times per call, want 0", n, allocs)
+		}
 	}
 }
 
 // TestPlanWithMatchesSolve: the standalone planner returns exactly the
-// plan a solve of the same (instance, options) executes, deterministically.
+// plan a solve of the same (instance, options) executes, deterministically,
+// and executing that plan through a Solver reports it back.
 func TestPlanWithMatchesSolve(t *testing.T) {
 	wl := workload.RandomPermutation(5, 3000, 3)
 	ins := Instance{F: wl.F, B: wl.B}
-	opts := Options{Workers: 2}
+	for _, opts := range []Options{{Workers: 2}, {Algorithm: AlgorithmNativeParallel}, {Algorithm: AlgorithmParallelPRAM, Workers: 3}} {
+		t.Run(fmt.Sprint(opts.Algorithm), func(t *testing.T) {
+			plan, err := PlanWith(ins, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := PlanWith(ins, opts)
+			if err != nil || !reflect.DeepEqual(plan, again) {
+				t.Fatalf("PlanWith not deterministic: %+v vs %+v (%v)", plan, again, err)
+			}
 
-	plan, err := PlanWith(ins, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := PlanWith(ins, opts)
-	if err != nil || !reflect.DeepEqual(plan, again) {
-		t.Fatalf("PlanWith not deterministic: %+v vs %+v (%v)", plan, again, err)
-	}
+			res, err := SolveWith(ins, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*res.Plan, plan) {
+				t.Errorf("solve executed plan %+v, PlanWith promised %+v", *res.Plan, plan)
+			}
 
-	res, err := SolveWith(ins, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*res.Plan, plan) {
-		t.Errorf("solve executed plan %+v, PlanWith promised %+v", *res.Plan, plan)
-	}
-
-	s := NewSolver(opts)
-	splan, err := s.Plan(ins)
-	if err != nil || !reflect.DeepEqual(splan, plan) {
-		t.Errorf("Solver.Plan = %+v, want %+v (%v)", splan, plan, err)
-	}
-	sres, err := s.Solve(ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sres.Plan == nil || !reflect.DeepEqual(*sres.Plan, plan) {
-		t.Errorf("Solver result plan = %+v, want %+v", sres.Plan, plan)
+			sres, err := NewSolver(opts).SolvePlanned(context.Background(), ins, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sres.Plan == nil || !reflect.DeepEqual(*sres.Plan, plan) {
+				t.Errorf("Solver result plan = %+v, want %+v", sres.Plan, plan)
+			}
+			if !reflect.DeepEqual(sres.Labels, res.Labels) || sres.Timings.Plan != 0 {
+				t.Errorf("SolvePlanned: labels differ from SolveWith's, or Timings.Plan = %v is not zero", sres.Timings.Plan)
+			}
+		})
 	}
 
 	if _, err := PlanWith(Instance{F: []int{5}, B: []int{0}}, Options{}); err == nil {

@@ -99,7 +99,9 @@ func fromPRAM(s pram.Stats) *Stats {
 		Reads: s.Reads, Writes: s.Writes, Cells: s.Cells}
 }
 
-// Options configures SolveWith and NewSolver.
+// Options configures planning: PlanWith, PlanBatch and SolveWith.
+// SolvePlanned and NewSolver read only Seed, since a plan carries the
+// algorithm and the worker count.
 type Options struct {
 	// Algorithm selects the solver (default AlgorithmAuto, resolved by
 	// the planner; see Result.Plan).
@@ -111,25 +113,23 @@ type Options struct {
 	Workers int
 	// Seed drives the simulator's deterministic arbitrary-write choices.
 	Seed uint64
-	// Parallelism bounds how many batch members a Solver runs concurrently
-	// in SolveBatch (0 = NumCPU). Ignored by SolveWith.
-	Parallelism int
 }
 
 // Plan is the execution decision the engine resolved for a solve: the
-// concrete algorithm (never AlgorithmAuto), the exact worker count, a
-// human-readable reason, and the instance features the planner read.
+// concrete algorithm (never AlgorithmAuto), the exact worker count and a
+// human-readable reason.
 type Plan = engine.Plan
 
-// Features are the cheap instance measurements behind a Plan: size, a
-// sampled initial-label count and a sampled cycle/tree structure probe.
-type Features = engine.Features
+// Timings reports a solve's per-stage wall clock.
+type Timings struct {
+	// Plan covers validation and algorithm resolution (PlanWith); it is
+	// zero when the plan was resolved before the solve was asked for.
+	Plan time.Duration `json:"plan_ns"`
+	// Solve covers the dispatched algorithm itself.
+	Solve time.Duration `json:"solve_ns"`
+}
 
-// Timings reports a solve's per-stage wall clock: planning (feature probe
-// plus algorithm resolution) and the dispatched solve itself.
-type Timings = engine.Timings
-
-// Result is the output of SolveWith.
+// Result is the output of a solve.
 type Result struct {
 	// Labels assigns each element its Q-block, dense in [0, NumClasses)
 	// and normalized by first occurrence.
@@ -160,71 +160,59 @@ func Solve(f, b []int) ([]int, error) {
 	return res.Labels, nil
 }
 
-// SolveWith computes the coarsest partition with the selected algorithm.
+// SolveWith computes the coarsest partition with the selected algorithm:
+// PlanWith, then the execution SolvePlanned runs. Result.Timings reports
+// both stages. To cancel a solve, plan it with PlanWith and pass a
+// context to SolvePlanned.
 func SolveWith(ins Instance, opts Options) (Result, error) {
-	return SolveWithContext(context.Background(), ins, opts)
-}
-
-// SolveWithContext is SolveWith with cooperative cancellation. The parallel
-// solvers (native-parallel and the PRAM simulations) poll ctx between
-// refinement rounds / simulated steps and return ctx.Err() promptly; the
-// sequential solvers (moore, hopcroft, linear) check it only on entry and
-// then run to completion.
-func SolveWithContext(ctx context.Context, ins Instance, opts Options) (Result, error) {
-	in := coarsest.Instance{F: ins.F, B: ins.B}
-	if err := in.Validate(); err != nil {
+	start := time.Now()
+	plan, err := PlanWith(ins, opts)
+	if err != nil {
 		return Result{}, err
 	}
-	return solveValidated(ctx, in, opts, nil)
+	planDur := time.Since(start)
+	res, err := executePlan(context.Background(), coarsest.Instance{F: ins.F, B: ins.B}, plan, opts.Seed, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Timings.Plan = planDur
+	return res, nil
 }
 
-// PlanWith resolves the execution plan for an instance without solving it:
-// the algorithm that would run (AlgorithmAuto resolved by the adaptive
-// planner), the worker count, and the reason. Planning is deterministic —
-// identical instances and options always yield identical plans.
+// PlanWith validates an instance and resolves its execution plan without
+// solving it: the algorithm that would run (AlgorithmAuto resolves to
+// AlgorithmLinear), the worker count, and the reason. Planning is
+// deterministic — identical instances and options always yield identical
+// plans — and allocates nothing for AlgorithmAuto.
 func PlanWith(ins Instance, opts Options) (Plan, error) {
 	in := coarsest.Instance{F: ins.F, B: ins.B}
 	if err := in.Validate(); err != nil {
 		return Plan{}, err
 	}
-	return engine.MakePlan(in, engine.Request{Algorithm: opts.Algorithm, Workers: opts.Workers, Seed: opts.Seed})
+	return engine.MakePlan(in, engine.Request{Algorithm: opts.Algorithm, Workers: opts.Workers})
 }
 
 // PlanBatch resolves one execution plan for a coalesced batch of
 // instances: the batch is the planning unit, so N tiny requests share a
-// single resolution instead of paying N probes. Instances are not
-// validated here — batch execution (Solver.SolveBatchPlanned) validates
-// and fails members individually. Plan.Features.N reports the batch's
-// total elements.
+// single resolution. Instances are not validated here — batch execution
+// (Solver.SolveBatchPlanned) validates and fails members individually.
 func PlanBatch(instances []Instance, opts Options) (Plan, error) {
-	// The conversion view is recycled: batch planning happens once per
-	// coalesced flush, and MakeBatchPlan only reads it (plans carry
-	// derived features, never instance slices).
-	ip, _ := planBatchPool.Get().(*[]coarsest.Instance)
-	if ip == nil {
-		ip = new([]coarsest.Instance)
-	}
-	ins := (*ip)[:0]
-	for _, m := range instances {
-		ins = append(ins, coarsest.Instance{F: m.F, B: m.B})
-	}
-	plan, err := engine.MakeBatchPlan(ins, engine.Request{Algorithm: opts.Algorithm, Workers: opts.Workers, Seed: opts.Seed})
-	clear(ins)
-	*ip = ins[:0]
-	planBatchPool.Put(ip)
-	return plan, err
+	v := getView(instances)
+	defer putView(v)
+	return engine.MakeBatchPlan(*v, engine.Request{Algorithm: opts.Algorithm, Workers: opts.Workers})
 }
 
-// planBatchPool recycles PlanBatch's []coarsest.Instance conversion
-// views across flushes.
-var planBatchPool sync.Pool
-
-// SolvePlanned executes a plan previously resolved by PlanWith (or
-// Solver.Plan) for this instance, without re-probing or re-planning — the
-// path for callers that need the plan before the solve (to pick a queue or
-// a cache key) and must then execute exactly what was promised. Only
-// opts.Seed is consulted; the algorithm and worker count come from the
-// plan. Result.Timings.Plan is zero: planning happened at PlanWith time.
+// SolvePlanned validates an instance and executes a plan previously
+// resolved for it by PlanWith, without re-planning — the path for callers
+// that need the plan before the solve (to pick a queue or a cache key)
+// and must then execute exactly what was promised. Only opts.Seed is
+// consulted; the algorithm and worker count come from the plan.
+// Result.Timings.Plan is zero: planning happened at PlanWith time.
+//
+// The parallel solvers (native-parallel and the PRAM simulations) poll
+// ctx between refinement rounds or simulated steps and return ctx.Err()
+// within one round of a cancellation; the sequential solvers (moore,
+// hopcroft, linear) check it only on entry and then run to completion.
 func SolvePlanned(ctx context.Context, ins Instance, plan Plan, opts Options) (Result, error) {
 	in := coarsest.Instance{F: ins.F, B: ins.B}
 	if err := in.Validate(); err != nil {
@@ -233,45 +221,52 @@ func SolvePlanned(ctx context.Context, ins Instance, plan Plan, opts Options) (R
 	return executePlan(ctx, in, plan, opts.Seed, nil)
 }
 
-// executePlan dispatches a resolved plan through the engine and shapes the
-// library Result.
+// executePlan dispatches a resolved plan for a validated instance through
+// the engine and shapes the library Result. sc may be nil.
 func executePlan(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, sc *coarsest.Scratch) (Result, error) {
-	start := time.Now()
-	labels, stats, err := engine.Execute(ctx, in, plan, seed, sc)
+	sol, err := engine.Execute(ctx, in, plan, seed, sc)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{
-		Labels:     labels,
-		NumClasses: coarsest.NumClasses(labels),
-		Plan:       &plan,
-		Timings:    Timings{Solve: time.Since(start)},
-	}
-	if stats != nil {
-		res.Stats = fromPRAM(*stats)
-	}
-	return res, nil
+	return toResult(sol, &plan), nil
 }
 
-// solveValidated hands a validated instance to the execution engine — the
-// one place in the codebase an algorithm is chosen and dispatched. sc may
-// be nil (only native-parallel solves use it).
-func solveValidated(ctx context.Context, in coarsest.Instance, opts Options, sc *coarsest.Scratch) (Result, error) {
-	out, err := engine.Run(ctx, in, engine.Request{Algorithm: opts.Algorithm, Workers: opts.Workers, Seed: opts.Seed}, sc)
-	if err != nil {
-		return Result{}, err
-	}
+// toResult shapes one engine solution as a library Result.
+func toResult(sol engine.Solution, plan *Plan) Result {
 	res := Result{
-		Labels:     out.Labels,
-		NumClasses: coarsest.NumClasses(out.Labels),
-		Plan:       &out.Plan,
-		Timings:    out.Timings,
+		Labels:     sol.Labels,
+		NumClasses: sol.NumClasses,
+		Plan:       plan,
+		Timings:    Timings{Solve: sol.Solve},
 	}
-	if out.Stats != nil {
-		res.Stats = fromPRAM(*out.Stats)
+	if sol.Stats != nil {
+		res.Stats = fromPRAM(*sol.Stats)
 	}
-	return res, nil
+	return res
 }
+
+// getView converts public instances to the engine's form in a recycled
+// slice: batch planning and execution run once per coalesced pass, and
+// the engine only reads the view (plans and solutions never hold it).
+func getView(instances []Instance) *[]coarsest.Instance {
+	v, _ := viewPool.Get().(*[]coarsest.Instance)
+	if v == nil {
+		v = new([]coarsest.Instance)
+	}
+	for _, m := range instances {
+		*v = append(*v, coarsest.Instance{F: m.F, B: m.B})
+	}
+	return v
+}
+
+// putView clears a view, so it pins no instance, and recycles it.
+func putView(v *[]coarsest.Instance) {
+	clear(*v)
+	*v = (*v)[:0]
+	viewPool.Put(v)
+}
+
+var viewPool sync.Pool
 
 // MinimalRotation returns the index at which the lexicographically least
 // rotation of the circular string s starts (its minimal starting point),

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +17,16 @@ func wl(ins workload.Instance) sfcp.Instance {
 	return sfcp.Instance{F: ins.F, B: ins.B}
 }
 
+// mustPlan resolves opts for ins, failing the test on an error.
+func mustPlan(t *testing.T, ins sfcp.Instance, opts sfcp.Options) sfcp.Plan {
+	t.Helper()
+	p, err := sfcp.PlanWith(ins, opts)
+	if err != nil {
+		t.Fatalf("PlanWith %v: %v", opts.Algorithm, err)
+	}
+	return p
+}
+
 func TestSolverMatchesSolveWithAllAlgorithms(t *testing.T) {
 	instances := []sfcp.Instance{
 		wl(workload.RandomFunction(1, 300, 3)),
@@ -25,10 +34,10 @@ func TestSolverMatchesSolveWithAllAlgorithms(t *testing.T) {
 		wl(workload.Broom(3, 200, 20, 4)),
 		wl(workload.Star(4, 100, 2)),
 	}
+	s := sfcp.NewSolver(sfcp.Options{Seed: 7})
 	for _, algo := range sfcp.Algorithms() {
-		s := sfcp.NewSolver(sfcp.Options{Algorithm: algo, Seed: 7})
 		for i, ins := range instances {
-			got, err := s.Solve(ins)
+			got, err := s.SolvePlanned(context.Background(), ins, mustPlan(t, ins, sfcp.Options{Algorithm: algo}))
 			if err != nil {
 				t.Fatalf("%v instance %d: %v", algo, i, err)
 			}
@@ -46,71 +55,6 @@ func TestSolverMatchesSolveWithAllAlgorithms(t *testing.T) {
 	}
 }
 
-func TestSolveBatchMatchesSequentialSolves(t *testing.T) {
-	s := sfcp.NewSolver(sfcp.Options{Workers: 4, Parallelism: 3})
-	var batch []sfcp.Instance
-	for seed := int64(0); seed < 12; seed++ {
-		batch = append(batch, wl(workload.RandomFunction(seed, 50+int(seed)*30, 2+int(seed)%3)))
-	}
-	// Run twice so scratch arenas are actually recycled between calls.
-	for round := 0; round < 2; round++ {
-		results, err := s.SolveBatch(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(results) != len(batch) {
-			t.Fatalf("got %d results, want %d", len(results), len(batch))
-		}
-		for i, res := range results {
-			want, err := s.Solve(batch[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sfcp.SamePartition(res.Labels, want.Labels) {
-				t.Errorf("round %d member %d: batch result diverges from single solve", round, i)
-			}
-		}
-	}
-}
-
-func TestSolveBatchEmptyAndInvalid(t *testing.T) {
-	s := sfcp.NewSolver(sfcp.Options{})
-	if res, err := s.SolveBatch(nil); err != nil || len(res) != 0 {
-		t.Fatalf("empty batch: res=%v err=%v", res, err)
-	}
-	bad := []sfcp.Instance{
-		wl(workload.Star(1, 10, 2)),
-		{F: []int{5}, B: []int{0}}, // F out of range
-		wl(workload.Star(2, 8, 2)),
-	}
-	res, err := s.SolveBatch(bad)
-	if err == nil {
-		t.Fatal("invalid member accepted")
-	}
-	if !strings.Contains(err.Error(), "instance 1") {
-		t.Errorf("error %q does not name the offending index", err)
-	}
-	if strings.Contains(err.Error(), "instance 0") || strings.Contains(err.Error(), "instance 2") {
-		t.Errorf("error %q blames valid members", err)
-	}
-	// Valid siblings are solved despite the invalid member.
-	if len(res) != len(bad) {
-		t.Fatalf("got %d results, want %d", len(res), len(bad))
-	}
-	for _, i := range []int{0, 2} {
-		want, werr := s.Solve(bad[i])
-		if werr != nil {
-			t.Fatal(werr)
-		}
-		if !sfcp.SamePartition(res[i].Labels, want.Labels) {
-			t.Errorf("member %d not solved alongside invalid sibling", i)
-		}
-	}
-	if res[1].Labels != nil || res[1].NumClasses != 0 {
-		t.Errorf("invalid member carries a non-zero result: %+v", res[1])
-	}
-}
-
 func TestSolveContextCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -119,23 +63,33 @@ func TestSolveContextCancellation(t *testing.T) {
 		n = 1500 // the full size is slow under -race; semantics are size-independent
 	}
 	big := wl(workload.RandomFunction(7, n, 3))
+	want, err := sfcp.SolveWith(big, sfcp.Options{Algorithm: sfcp.AlgorithmLinear})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sfcp.NewSolver(sfcp.Options{})
 	for _, algo := range []sfcp.Algorithm{
 		sfcp.AlgorithmNativeParallel, sfcp.AlgorithmParallelPRAM,
 		sfcp.AlgorithmDoublingHash, sfcp.AlgorithmDoublingSort,
-		sfcp.AlgorithmMoore, // sequential: entry check only
+		sfcp.AlgorithmMoore, sfcp.AlgorithmLinear, // sequential: entry check only
 	} {
-		s := sfcp.NewSolver(sfcp.Options{Algorithm: algo})
-		if _, err := s.SolveContext(cancelled, big); !errors.Is(err, context.Canceled) {
+		p := mustPlan(t, big, sfcp.Options{Algorithm: algo})
+		if _, err := s.SolvePlanned(cancelled, big, p); !errors.Is(err, context.Canceled) {
 			t.Errorf("%v: cancelled solve returned %v, want context.Canceled", algo, err)
 		}
+		if _, err := sfcp.SolvePlanned(cancelled, big, p, sfcp.Options{}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: cancelled package-level solve returned %v, want context.Canceled", algo, err)
+		}
+		_, errs := s.SolveBatchPlanned(cancelled, []sfcp.Instance{big, big}, p)
+		for i, err := range errs {
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%v: cancelled batch member %d returned %v, want context.Canceled", algo, i, err)
+			}
+		}
 		// The same solver still works with a live context afterwards.
-		res, err := s.SolveContext(context.Background(), big)
+		res, err := s.SolvePlanned(context.Background(), big, p)
 		if err != nil {
 			t.Fatalf("%v after cancel: %v", algo, err)
-		}
-		want, err := sfcp.SolveWith(big, sfcp.Options{Algorithm: sfcp.AlgorithmLinear})
-		if err != nil {
-			t.Fatal(err)
 		}
 		if !sfcp.SamePartition(res.Labels, want.Labels) {
 			t.Errorf("%v after cancel: wrong partition", algo)
@@ -146,12 +100,13 @@ func TestSolveContextCancellation(t *testing.T) {
 // TestSolveContextCancelMidSolve cancels while a parallel-pram solve is in
 // flight and checks the step loop aborts with the context error.
 func TestSolveContextCancelMidSolve(t *testing.T) {
-	s := sfcp.NewSolver(sfcp.Options{Algorithm: sfcp.AlgorithmParallelPRAM})
+	s := sfcp.NewSolver(sfcp.Options{})
 	ins := wl(workload.RandomFunction(11, 60_000, 3))
+	p := mustPlan(t, ins, sfcp.Options{Algorithm: sfcp.AlgorithmParallelPRAM})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.SolveContext(ctx, ins)
+		_, err := s.SolvePlanned(ctx, ins, p)
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond) // let the simulation start stepping
@@ -167,9 +122,16 @@ func TestSolveContextCancelMidSolve(t *testing.T) {
 }
 
 func TestSolverUnknownAlgorithm(t *testing.T) {
-	s := sfcp.NewSolver(sfcp.Options{Algorithm: sfcp.Algorithm(99)})
-	if _, err := s.Solve(wl(workload.Star(1, 5, 2))); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	ins := wl(workload.Star(1, 5, 2))
+	if _, err := sfcp.PlanWith(ins, sfcp.Options{Algorithm: sfcp.Algorithm(99)}); err == nil {
+		t.Error("PlanWith accepted an unknown algorithm")
+	}
+	bogus := sfcp.Plan{Algorithm: sfcp.Algorithm(99), Workers: 1}
+	if _, err := sfcp.NewSolver(sfcp.Options{}).SolvePlanned(context.Background(), ins, bogus); err == nil {
+		t.Error("Solver.SolvePlanned executed an unknown algorithm")
+	}
+	if _, errs := sfcp.NewSolver(sfcp.Options{}).SolveBatchPlanned(context.Background(), []sfcp.Instance{ins}, bogus); errs[0] == nil {
+		t.Error("Solver.SolveBatchPlanned executed an unknown algorithm")
 	}
 }
 

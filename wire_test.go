@@ -8,7 +8,7 @@ import (
 
 // TestBinaryDecoderStream drains concatenated instances through one
 // BinaryDecoder and solves each — the supported pattern for multi-instance
-// streams (SolveReader's chunked read-ahead makes it one-shot per reader).
+// streams (DecodeBinary's chunked read-ahead makes it one-shot per reader).
 func TestBinaryDecoderStream(t *testing.T) {
 	instances := []Instance{
 		{F: []int{1, 0}, B: []int{0, 1}},
@@ -21,7 +21,6 @@ func TestBinaryDecoderStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := NewSolver(Options{Algorithm: AlgorithmLinear})
 	dec := NewBinaryDecoder(&stream)
 	var count int
 	for {
@@ -39,7 +38,7 @@ func TestBinaryDecoderStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Solve(ins)
+		got, err := SolveWith(ins, Options{Algorithm: AlgorithmLinear})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,28 +52,13 @@ func TestBinaryDecoderStream(t *testing.T) {
 	}
 }
 
-func TestSolveReaderOneShot(t *testing.T) {
-	ins := Instance{F: []int{1, 2, 0}, B: []int{0, 1, 0}}
-	var buf bytes.Buffer
-	if err := ins.EncodeBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := NewSolver(Options{})
-	res, err := s.SolveReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := SolveWith(ins, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !SamePartition(res.Labels, want.Labels) {
-		t.Error("SolveReader disagrees with SolveWith")
-	}
-	if _, err := s.SolveReader(bytes.NewReader(nil)); err != io.EOF {
+// TestDecodeBinaryEmptyAndGarbage: a clean end of stream is io.EOF, and
+// bytes that are not the wire format are rejected.
+func TestDecodeBinaryEmptyAndGarbage(t *testing.T) {
+	if _, err := DecodeBinary(bytes.NewReader(nil)); err != io.EOF {
 		t.Errorf("empty stream: err = %v, want io.EOF", err)
 	}
-	if _, err := s.SolveReader(bytes.NewReader([]byte("garbage"))); err == nil {
+	if _, err := DecodeBinary(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Error("garbage stream accepted")
 	}
 }
