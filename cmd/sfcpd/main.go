@@ -44,7 +44,8 @@
 // the binary delta frame, Content-Type: application/x-sfcp-delta),
 // re-solving only the dirty components when the delta planner's
 // crossover allows, and re-registers the session under the edited
-// instance's digest. Up to -instance-sessions sessions stay resident;
+// instance's digest. Up to -instance-sessions sessions stay resident,
+// each costing n × about 33-64 bytes (README, "Incremental re-solve");
 // evicted or restart-lost versions rebuild from the blob tier when
 // -data-dir is set. Instance builds and deltas run on the linear solver's crew, so they
 // share its -pool-workers bound and -queue depth with linear solves too
@@ -111,7 +112,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (addr, dataDir string, cfg serv
 	dir := fs.String("data-dir", "", "directory for the durable job journal and blob tier (empty = in-memory only)")
 	spillN := fs.Int("spill-n", 0, "instance size at which payloads and results spill to the blob tier (0 = 65536 default; needs -data-dir)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "result cache byte budget (0 = entry-count bound only)")
-	instSessions := fs.Int("instance-sessions", 0, "resident incremental solve sessions (0 = 32 default, negative disables residency)")
+	instSessions := fs.Int("instance-sessions", 0, "resident incremental solve sessions, each holding about 33-64 bytes per element (0 = 32 default, negative disables residency)")
 	if err := fs.Parse(args); err != nil {
 		return "", "", server.Config{}, err
 	}

@@ -56,7 +56,9 @@ func FuzzSolve(f *testing.F) {
 // FuzzResolveMatchesFullSolve drives an Incremental session through random
 // edit bursts and demands labels byte-identical to a from-scratch solve of
 // the edited instance after every burst — the incremental path's one
-// correctness contract. Run longer with:
+// correctness contract. As in FuzzSolve, an odd byte after B's first n
+// switches to wide labels (b<<40 | 1<<62), for the base and the edits
+// alike. Run longer with:
 //
 //	go test -fuzz=FuzzResolveMatchesFullSolve -fuzztime 30s
 func FuzzResolveMatchesFullSolve(f *testing.F) {
@@ -64,10 +66,19 @@ func FuzzResolveMatchesFullSolve(f *testing.F) {
 	f.Add([]byte{1, 0}, []byte{0, 0}, []byte{0, 1, 1})
 	f.Add([]byte{3, 3, 3, 3, 2, 1, 0, 7}, []byte{1, 1, 2, 2, 1, 1, 2, 2}, []byte{7, 0, 0, 4, 1, 9, 2, 2, 1})
 	f.Add([]byte{0}, []byte{5}, []byte{0, 2, 1})
+	f.Add([]byte{0, 1, 2, 3}, []byte{0, 1, 0, 1, 1}, []byte{1, 0, 5, 2, 2, 3, 3, 1, 4})
+	f.Add([]byte{3, 3, 3, 3, 2, 1, 0, 7}, []byte{1, 1, 2, 2, 1, 1, 2, 2, 1}, []byte{7, 0, 0, 4, 1, 9, 2, 2, 1, 6, 1, 3})
 	f.Fuzz(func(t *testing.T, rawF, rawB, rawEdits []byte) {
 		n := len(rawF)
 		if n == 0 || n > 300 || len(rawEdits) > 120 {
 			return
+		}
+		wide := len(rawB) > n && rawB[n]%2 == 1
+		label := func(b int) int {
+			if wide {
+				return b<<40 | 1<<62
+			}
+			return b
 		}
 		ins := Instance{F: make([]int, n), B: make([]int, n)}
 		for i := range rawF {
@@ -75,6 +86,7 @@ func FuzzResolveMatchesFullSolve(f *testing.F) {
 			if i < len(rawB) {
 				ins.B[i] = int(rawB[i] % 5)
 			}
+			ins.B[i] = label(ins.B[i])
 		}
 		inc, err := NewIncremental(ins)
 		if err != nil {
@@ -119,7 +131,7 @@ func FuzzResolveMatchesFullSolve(f *testing.F) {
 				edited.F[node] = fv
 			}
 			if kind != 0 { // B edit (alone or with F)
-				bv := val % 5
+				bv := label(val % 5)
 				e.B = &bv
 				edited.B[node] = bv
 			}

@@ -25,10 +25,13 @@ import (
 // path's home regime — small deltas invalidate a small dirty region while
 // the full solver always pays for all n elements. Emits one JSON document
 // (like A5–A7) for BENCH_A8.json trajectory tracking; the single-edit
-// rows at n >= 2^20 are the ones the acceptance gate reads.
+// rows at n >= 2^20 are the ones the acceptance gate reads. Each row also
+// carries the session's size: the live heap a GC leaves after incr.Build,
+// less the one it left before, per element.
 func A8IncrementalResolve(cfg Config) {
 	type row struct {
 		N          int     `json:"n"`
+		StateBytes float64 `json:"state_bytes_per_elem"`
 		Components int     `json:"components"`
 		Edits      int     `json:"edits"`
 		DirtyNodes int     `json:"dirty_nodes"`
@@ -79,11 +82,17 @@ func A8IncrementalResolve(cfg Config) {
 		k := n / doc.CycleLen
 		wl := workload.DistinctCycles(cfg.Seed, k, doc.CycleLen, 3)
 		ins := coarsest.Instance{F: wl.F, B: wl.B}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
 		st, err := incr.Build(ins)
 		if err != nil {
 			fail(err)
 			return
 		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		stateBytes := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
 		var sc coarsest.Scratch
 		for _, edits := range []int{1, 8, 64, k / 4} {
 			if edits > k {
@@ -97,7 +106,7 @@ func A8IncrementalResolve(cfg Config) {
 			for c := 0; c < edits; c++ {
 				delta[c] = incr.Edit{Node: c * doc.CycleLen, SetB: true, B: 7}
 			}
-			var labels []int
+			var labels []int32
 			var info incr.Info
 			incrDur, err := best(func() error {
 				labels, info, err = st.ApplyDelta(delta)
@@ -124,8 +133,13 @@ func A8IncrementalResolve(cfg Config) {
 				fail(err)
 				return
 			}
+			agree := len(labels) == len(full)
+			for i := 0; agree && i < len(full); i++ {
+				agree = int(labels[i]) == full[i]
+			}
 			doc.Rows = append(doc.Rows, row{
 				N:          n,
+				StateBytes: stateBytes,
 				Components: k,
 				Edits:      edits,
 				DirtyNodes: info.DirtyNodes,
@@ -133,7 +147,7 @@ func A8IncrementalResolve(cfg Config) {
 				IncrNS:     int64(incrDur),
 				FullNS:     int64(fullDur),
 				Speedup:    float64(fullDur) / float64(incrDur),
-				Agree:      intSlicesEqual(labels, full),
+				Agree:      agree,
 			})
 		}
 	}

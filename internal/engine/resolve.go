@@ -37,7 +37,7 @@ type ResolvePlan struct {
 // (owned by the state — copy to retain), class count, the plan, what the
 // application actually did, and the wall time of the apply stage.
 type ResolveOutcome struct {
-	Labels     []int
+	Labels     []int32
 	NumClasses int
 	Plan       ResolvePlan
 	Info       incr.Info
@@ -133,7 +133,7 @@ func ResolveDelta(st *incr.State, edits []incr.Edit) (ResolveOutcome, error) {
 		return ResolveOutcome{}, err
 	}
 	t0 := time.Now()
-	var labels []int
+	var labels []int32
 	var info incr.Info
 	if plan.Mode == ResolveIncremental {
 		labels, info, err = st.ApplyDelta(edits)

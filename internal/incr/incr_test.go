@@ -2,6 +2,8 @@ package incr
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"sfcp/internal/coarsest"
@@ -22,15 +24,17 @@ func families() map[string]coarsest.Instance {
 		"broom":           toIns(workload.Broom(5, 200, 12, 4)),
 		"star":            toIns(workload.Star(6, 150, 3)),
 		"dfa":             toIns(workload.UnaryDFA(7, 180, 300)),
+		"wide-labels":     wideLabels(toIns(workload.RandomFunction(8, 240, 3))),
 	}
 }
 
-func equalInts(a, b []int) bool {
+// equalInts reports whether a session's labels equal a full solve's.
+func equalInts[S ~int | ~int32](a []S, b []int) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if int(a[i]) != b[i] {
 			return false
 		}
 	}
@@ -109,6 +113,11 @@ func TestApplyDeltaMatchesFullSolve(t *testing.T) {
 		for round := 0; round < 40; round++ {
 			burst := 1 + rng.Intn(4)
 			edits := randomEdits(rng, n, burst)
+			if name == "wide-labels" && round%2 == 0 {
+				// Every other round sets wide labels, so deltas both add
+				// wide labels and replace them with narrow ones.
+				edits = widenEdits(edits)
+			}
 			mirror(cur, edits)
 			got, info, err := st.ApplyDelta(edits)
 			if err != nil {
@@ -187,7 +196,7 @@ func TestCodeExhaustionValve(t *testing.T) {
 		rebuilt = rebuilt || info.Rebuilt
 	}
 	if !rebuilt {
-		t.Fatalf("valve never fired: nextCode=%d bound=%d", st.nextCode, codeSlack*n)
+		t.Fatalf("valve never fired: %d pair and %d cycle codes of %d", len(st.keys), st.limit-st.low, st.limit)
 	}
 	// The state remains usable and correct after the rebuild.
 	edits := []Edit{{Node: 3, SetF: true, F: 40}}
@@ -321,12 +330,12 @@ func TestEmptyDeltaAndEmptyInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := append([]int(nil), st2.Labels()...)
+	before := slices.Clone(st2.Labels())
 	got, info, err := st2.ApplyDelta(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalInts(got, before) || info.DirtyNodes != 0 {
+	if !slices.Equal(got, before) || info.DirtyNodes != 0 {
 		t.Fatal("empty delta changed labels or reported dirty work")
 	}
 }
@@ -357,7 +366,7 @@ func TestSnapshotTracksEdits(t *testing.T) {
 // TestDeterminism: identical build + delta sequences yield identical
 // labels (the renumber canonicalizes away map iteration order).
 func TestDeterminism(t *testing.T) {
-	run := func() [][]int {
+	run := func() [][]int32 {
 		rng := rand.New(rand.NewSource(77))
 		w := workload.RandomFunction(13, 200, 3)
 		cur := coarsest.Instance{F: append([]int(nil), w.F...), B: append([]int(nil), w.B...)}
@@ -365,21 +374,192 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var all [][]int
+		var all [][]int32
 		for round := 0; round < 15; round++ {
 			edits := randomEdits(rng, 200, 1+rng.Intn(3))
 			labels, _, err := st.ApplyDelta(edits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			all = append(all, append([]int(nil), labels...))
+			all = append(all, slices.Clone(labels))
 		}
 		return all
 	}
 	a, b := run(), run()
 	for i := range a {
-		if !equalInts(a[i], b[i]) {
+		if !slices.Equal(a[i], b[i]) {
 			t.Fatalf("round %d: non-deterministic labels", i)
 		}
 	}
+}
+
+// wideLabels moves every label of ins above 2^40, past any 32-bit coder.
+func wideLabels(ins coarsest.Instance) coarsest.Instance {
+	for i, b := range ins.B {
+		ins.B[i] = b<<40 | 1<<62
+	}
+	return ins
+}
+
+// TestStateBytes pins a session's memory in bytes, counted from slice
+// capacities (plus the canonical strings and an estimate per map entry),
+// so the figure is deterministic: after Build, and again after 256 random
+// single-edit deltas, on the request benchmark's four families and on
+// wide labels.
+func TestStateBytes(t *testing.T) {
+	const n = 1 << 16
+	const maxBytes = 80
+	conv := func(w workload.Instance) coarsest.Instance { return coarsest.Instance{F: w.F, B: w.B} }
+	rows := []struct {
+		name string
+		ins  coarsest.Instance
+	}{
+		{"random", conv(workload.RandomFunction(1, n, 3))},
+		{"perm", conv(workload.RandomPermutation(1, n, 3))},
+		{"cycles", conv(workload.DistinctCycles(1, n/256, 256, 3))},
+		{"broom", conv(workload.Broom(1, n, 16, 64))},
+		{"wide", wideLabels(conv(workload.RandomFunction(1, n, 3)))},
+	}
+	for _, r := range rows {
+		st, err := Build(r.ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := float64(st.footprint()) / n
+		rng := rand.New(rand.NewSource(9))
+		for range 256 {
+			edits := randomEdits(rng, n, 1)
+			if r.name == "wide" {
+				edits = widenEdits(edits)
+			}
+			if _, _, err := st.ApplyDelta(edits); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := float64(st.footprint()) / n
+		t.Logf("%s: %.1f B/elem after Build, %.1f after 256 deltas", r.name, built, after)
+		if built > maxBytes || after > maxBytes {
+			t.Errorf("%s: session holds %.1f B/elem after Build and %.1f after deltas, want <= %d",
+				r.name, built, after, maxBytes)
+		}
+	}
+}
+
+// widenEdits moves the labels the edits set above 2^40.
+func widenEdits(edits []Edit) []Edit {
+	for i := range edits {
+		if edits[i].SetB {
+			edits[i].B = edits[i].B<<40 | 1<<62
+		}
+	}
+	return edits
+}
+
+// TestDeltaAllocsFlat pins what a small delta allocates to a bound that
+// does not grow with n: 64 one-edit deltas on distinct 256-node cycles of
+// a 2^16-node instance, each minting a canonical string. A delta that
+// re-makes a table over the code space instead pays O(n) bytes (16 B per
+// code, about 1 MiB here).
+func TestDeltaAllocsFlat(t *testing.T) {
+	const n = 1 << 16
+	const maxMean = 16 << 10
+	w := workload.DistinctCycles(1, n/256, 256, 3)
+	st, err := Build(coarsest.Instance{F: w.F, B: w.B})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range 64 {
+		low := st.low
+		_, info, err := st.ApplyDelta([]Edit{{Node: i*256 + 7, SetB: true, B: 1000 + i}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Rebuilt || st.low == low {
+			t.Fatalf("delta %d: rebuilt=%v, minted %d codes; want an incremental delta that mints", i, info.Rebuilt, low-st.low)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if mean := float64(after.TotalAlloc-before.TotalAlloc) / 64; mean > maxMean {
+		t.Errorf("a one-edit delta allocates %.0f B on average, want <= %d", mean, maxMean)
+	}
+}
+
+// TestWideLabelDeltas holds the class rename of labels of 2^31 and above
+// to a full solve across deltas: one that introduces a new wide label,
+// one that removes the last node carrying one, its return, a rebuild
+// that drops the labels no node carries, and a wide table so full that
+// interning compacts it and the next delta rebuilds. Snapshot must give
+// the labels back exactly throughout.
+func TestWideLabelDeltas(t *testing.T) {
+	const wide = 1 << 62
+	w := workload.DistinctCycles(3, 8, 16, 3)
+	cur := wideLabels(coarsest.Instance{F: w.F, B: w.B})
+	// A tree of four nodes onto cycle 0, so wide labels sit on both
+	// cycle and tree nodes.
+	for i := 0; i < 4; i++ {
+		cur.F[16+i] = 3 * i
+	}
+	st, err := Build(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		if want := coarsest.LinearSequential(cur); !equalInts(st.Labels(), want) {
+			t.Fatalf("%s: labels differ from full solve", step)
+		}
+		snap := st.Snapshot()
+		if !slices.Equal(snap.F, cur.F) || !slices.Equal(snap.B, cur.B) {
+			t.Fatalf("%s: Snapshot differs from the edited instance", step)
+		}
+	}
+	check("build")
+	steps := []struct {
+		name  string
+		edits []Edit
+	}{
+		{"new wide label on a cycle node", []Edit{{Node: 40, SetB: true, B: wide | 77}}},
+		{"new wide label on a tree node", []Edit{{Node: 17, SetB: true, B: wide | 78}}},
+		{"last carrier relabelled narrow", []Edit{{Node: 40, SetB: true, B: 5}}},
+		{"label back on another node", []Edit{{Node: 50, SetB: true, B: wide | 77}, {Node: 51, SetF: true, F: 50}}},
+	}
+	for _, step := range steps {
+		mirror(cur, step.edits)
+		if _, _, err := st.ApplyDelta(step.edits); err != nil {
+			t.Fatal(err)
+		}
+		check(step.name)
+	}
+
+	edits := []Edit{{Node: 17, SetB: true, B: 9}}
+	mirror(cur, edits)
+	if _, _, err := st.Rebuild(edits); err != nil {
+		t.Fatal(err)
+	}
+	check("rebuild")
+	live := map[int]bool{}
+	for _, b := range cur.B {
+		if b > 1<<31 {
+			live[b] = true
+		}
+	}
+	if len(st.wide) != len(live) {
+		t.Fatalf("after rebuild %d wide labels interned, %d carried", len(st.wide), len(live))
+	}
+
+	// With no room left for a new wide label, interning compacts the
+	// table, which renames classes, so the delta must rebuild.
+	st.wideMax = len(st.wide)
+	edits = []Edit{{Node: 60, SetB: true, B: wide | 99}}
+	mirror(cur, edits)
+	_, info, err := st.ApplyDelta(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Rebuilt {
+		t.Fatal("a delta that compacted the wide table did not rebuild")
+	}
+	check("compaction")
 }

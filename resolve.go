@@ -82,7 +82,7 @@ func (inc *Incremental) N() int {
 func (inc *Incremental) Labels() []int {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	return append([]int{}, inc.st.Labels()...)
+	return widen(inc.st.Labels())
 }
 
 // NumClasses returns the current version's class count.
@@ -124,7 +124,7 @@ func Resolve(prev *Incremental, delta Delta) (Result, error) {
 		return Result{}, err
 	}
 	return Result{
-		Labels:     append([]int{}, out.Labels...),
+		Labels:     widen(out.Labels),
 		NumClasses: out.NumClasses,
 		Resolve: &ResolveInfo{
 			Mode:            out.Plan.Mode,
@@ -136,6 +136,15 @@ func Resolve(prev *Incremental, delta Delta) (Result, error) {
 		},
 		Timings: Timings{Solve: out.Duration},
 	}, nil
+}
+
+// widen copies a session's int32 labels into a new []int.
+func widen(labels []int32) []int {
+	out := make([]int, len(labels))
+	for i, l := range labels {
+		out[i] = int(l)
+	}
+	return out
 }
 
 // toIncrEdits converts the public pointer-style edits to the solver's
