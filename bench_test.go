@@ -1,9 +1,9 @@
 package sfcp
 
-// One testing.B benchmark per experiment of EXPERIMENTS.md. Wall-clock is
-// host time of the simulation; for the PRAM algorithms the interesting
-// quantities are the custom metrics rounds and work (ops), reported via
-// b.ReportMetric. Run with:
+// One testing.B benchmark per experiment of internal/bench (`sfcpbench
+// -list` names them). Wall-clock is host time of the simulation; for the
+// PRAM algorithms the interesting quantities are the custom metrics
+// rounds and work (ops), reported via b.ReportMetric. Run with:
 //
 //	go test -bench=. -benchmem
 import (

@@ -1,4 +1,4 @@
-// Command sfcpbench regenerates the experiment tables of EXPERIMENTS.md.
+// Command sfcpbench regenerates the experiments of internal/bench.
 //
 // Usage:
 //
@@ -6,21 +6,16 @@
 //	sfcpbench -all             # everything
 //	sfcpbench -all -quick      # smaller sweeps
 //	sfcpbench -list            # show available experiments
-//	sfcpbench -exp A6 -out BENCH_A6.json        # machine-readable calibration data
-//	sfcpbench -calibrate -out profile.json      # fit this host's planner profile
+//	sfcpbench -exp A8 -out BENCH_A8.json        # machine-readable delta re-solve data
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"sfcp/internal/bench"
-	"sfcp/internal/calib"
 )
 
 // errTrackWriter remembers the first write failure. The experiments write
@@ -45,9 +40,7 @@ func main() {
 	quick := flag.Bool("quick", false, "smaller sweeps")
 	list := flag.Bool("list", false, "list experiments")
 	seed := flag.Int64("seed", 1993, "workload seed")
-	outPath := flag.String("out", "", "write results to this file instead of stdout (e.g. BENCH_A6.json for -exp A6)")
-	calibrate := flag.Bool("calibrate", false, "fit the delta planner's calibration profile on this host and write it as JSON (-out profile.json)")
-	calibBudget := flag.Duration("calibrate-budget", 3*time.Second, "wall-clock budget for -calibrate (-quick shrinks it to 750ms)")
+	outPath := flag.String("out", "", "write results to this file instead of stdout (e.g. BENCH_A8.json for -exp A8)")
 	flag.Parse()
 
 	out := &errTrackWriter{w: os.Stdout}
@@ -75,24 +68,6 @@ func main() {
 	}
 	cfg := bench.Config{Out: out, Quick: *quick, Seed: *seed}
 	switch {
-	case *calibrate:
-		budget := *calibBudget
-		if *quick {
-			budget = 750 * time.Millisecond
-		}
-		rep, err := calib.Calibrate(context.Background(), calib.Options{
-			Budget: budget, Seed: *seed, Log: os.Stderr,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sfcpbench:", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(rep.Profile, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sfcpbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(out, string(data))
 	case *list:
 		for _, e := range bench.All() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
@@ -105,7 +80,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sfcpbench: unknown experiment %q; -list shows the catalogue\n", *exp)
 			os.Exit(1)
 		}
-		bench.RunOne(e, cfg)
+		e.Run(cfg)
 	default:
 		flag.Usage()
 		os.Exit(2)

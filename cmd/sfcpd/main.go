@@ -17,7 +17,6 @@
 //	DELETE /jobs/{id}        cooperative cancel
 //	POST   /instances        register a versioned instance -> digest + labels
 //	POST   /instances/{digest}/delta  incremental re-solve of an edited version
-//	POST   /calibrate        re-fit the delta planner's profile on this host
 //	GET    /healthz
 //	GET    /metrics
 //
@@ -33,8 +32,7 @@
 //	sfcpd [-addr :8080] [-pool-workers 2] [-queue 8] [-cache 1024]
 //	      [-cache-bytes 0] [-max-n 1048576] [-max-batch 256]
 //	      [-max-body 67108864] [-workers 0] [-seed 0] [-job-ttl 10m]
-//	      [-job-queue 1024] [-calibration-file profile.json] [-calibrate-on-start]
-//	      [-calibrate-budget 3s] [-data-dir path] [-spill-n 65536]
+//	      [-job-queue 1024] [-data-dir path] [-spill-n 65536]
 //	      [-instance-sessions 32]
 //
 // Versioned instances give long-lived sessions sub-linear latency:
@@ -42,14 +40,15 @@
 // instance's SHA-256 digest; POST /instances/{digest}/delta applies a
 // batch of point edits (JSON {"edits":[{"node":0,"f":1,"b":2},...]} or
 // the binary delta frame, Content-Type: application/x-sfcp-delta),
-// re-solving only the dirty components when the delta planner's
-// crossover allows, and re-registers the session under the edited
-// instance's digest. Up to -instance-sessions sessions stay resident,
-// each costing n × about 33-64 bytes (README, "Incremental re-solve");
-// evicted or restart-lost versions rebuild from the blob tier when
-// -data-dir is set. Instance builds and deltas run on the linear solver's crew, so they
-// share its -pool-workers bound and -queue depth with linear solves too
-// large for the batch crew.
+// re-solving only the dirty components when they are at most 30% of the
+// instance (above that it rebuilds the whole decomposition), and
+// re-registers the session under the edited instance's digest. Up to
+// -instance-sessions sessions stay resident, each costing n × about
+// 33-64 bytes (README, "Incremental re-solve"); evicted or restart-lost
+// versions rebuild from the blob tier when -data-dir is set. Instance
+// builds and deltas run on the linear solver's crew, so they share its
+// -pool-workers bound and -queue depth with linear solves too large for
+// the batch crew.
 //
 // Small solves (requests whose plan resolves to the linear solver, below
 // 32768 elements) run on the pool's batch crew, one worker per GOMAXPROCS: a worker that comes free takes
@@ -57,14 +56,6 @@
 // sequential pass under a shared scratch arena, so batches form while
 // every worker is busy and a lone request runs at once. Responses report
 // "coalesced", "flush_reason" ("size" or "drain") and "queue_ms".
-//
-// The delta planner's incremental-vs-full crossover comes from a
-// calibration profile: -calibration-file loads a fitted profile at
-// startup (a missing or corrupt file logs a warning and the built-in
-// default serves), -calibrate-on-start re-fits on this host before
-// serving (and persists to the calibration file when one is set), and
-// POST /calibrate re-fits a running daemon. /metrics reports
-// sfcpd_plan_calibrated and the active incr_max_dirty_frac.
 //
 // -data-dir opts into tiered durable storage: async jobs journal to
 // <dir>/jobs.journal, and instance payloads plus solved results persist
@@ -106,9 +97,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (addr, dataDir string, cfg serv
 	maxBody := fs.Int64("max-body", 64<<20, "largest accepted request body in bytes")
 	jobTTL := fs.Duration("job-ttl", 10*time.Minute, "how long finished async jobs are retained")
 	jobQueue := fs.Int("job-queue", 1024, "largest accepted async job backlog")
-	calibFile := fs.String("calibration-file", "", "delta planner calibration profile to load at startup and persist fits to")
-	calibOnStart := fs.Bool("calibrate-on-start", false, "run a bounded calibration fit before serving")
-	calibBudget := fs.Duration("calibrate-budget", 0, "wall-clock budget per calibration fit (0 = 3s default)")
 	dir := fs.String("data-dir", "", "directory for the durable job journal and blob tier (empty = in-memory only)")
 	spillN := fs.Int("spill-n", 0, "instance size at which payloads and results spill to the blob tier (0 = 65536 default; needs -data-dir)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "result cache byte budget (0 = entry-count bound only)")
@@ -127,9 +115,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (addr, dataDir string, cfg serv
 		MaxBodyBytes:        *maxBody,
 		JobTTL:              *jobTTL,
 		JobMaxQueued:        *jobQueue,
-		CalibrationFile:     *calibFile,
-		CalibrateOnStart:    *calibOnStart,
-		CalibrateBudget:     *calibBudget,
 		SpillN:              *spillN,
 		CacheBytes:          *cacheBytes,
 		InstanceSessions:    *instSessions,

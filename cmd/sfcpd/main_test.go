@@ -45,7 +45,6 @@ func TestParseFlags(t *testing.T) {
 			"-addr", ":9999", "-pool-workers", "5", "-queue", "7", "-cache", "-1",
 			"-max-n", "50", "-max-batch", "3", "-workers", "4", "-seed", "11",
 			"-max-body", "1024", "-job-ttl", "90s", "-job-queue", "17",
-			"-calibration-file", "profile.json", "-calibrate-on-start", "-calibrate-budget", "2s",
 			"-data-dir", "/tmp/sfcpd-data", "-spill-n", "512", "-cache-bytes", "4096",
 			"-instance-sessions", "5",
 		})
@@ -56,7 +55,6 @@ func TestParseFlags(t *testing.T) {
 			WorkersPerAlgorithm: 5, QueueDepth: 7, CacheSize: -1, MaxN: 50,
 			MaxBatch: 3, Workers: 4, Seed: 11, MaxBodyBytes: 1024,
 			JobTTL: 90 * time.Second, JobMaxQueued: 17,
-			CalibrationFile: "profile.json", CalibrateOnStart: true, CalibrateBudget: 2 * time.Second,
 			SpillN: 512, CacheBytes: 4096, InstanceSessions: 5,
 		}
 		if addr != ":9999" || dataDir != "/tmp/sfcpd-data" || !reflect.DeepEqual(cfg, want) {

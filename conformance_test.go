@@ -76,9 +76,11 @@ func TestConformanceAllAlgorithms(t *testing.T) {
 // TestConformanceResolve sweeps the incremental re-solve path over every
 // workload family at three delta scales — a single edit, a √n burst, and
 // an n/4 burst — and demands labels byte-identical to a full solve of the
-// edited instance each time. The scales straddle the planner's crossover,
-// so both the component-scoped path and the full-fallback path are pinned
-// to the same contract.
+// edited instance each time. The scales straddle the planner's fixed 0.3
+// crossover: a single edit on the cycle families dirties one component
+// and runs incrementally, while the bursts, like any edit to the other
+// families' few large components, dirty most of the instance and take the
+// full-fallback path, so both paths are pinned to the same contract.
 func TestConformanceResolve(t *testing.T) {
 	for _, fam := range conformanceFamilies {
 		t.Run(fam.name, func(t *testing.T) {

@@ -9,8 +9,8 @@ import "go/ast"
 // value, anything — is a finding. Non-solver helpers (Instance, Scratch,
 // NumClasses, SamePartition, the incr.Edit/Info types, ...) stay free to
 // use. The same rule covers the incremental path: incr.Build constructs
-// live decomposition state, so it must flow through engine.NewIncremental
-// where the planner and calibration profile see it.
+// live decomposition state, so it must flow through engine.NewIncremental,
+// whose sessions the delta planner (engine.ResolveDelta) then advances.
 var EngineDispatch = &Analyzer{
 	Name: "enginedispatch",
 	Doc:  "forbid direct use of solver entry points (coarsest solvers, incr.Build) outside internal/engine",

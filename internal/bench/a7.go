@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"sfcp"
-	"sfcp/internal/calib"
 	"sfcp/internal/jobs"
 	"sfcp/internal/store"
 	"sfcp/internal/workload"
@@ -22,7 +21,7 @@ import (
 // throughput against the in-memory store on the same payloads, and the
 // cold-start cost of journal replay plus manager recovery over a
 // realistically mixed job population. Emits one JSON document (like
-// A5 and A6) for BENCH_A7.json trajectory tracking.
+// A5 and A8) for BENCH_A7.json trajectory tracking.
 func A7TieredStorage(cfg Config) {
 	type blobRow struct {
 		N           int     `json:"n"`
@@ -45,17 +44,17 @@ func A7TieredStorage(cfg Config) {
 		Restored     int64 `json:"restored"`
 	}
 	doc := struct {
-		Experiment string                `json:"experiment"`
-		Title      string                `json:"title"`
-		GOMAXPROCS int                   `json:"gomaxprocs"`
-		Host       calib.HostFingerprint `json:"host"`
-		Blob       []blobRow             `json:"blob_rows"`
-		Recovery   []recoveryRow         `json:"recovery_rows"`
+		Experiment string          `json:"experiment"`
+		Title      string          `json:"title"`
+		GOMAXPROCS int             `json:"gomaxprocs"`
+		Host       HostFingerprint `json:"host"`
+		Blob       []blobRow       `json:"blob_rows"`
+		Recovery   []recoveryRow   `json:"recovery_rows"`
 	}{
 		Experiment: "A7",
 		Title:      "tiered storage: blob spill/read throughput and cold-start recovery",
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Host:       calib.Fingerprint(),
+		Host:       Fingerprint(),
 	}
 	fail := func(err error) {
 		fmt.Fprintf(cfg.Out, "{\"experiment\":\"A7\",\"error\":%q}\n", err.Error())

@@ -1,4 +1,4 @@
-// Package bench regenerates every experiment in EXPERIMENTS.md. The paper
+// Package bench holds every experiment `sfcpbench -list` names. The paper
 // has no empirical section, so the "tables and figures" to reproduce are
 // its stated complexity bounds, comparisons with prior algorithms, and
 // worked examples; each experiment turns one claim into a measured table.
@@ -14,18 +14,18 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
 	"sfcp"
-	"sfcp/internal/calib"
 	"sfcp/internal/circ"
 	"sfcp/internal/coarsest"
-	"sfcp/internal/engine"
 	"sfcp/internal/intsort"
 	"sfcp/internal/listrank"
 	"sfcp/internal/partition"
@@ -68,11 +68,50 @@ func All() []Experiment {
 		{"A2", "Ablation: list ranking methods", A2ListRank},
 		{"A3", "Ablation: m.s.p. recursion cutoff", A3Cutoff},
 		{"A5", "Coalescing front door: micro-batched vs per-request small solves (JSON)", A5Coalescing},
-		{"A6", "Planner calibration: fitted profile and the measured curve behind it (JSON)", A6Calibration},
 		{"A7", "Tiered storage: blob spill/read throughput and cold-start recovery (JSON)", A7TieredStorage},
 		{"A8", "Incremental re-solve: delta-apply latency vs full re-solve (JSON)", A8IncrementalResolve},
 	}
 }
+
+// HostFingerprint identifies the hardware a JSON experiment ran on, so
+// checked-in BENCH files are attributable.
+type HostFingerprint struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	// CPUModel is the "model name" line of /proc/cpuinfo when readable,
+	// empty elsewhere (the field is best-effort by design).
+	CPUModel string `json:"cpu_model,omitempty"`
+}
+
+// Fingerprint captures the current host.
+func Fingerprint() HostFingerprint {
+	return HostFingerprint{
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPUModel:   cpuModel(),
+	}
+}
+
+// cpuModel extracts the first "model name" value from /proc/cpuinfo,
+// once per process: the model cannot change under a running process.
+// Any failure (non-Linux, restricted /proc) yields "".
+var cpuModel = sync.OnceValue(func() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		key, val, ok := strings.Cut(line, ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
+})
 
 // Lookup finds an experiment by id.
 func Lookup(id string) (Experiment, bool) {
@@ -822,7 +861,7 @@ func (p *a5Pool) close() {
 // (PlanWith), bounded worker-pool dispatch, and a scratch checkout; the
 // coalesced arm queues requests for a miniature of the pool's batch crew,
 // plans each pass once and solves its members back-to-back under one
-// shared scratch arena. Emits one JSON document (like A6–A8)
+// shared scratch arena. Emits one JSON document (like A7 and A8)
 // for BENCH_*.json trajectory tracking.
 func A5Coalescing(cfg Config) {
 	type row struct {
@@ -838,18 +877,18 @@ func A5Coalescing(cfg Config) {
 		Agree         bool    `json:"agree"`
 	}
 	doc := struct {
-		Experiment  string                `json:"experiment"`
-		Title       string                `json:"title"`
-		GOMAXPROCS  int                   `json:"gomaxprocs"`
-		Host        calib.HostFingerprint `json:"host"`
-		MaxSize     int                   `json:"batch_max_size"`
-		Concurrency int                   `json:"concurrency"`
-		Rows        []row                 `json:"rows"`
+		Experiment  string          `json:"experiment"`
+		Title       string          `json:"title"`
+		GOMAXPROCS  int             `json:"gomaxprocs"`
+		Host        HostFingerprint `json:"host"`
+		MaxSize     int             `json:"batch_max_size"`
+		Concurrency int             `json:"concurrency"`
+		Rows        []row           `json:"rows"`
 	}{
 		Experiment:  "A5",
 		Title:       "coalescing front door: micro-batched vs per-request small solves",
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Host:        calib.Fingerprint(),
+		Host:        Fingerprint(),
 		MaxSize:     a5BatchCap,
 		Concurrency: 64,
 	}
@@ -1005,53 +1044,11 @@ func A5Coalescing(cfg Config) {
 	_ = enc.Encode(doc)
 }
 
-// A6Calibration runs the calibration sweep (internal/calib) on this host
-// and emits the fitted profile together with the incremental-vs-full
-// curve it was read off — the BENCH_A6.json trajectory snapshot. The fit
-// is budget-bounded; a truncated report says so rather than
-// extrapolating.
-func A6Calibration(cfg Config) {
-	budget := 3 * time.Second
-	if cfg.Quick {
-		budget = 750 * time.Millisecond
-	}
-	rep, err := calib.Calibrate(context.Background(), calib.Options{Budget: budget, Seed: cfg.Seed})
-	if err != nil {
-		fmt.Fprintf(cfg.Out, "{\"experiment\":\"A6\",\"error\":%q}\n", err.Error())
-		return
-	}
-	doc := struct {
-		Experiment string `json:"experiment"`
-		Title      string `json:"title"`
-		BudgetMS   int64  `json:"budget_ms"`
-		*calib.Report
-	}{
-		Experiment: "A6",
-		Title:      "planner calibration: fitted profile and the measured curve behind it",
-		BudgetMS:   budget.Milliseconds(),
-		Report:     rep,
-	}
-	enc := json.NewEncoder(cfg.Out)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
-}
-
-// RunOne executes one experiment with the process-global planner profile
-// saved and restored around it. The profile is engine.SetProfile state
-// shared by every experiment in the process, so an experiment that
-// installs a fitted profile mid-run must not skew the plans of whatever
-// runs after it — -exp order and -all must measure the same planner.
-func RunOne(e Experiment, cfg Config) {
-	prev := engine.InstalledProfile()
-	defer engine.SetProfile(prev)
-	e.Run(cfg)
-}
-
 // RunAll executes every experiment in order.
 func RunAll(cfg Config) {
 	for _, e := range All() {
 		fmt.Fprintf(cfg.Out, "==== %s — %s ====\n", e.ID, e.Title)
-		RunOne(e, cfg)
+		e.Run(cfg)
 		fmt.Fprintln(cfg.Out)
 	}
 }

@@ -2,12 +2,8 @@ package bench
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
-
-	"sfcp/internal/calib"
-	"sfcp/internal/engine"
 )
 
 func TestAllExperimentsRunQuick(t *testing.T) {
@@ -29,33 +25,13 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	}
 }
 
-// TestRunOneRestoresProfile pins the fix for experiments leaking a fitted
-// calibration profile into the process-global planner: whatever an
-// experiment installs via engine.SetProfile, RunOne must undo, so the
-// order of -exp invocations (or position within -all) cannot skew later
-// measurements.
-func TestRunOneRestoresProfile(t *testing.T) {
-	orig := engine.InstalledProfile()
-	defer engine.SetProfile(orig)
-
-	mutator := Experiment{ID: "TX", Title: "installs a profile", Run: func(Config) {
-		engine.SetProfile(&calib.Profile{Version: 1})
-	}}
-	cfg := Config{Out: io.Discard, Quick: true, Seed: 1}
-
-	sentinel := &calib.Profile{Version: 1}
-	engine.SetProfile(sentinel)
-	RunOne(mutator, cfg)
-	if got := engine.InstalledProfile(); got != sentinel {
-		t.Errorf("installed profile after RunOne = %p, want sentinel %p", got, sentinel)
+func TestFingerprintSane(t *testing.T) {
+	fp := Fingerprint()
+	if fp.GOMAXPROCS < 1 || fp.NumCPU < 1 {
+		t.Errorf("implausible fingerprint: %+v", fp)
 	}
-
-	// The defaults case: nothing installed must stay nothing installed,
-	// not become a pinned copy of the defaults.
-	engine.SetProfile(nil)
-	RunOne(mutator, cfg)
-	if got := engine.InstalledProfile(); got != nil {
-		t.Errorf("installed profile after RunOne = %p, want nil (defaults)", got)
+	if fp.GOOS == "" || fp.GOARCH == "" {
+		t.Errorf("fingerprint missing GOOS/GOARCH: %+v", fp)
 	}
 }
 

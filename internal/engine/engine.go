@@ -16,7 +16,8 @@
 // sfcp.PlanBatch plan, and sfcp.SolvePlanned, Solver.SolvePlanned or
 // Solver.SolveBatchPlanned execute; sfcp.Solve and sfcp.SolveWith are
 // PlanWith followed by the same execution. Delta re-solves have their own
-// planner, PlanResolve, the one reader of the calibration profile.
+// planner, PlanResolve, which compares a delta's dirty fraction with one
+// constant crossover.
 //
 // Plans are deterministic: identical instances with identical requests
 // yield identical plans.

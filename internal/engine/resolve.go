@@ -2,10 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"sfcp/internal/calib"
 	"sfcp/internal/coarsest"
 	"sfcp/internal/incr"
 )
@@ -16,21 +14,20 @@ const (
 	// ResolveIncremental recomputes only the dirty components and splices.
 	ResolveIncremental = "incremental"
 	// ResolveFullFallback rebuilds the whole decomposition — chosen when
-	// the dirty fraction crosses the calibrated threshold, or forced by
-	// the state's code-exhaustion valve mid-delta.
+	// the dirty fraction is above incrCrossover, or forced by the state's
+	// code-exhaustion valve mid-delta.
 	ResolveFullFallback = "full_fallback"
 )
 
 // ResolvePlan is the planner's explainable decision for one delta,
-// mirroring Plan for solves: a concrete mode, the dirty-set measurements
-// behind it, and the threshold source.
+// mirroring Plan for solves: a concrete mode and the dirty-set
+// measurements behind it.
 type ResolvePlan struct {
 	Mode            string  `json:"mode"`
 	Reason          string  `json:"reason"`
 	DirtyComponents int     `json:"dirty_components"`
 	DirtyNodes      int     `json:"dirty_nodes"`
 	DirtyFrac       float64 `json:"dirty_frac"`
-	ProfileSource   string  `json:"profile_source,omitempty"`
 }
 
 // ResolveOutcome is ResolveDelta's full result: the refreshed labels
@@ -44,36 +41,6 @@ type ResolveOutcome struct {
 	Duration   time.Duration
 }
 
-// activeProfile is the process-wide planner profile. Nil means the
-// built-in defaults; SetProfile stores a fitted one. Delta re-solves
-// read it on every Auto resolve plan, so the pointer is atomic rather
-// than locked.
-var activeProfile atomic.Pointer[calib.Profile]
-
-// SetProfile installs the calibration profile the resolve planner
-// (PlanResolve) consults. Passing nil reverts to the built-in defaults.
-// The profile must be valid (calib.Profile.Validate).
-func SetProfile(p *calib.Profile) {
-	activeProfile.Store(p)
-}
-
-// ActiveProfile returns the profile the planner is currently consulting;
-// never nil (the default profile stands in when none was injected).
-func ActiveProfile() *calib.Profile {
-	if p := activeProfile.Load(); p != nil {
-		return p
-	}
-	return calib.Default()
-}
-
-// InstalledProfile returns exactly what SetProfile last stored — nil when
-// the planner is on its built-in defaults. ActiveProfile is the consulting
-// accessor; this one exists so a caller can save and restore the installed
-// state without turning "defaults" into a pinned copy.
-func InstalledProfile() *calib.Profile {
-	return activeProfile.Load()
-}
-
 // NewIncremental builds the reusable decomposition state for an
 // instance — the engine's only construction point for the incremental
 // solver (sfcpvet enginedispatch enforces this).
@@ -81,20 +48,20 @@ func NewIncremental(in coarsest.Instance) (*incr.State, error) {
 	return incr.Build(in)
 }
 
-// PlanResolve sizes a delta's dirty set against the state's current
-// decomposition and resolves incremental-vs-full from the process-wide
-// profile's crossover. Deterministic in (state, edits, profile).
-func PlanResolve(st *incr.State, edits []incr.Edit) (ResolvePlan, error) {
-	return PlanResolveWithProfile(st, edits, ActiveProfile())
-}
+// incrCrossover is the dirty fraction above which ResolveDelta runs
+// incr.State.Rebuild on all n nodes instead of ApplyDelta on the dirty
+// region. Both arms run the same incr decomposition. ApplyDelta's share
+// of Rebuild's time grows with the dirty fraction (BENCH_A8.json's
+// incr_ns against rebuild_ns), and it keeps every code it mints, so a
+// large region also grows the session, while Rebuild empties the
+// coders. Moving the value trades time for session bytes; a new value
+// needs both measured.
+const incrCrossover = 0.3
 
-// PlanResolveWithProfile is PlanResolve against an explicit profile, for
-// callers and tests that must not depend on process-wide state. A nil
-// profile means the built-in defaults.
-func PlanResolveWithProfile(st *incr.State, edits []incr.Edit, prof *calib.Profile) (ResolvePlan, error) {
-	if prof == nil {
-		prof = calib.Default()
-	}
+// PlanResolve sizes a delta's dirty set against the state's current
+// decomposition and resolves incremental-vs-full against incrCrossover.
+// Deterministic in (state, edits).
+func PlanResolve(st *incr.State, edits []incr.Edit) (ResolvePlan, error) {
 	nodes, comps, err := st.DirtyStats(edits)
 	if err != nil {
 		return ResolvePlan{}, err
@@ -104,22 +71,19 @@ func PlanResolveWithProfile(st *incr.State, edits []incr.Edit, prof *calib.Profi
 	if n > 0 {
 		frac = float64(nodes) / float64(n)
 	}
-	crossover := prof.IncrCrossover()
-	src := prof.Source()
 	rp := ResolvePlan{
 		DirtyComponents: comps,
 		DirtyNodes:      nodes,
 		DirtyFrac:       frac,
-		ProfileSource:   src,
 	}
-	if frac > crossover {
+	if frac > incrCrossover {
 		rp.Mode = ResolveFullFallback
-		rp.Reason = fmt.Sprintf("auto: dirty fraction %.3f (%d/%d nodes across %d components) above crossover %.2f [%s profile]; full re-solve rebuilds the decomposition",
-			frac, nodes, n, comps, crossover, src)
+		rp.Reason = fmt.Sprintf("auto: dirty fraction %.3f (%d/%d nodes across %d components) above crossover %.2f; full re-solve rebuilds the decomposition",
+			frac, nodes, n, comps, incrCrossover)
 	} else {
 		rp.Mode = ResolveIncremental
-		rp.Reason = fmt.Sprintf("auto: dirty fraction %.3f (%d/%d nodes across %d components) within crossover %.2f [%s profile]; component-scoped incremental re-solve",
-			frac, nodes, n, comps, crossover, src)
+		rp.Reason = fmt.Sprintf("auto: dirty fraction %.3f (%d/%d nodes across %d components) within crossover %.2f; component-scoped incremental re-solve",
+			frac, nodes, n, comps, incrCrossover)
 	}
 	return rp, nil
 }

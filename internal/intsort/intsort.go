@@ -19,7 +19,7 @@
 //     per-group sequential loops of length s (rounds charged honestly):
 //     O((s + log n)·⌈K/log R⌉) rounds and O(n·⌈K/log R⌉) work.
 //
-// Ablation A1 in EXPERIMENTS.md contrasts the three.
+// Ablation A1 in internal/bench (`sfcpbench -exp A1`) contrasts the three.
 package intsort
 
 import (

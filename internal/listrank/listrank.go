@@ -12,7 +12,8 @@
 //     It falls back to Wyllie in the (exponentially unlikely) event that a
 //     cycle receives no ruler or a walk overruns its high-probability cap.
 //
-// Ablation A2 in EXPERIMENTS.md measures the work gap between the two.
+// Ablation A2 in internal/bench (`sfcpbench -exp A2`) measures the work
+// gap between the two.
 package listrank
 
 import (

@@ -52,13 +52,6 @@ const (
 	metricBatcherQueueSecondsSum   = "sfcpd_batcher_queue_seconds_sum"
 	metricBatcherQueueSecondsCount = "sfcpd_batcher_queue_seconds_count"
 
-	// Calibration families: whether the delta planner is steering by a
-	// fitted profile (1) or the built-in defaults (0), and the active
-	// profile's threshold so a scrape shows the exact number behind every
-	// resolve plan this host makes.
-	metricPlanCalibrated = "sfcpd_plan_calibrated"
-	metricPlanProfile    = "sfcpd_plan_profile"
-
 	// Tiered-storage families: blob-tier traffic (reads/writes/deletes
 	// and their bytes, from the meter wrapping the configured store),
 	// payloads spilled out of RAM, jobs recovered at boot by outcome
@@ -118,8 +111,8 @@ type metrics struct {
 }
 
 // dirtyFracBounds are the dirty-fraction histogram's upper bounds; the
-// planner's default crossover (0.3) falls between two of them so a scrape
-// shows which side of the decision traffic lands on.
+// delta planner's crossover (0.3) is one of them, so a scrape shows which
+// side of the decision traffic lands on.
 var dirtyFracBounds = [...]float64{0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1}
 
 type solveStats struct {
@@ -335,29 +328,6 @@ func renderJobs(c jobs.Counts) string {
 	emit("%s %d\n", metricJobsQueued, c.Queued)
 	emit(typeHeader(metricJobsRunning, "gauge"))
 	emit("%s %d\n", metricJobsRunning, c.Running)
-	return string(b)
-}
-
-// renderCalibration writes the profile gauges from the profile the
-// delta planner is consulting right now (process-wide state owned by the
-// engine, so — like renderJobs — the metrics mutex has nothing to guard).
-func renderCalibration(p *sfcp.CalibrationProfile) string {
-	var b []byte
-	emit := func(format string, args ...any) {
-		b = append(b, fmt.Sprintf(format, args...)...)
-	}
-	calibrated := 0
-	if p != nil && p.Calibrated {
-		calibrated = 1
-	}
-	emit(typeHeader(metricPlanCalibrated, "gauge"))
-	emit("%s %d\n", metricPlanCalibrated, calibrated)
-	emit(typeHeader(metricPlanProfile, "gauge"))
-	if p != nil {
-		// The effective incremental-vs-full crossover (package default
-		// when the profile leaves the field unset).
-		emit("%s{field=%q} %g\n", metricPlanProfile, "incr_max_dirty_frac", p.IncrCrossover())
-	}
 	return string(b)
 }
 

@@ -5,7 +5,6 @@
 //	POST /solve/batch               many instances, solved concurrently
 //	POST /instances                 register a versioned instance (solve + content address)
 //	POST /instances/{digest}/delta  apply edits to a version, solved incrementally
-//	POST /calibrate                 re-fit the delta planner's calibration profile on this host
 //	GET  /healthz                   liveness
 //	GET  /metrics                   Prometheus-style counters
 //
@@ -51,7 +50,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sfcp"
@@ -89,17 +87,6 @@ type Config struct {
 	// JobMaxQueued bounds async jobs waiting across all algorithms
 	// (default 1024); Submit beyond it returns 429.
 	JobMaxQueued int
-	// CalibrationFile, when set, is where POST /calibrate persists the
-	// fitted planner profile (atomic rewrite). Loading it at startup is
-	// the binary's job (sfcpd -calibration-file does both).
-	CalibrationFile string
-	// CalibrateBudget bounds the wall clock of a POST /calibrate fit
-	// (default 3s; requests may lower it with ?budget=).
-	CalibrateBudget time.Duration
-	// CalibrateOnStart runs a bounded calibration fit in New, before the
-	// server takes traffic, and installs (and persists, when
-	// CalibrationFile is set) the fitted profile.
-	CalibrateOnStart bool
 	// JobStore, when set, journals async job submissions and state
 	// transitions so a restart over the same store recovers them:
 	// non-terminal jobs re-queue, terminal ones stay fetchable. Both
@@ -144,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.CalibrateBudget <= 0 {
-		c.CalibrateBudget = 3 * time.Second
 	}
 	if c.SpillN <= 0 {
 		c.SpillN = 1 << 16
@@ -238,17 +222,9 @@ type Server struct {
 	// the meter wraps the configured BlobStore so job-manager and
 	// solve-path traffic both land in the sfcpd_store_* counters.
 	blobs *store.Metered
-
-	// calibrating serializes POST /calibrate: a fit is a wall-clock
-	// measurement, so a second concurrent one would only corrupt both.
-	// CAS, not a mutex — the loser gets a 409, not a queue.
-	calibrating atomic.Bool
 }
 
-// New builds a ready-to-serve Server. When cfg names a calibration file
-// it is loaded (leniently — a bad file degrades to the default profile)
-// and, with CalibrateOnStart, a bounded fit runs before the first
-// request can arrive.
+// New builds a ready-to-serve Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -304,14 +280,12 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/solve/batch", s.handleBatch)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST /calibrate", s.handleCalibrate)
 	s.mux.HandleFunc("POST /instances", s.handleInstanceCreate)
 	s.mux.HandleFunc("POST /instances/{digest}/delta", s.handleInstanceDelta)
 	s.mux.HandleFunc("POST /jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /jobs/{id}", s.handleJobStatus)
 	s.mux.HandleFunc("GET /jobs/{id}/result", s.handleJobResult)
 	s.mux.HandleFunc("DELETE /jobs/{id}", s.handleJobCancel)
-	s.initCalibration()
 	return s
 }
 
@@ -338,7 +312,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	jc := s.jobs.Counts()
 	fmt.Fprint(w, s.metrics.render())
 	fmt.Fprint(w, renderJobs(jc))
-	fmt.Fprint(w, renderCalibration(sfcp.ActiveCalibrationProfile()))
 	fmt.Fprint(w, renderStore(s.blobCounts(), jc, s.journalCorrupt(), s.cache.Bytes()))
 }
 

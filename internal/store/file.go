@@ -21,7 +21,7 @@ const maxJournalLine = 1 << 20
 // one record per line, latest record per id wins. Open replays the
 // journal leniently — a torn or corrupt line is logged, counted and
 // skipped, never a boot failure — and then compacts it (atomic
-// temp+rename, like internal/calib's profile writes) so dead
+// temp+rename, like the blob tier's writes) so dead
 // transitions do not accumulate across restarts. Appends during serving
 // are compacted in place once the dead:live ratio grows large.
 type FileJobStore struct {

@@ -248,7 +248,8 @@ func TestSortPRAMLogarithmicRounds(t *testing.T) {
 	// Note: the simulator's prefix sums are plain O(log n)-round trees, so
 	// the measured total is O(log n * log log n) rounds, a log log factor
 	// above the paper's bound (which assumes O(log n / log log n)-time CRCW
-	// prefix sums). See EXPERIMENTS.md. This test only excludes gross
+	// prefix sums). See E4 in internal/bench (`sfcpbench -exp E4`) and
+	// DESIGN.md section 5. This test only excludes gross
 	// (polynomial) blowups.
 	if r := m.Stats().Rounds; r > 1500 {
 		t.Errorf("SortPRAM rounds = %d, want polylogarithmic", r)

@@ -1,5 +1,5 @@
 // Package workload generates the input families used by the experiments in
-// EXPERIMENTS.md: random functions (the generic case, whose pseudo-forests
+// internal/bench (`sfcpbench -list`): random functions (the generic case, whose pseudo-forests
 // have ~sqrt(n) cycle nodes hanging with shallow trees), permutations (pure
 // cycles), structured cycle families, deep brooms, stars, unary DFAs, and
 // circular strings / string lists for the Section 3.1 subproblems. All

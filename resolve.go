@@ -31,7 +31,7 @@ const (
 	// ResolveModeIncremental recomputed only the dirty components.
 	ResolveModeIncremental = engine.ResolveIncremental
 	// ResolveModeFullFallback rebuilt the whole decomposition (dirty
-	// fraction above the calibrated crossover, or code-space exhaustion).
+	// fraction above the 0.3 crossover, or code-space exhaustion).
 	ResolveModeFullFallback = engine.ResolveFullFallback
 )
 
@@ -103,8 +103,8 @@ func (inc *Incremental) Instance() Instance {
 
 // Resolve applies a delta to the session and returns the refreshed
 // result. The planner resolves between the component-scoped incremental
-// path and a full re-solve from the delta's dirty fraction against the
-// calibrated crossover (Result.Resolve reports the decision); either way
+// path and a full re-solve from the delta's dirty fraction against a
+// fixed crossover of 0.3 (Result.Resolve reports the decision); either way
 // the labels are byte-identical to a full solve of the edited instance.
 // The session advances in place: after Resolve it describes the edited
 // version (re-resolving an old version needs a session rebuilt from that
