@@ -74,13 +74,15 @@ func TestConformanceAllAlgorithms(t *testing.T) {
 }
 
 // TestConformanceResolve sweeps the incremental re-solve path over every
-// workload family at three delta scales — a single edit, a √n burst, and
-// an n/4 burst — and demands labels byte-identical to a full solve of the
-// edited instance each time. The scales straddle the planner's fixed 0.3
-// crossover: a single edit on the cycle families dirties one component
-// and runs incrementally, while the bursts, like any edit to the other
-// families' few large components, dirty most of the instance and take the
-// full-fallback path, so both paths are pinned to the same contract.
+// workload family and demands labels and a class count equal to a full
+// solve of the edited instance each time. One session takes three delta
+// scales in turn — a single edit, a √n burst, and an n/4 burst — with
+// edits anywhere, so most of them dirty every component and the session's
+// valve re-founds it. A fresh session then takes a confined burst: up to
+// √n edits, one per node, whose nodes and new F-targets all lie in the
+// family's smallest component. That leaves the other components clean, so
+// on every family with two or more components the burst must take the
+// incremental path; both paths are pinned to the same contract.
 func TestConformanceResolve(t *testing.T) {
 	for _, fam := range conformanceFamilies {
 		t.Run(fam.name, func(t *testing.T) {
@@ -140,8 +142,92 @@ func TestConformanceResolve(t *testing.T) {
 					}
 				}
 			}
+
+			comp, comps := smallestComponent(ins.F)
+			fresh, err := NewIncremental(ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			confined := Instance{F: append([]int{}, ins.F...), B: append([]int{}, ins.B...)}
+			var delta Delta
+			for i := range min(len(comp), intSqrt(n)) {
+				// A partial shuffle picks the nodes without repeats.
+				j := i + next(len(comp)-i)
+				comp[i], comp[j] = comp[j], comp[i]
+				node, fv, bv := comp[i], comp[next(len(comp))], next(5)
+				e := Edit{Node: node}
+				switch next(3) {
+				case 0:
+					e.F = &fv
+					confined.F[node] = fv
+				case 1:
+					e.B = &bv
+					confined.B[node] = bv
+				default:
+					e.F, e.B = &fv, &bv
+					confined.F[node], confined.B[node] = fv, bv
+				}
+				delta.Edits = append(delta.Edits, e)
+			}
+			res, err := Resolve(fresh, delta)
+			if err != nil {
+				t.Fatalf("confined burst: %v", err)
+			}
+			full, err := SolveWith(confined, Options{})
+			if err != nil {
+				t.Fatalf("confined burst: full solve: %v", err)
+			}
+			if comps > 1 && res.Resolve.Mode != ResolveModeIncremental {
+				t.Errorf("confined burst of %d edits on %d of %d components' nodes resolved %s (%s), want incremental",
+					len(delta.Edits), len(comp), comps, res.Resolve.Mode, res.Resolve.Reason)
+			}
+			if res.NumClasses != full.NumClasses || !slices.Equal(res.Labels, full.Labels) {
+				t.Fatalf("confined burst: %d classes, full solve found %d, or labels differ (mode %s)",
+					res.NumClasses, full.NumClasses, res.Resolve.Mode)
+			}
 		})
 	}
+}
+
+// smallestComponent walks F from every node and returns the nodes of its
+// smallest component, and how many components F has.
+func smallestComponent(f []int) (nodes []int, comps int) {
+	const unseen, onPath = -1, -2
+	comp := make([]int, len(f))
+	for x := range comp {
+		comp[x] = unseen
+	}
+	var size []int
+	for st := range f {
+		var path []int
+		x := st
+		for comp[x] == unseen {
+			comp[x] = onPath
+			path = append(path, x)
+			x = f[x]
+		}
+		c := comp[x]
+		if c == onPath {
+			c = len(size)
+			size = append(size, 0)
+		}
+		for _, y := range path {
+			comp[y] = c
+		}
+		size[c] += len(path)
+	}
+	small := 0
+	for c := range size {
+		if size[c] < size[small] {
+			small = c
+		}
+	}
+	for x, c := range comp {
+		if c == small {
+			nodes = append(nodes, x)
+		}
+	}
+	return nodes, len(size)
 }
 
 func intSqrt(n int) int {

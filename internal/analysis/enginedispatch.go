@@ -10,7 +10,7 @@ import "go/ast"
 // NumClasses, SamePartition, the incr.Edit/Info types, ...) stay free to
 // use. The same rule covers the incremental path: incr.Build constructs
 // live decomposition state, so it must flow through engine.NewIncremental,
-// whose sessions the delta planner (engine.ResolveDelta) then advances.
+// whose sessions engine.ResolveDelta then advances.
 var EngineDispatch = &Analyzer{
 	Name: "enginedispatch",
 	Doc:  "forbid direct use of solver entry points (coarsest solvers, incr.Build) outside internal/engine",

@@ -1,47 +1,55 @@
-// A8 times both arms of the delta planner on one state, ApplyDelta and
-// Rebuild, beside a from-scratch sequential solve. engine.ResolveDelta
-// runs only the arm its crossover picks, so through the engine a row
-// could not show the other one.
+// A8 times a delta on a live session against the two ways to start
+// over: a fresh session built on the edited instance, and a from-scratch
+// sequential solve of it.
 //
-//sfcpvet:ignore-file enginedispatch -- see above
+//sfcpvet:ignore-file enginedispatch -- full_ns times the linear solver's own entry point with a scratch kept warm across reps, so the from-scratch column carries no planning or validation pass
 package bench
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"time"
 
 	"sfcp/internal/coarsest"
+	"sfcp/internal/engine"
 	"sfcp/internal/incr"
 	"sfcp/internal/workload"
 )
 
-// A8IncrementalResolve measures what the incremental re-solve path buys:
-// delta-apply latency against a from-scratch sequential solve of the
-// edited instance, swept over instance size and delta size (edits land in
-// distinct components, so the dirty fraction grows linearly with the edit
-// count). The many-component DistinctCycles family is the incremental
-// path's home regime — small deltas invalidate a small dirty region while
-// the full solver always pays for all n elements. Each row also times
-// Rebuild on the same edits, the arm engine.ResolveDelta runs above its
-// 0.3 crossover, and the sweep's k/4 and k/2 edit counts put rows on
-// both sides of it. Emits one JSON document (like A5 and A7) for
-// BENCH_A8.json trajectory tracking; CI gates the single-edit rows and
-// the rows at or below the crossover at n >= 2^20. Each row also
-// carries the session's size: the live heap a GC leaves after incr.Build,
+// A8IncrementalResolve measures what the incremental re-solve path buys.
+// Each row applies one delta to a live session (incr_ns, ApplyDelta as
+// engine.ResolveDelta runs it) and times, on the edited instance, a fresh
+// session (build_ns, engine.NewIncremental) and a from-scratch sequential
+// solve (full_ns). Three families at each n:
+//   - distinct-cycles: 256-node cycles with mostly random labels, the
+//     incremental path's home regime. One B edit per cycle, swept from one
+//     cycle to all of them, so the dirty fraction grows linearly with the
+//     edit count up to 1.
+//   - broom: one component, so a single edit leaves no clean node.
+//   - random: a random function, one edit on its largest component, then
+//     a √n-edit burst over random nodes.
+//
+// refound says the session's valve re-founded the state instead of
+// running the region pass. Emits one JSON document (like A5 and A7) for
+// BENCH_A8.json trajectory tracking; CI gates its rows. Each row also
+// carries the session's size: the live heap a GC leaves after the build,
 // less the one it left before, per element.
 func A8IncrementalResolve(cfg Config) {
 	type row struct {
+		Family     string  `json:"family"`
 		N          int     `json:"n"`
 		StateBytes float64 `json:"state_bytes_per_elem"`
 		Components int     `json:"components"`
 		Edits      int     `json:"edits"`
 		DirtyNodes int     `json:"dirty_nodes"`
 		DirtyFrac  float64 `json:"dirty_frac"`
+		Refound    bool    `json:"refound"`
 		IncrNS     int64   `json:"incr_ns"`
-		RebuildNS  int64   `json:"rebuild_ns"`
+		BuildNS    int64   `json:"build_ns"`
 		FullNS     int64   `json:"full_ns"`
 		Speedup    float64 `json:"speedup"`
 		Agree      bool    `json:"agree"`
@@ -56,14 +64,11 @@ func A8IncrementalResolve(cfg Config) {
 		Rows       []row           `json:"rows"`
 	}{
 		Experiment: "A8",
-		Title:      "incremental re-solve: delta-apply latency vs full re-solve, by delta size",
+		Title:      "incremental re-solve: delta-apply latency vs a fresh session and a full re-solve, by family and delta size",
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Host:       Fingerprint(),
 		CycleLen:   256,
 		Reps:       5,
-	}
-	fail := func(err error) {
-		fmt.Fprintf(cfg.Out, "{\"experiment\":\"A8\",\"error\":%q}\n", err.Error())
 	}
 	if cfg.Quick {
 		doc.Reps = 3
@@ -82,92 +87,154 @@ func A8IncrementalResolve(cfg Config) {
 		}
 		return bestDur, nil
 	}
+	var sc coarsest.Scratch
+	same := func(l int32, want int) bool { return int(l) == want }
 
-	for _, n := range sizes(cfg, []int{1 << 16, 1 << 18, 1 << 20}, []int{1 << 14, 1 << 16}) {
-		k := n / doc.CycleLen
-		wl := workload.DistinctCycles(cfg.Seed, k, doc.CycleLen, 3)
-		ins := coarsest.Instance{F: wl.F, B: wl.B}
+	// run builds a session on ins, then applies each delta in turn,
+	// timing it against both ways to start over. A delta is a list of
+	// B edits: re-applying one already applied is idempotent and costs
+	// the same pass, so min-of-reps needs no state resets.
+	run := func(family string, ins coarsest.Instance, comps int, deltas [][]incr.Edit) error {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		st, err := incr.Build(ins)
+		st, err := engine.NewIncremental(ins)
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
+		n := len(ins.F)
 		stateBytes := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
-		var sc coarsest.Scratch
-		sweep := []int{1, 8, 64, k / 4, k / 2}
-		slices.Sort(sweep)
-		for _, edits := range slices.Compact(sweep) {
-			if edits > k {
-				continue
-			}
-			// One B-edit per distinct component: the dirty region is
-			// exactly edits * CycleLen nodes. Re-applying an identical
-			// already-applied delta is idempotent and costs the same
-			// region recompute, so min-of-reps needs no state resets.
-			delta := make([]incr.Edit, edits)
-			for c := 0; c < edits; c++ {
-				delta[c] = incr.Edit{Node: c * doc.CycleLen, SetB: true, B: 7}
-			}
-			edited := coarsest.Instance{
-				F: append([]int{}, ins.F...),
-				B: append([]int{}, ins.B...),
-			}
+		edited := coarsest.Instance{F: slices.Clone(ins.F), B: slices.Clone(ins.B)}
+		for _, delta := range deltas {
 			for _, e := range delta {
 				edited.B[e.Node] = e.B
 			}
 			var full []int
-			fullDur, err := best(func() error {
+			fullDur, _ := best(func() error {
 				full = coarsest.LinearSequentialScratch(edited, &sc)
 				return nil
 			})
-			if err != nil {
-				fail(err)
-				return
-			}
-			// Both arms return the state's own label slice, so each is
-			// checked before the other's run overwrites it.
-			same := func(l int32, want int) bool { return int(l) == want }
-			var labels []int32
+			// The session's labels are its own slice, so each result is
+			// checked before the next run overwrites it.
+			agree := true
 			var info incr.Info
 			incrDur, err := best(func() error {
-				labels, info, err = st.ApplyDelta(delta)
+				labels, i, err := st.ApplyDelta(delta)
+				info = i
+				agree = agree && slices.EqualFunc(labels, full, same)
 				return err
 			})
 			if err != nil {
-				fail(err)
-				return
+				return err
 			}
-			agree := slices.EqualFunc(labels, full, same)
-			rebuildDur, err := best(func() error {
-				labels, _, err = st.Rebuild(delta)
+			buildDur, err := best(func() error {
+				fresh, err := engine.NewIncremental(edited)
+				if err == nil {
+					agree = agree && slices.EqualFunc(fresh.Labels(), full, same)
+				}
 				return err
 			})
 			if err != nil {
-				fail(err)
-				return
+				return err
 			}
-			agree = agree && slices.EqualFunc(labels, full, same)
 			doc.Rows = append(doc.Rows, row{
+				Family:     family,
 				N:          n,
 				StateBytes: stateBytes,
-				Components: k,
-				Edits:      edits,
+				Components: comps,
+				Edits:      len(delta),
 				DirtyNodes: info.DirtyNodes,
 				DirtyFrac:  info.DirtyFrac,
+				Refound:    info.Refound != "",
 				IncrNS:     int64(incrDur),
-				RebuildNS:  int64(rebuildDur),
+				BuildNS:    int64(buildDur),
 				FullNS:     int64(fullDur),
 				Speedup:    float64(fullDur) / float64(incrDur),
 				Agree:      agree,
 			})
 		}
+		return nil
+	}
+
+	for _, n := range sizes(cfg, []int{1 << 16, 1 << 18, 1 << 20}, []int{1 << 14, 1 << 16}) {
+		k := n / doc.CycleLen
+		wl := workload.DistinctCycles(cfg.Seed, k, doc.CycleLen, 3)
+		sweep := []int{1, 8, 64, k / 4, k / 2, k}
+		slices.Sort(sweep)
+		var deltas [][]incr.Edit
+		for _, edits := range slices.Compact(sweep) {
+			// One B edit per distinct cycle: the dirty region is exactly
+			// edits * CycleLen nodes.
+			delta := make([]incr.Edit, edits)
+			for c := range delta {
+				delta[c] = incr.Edit{Node: c * doc.CycleLen, SetB: true, B: 7}
+			}
+			deltas = append(deltas, delta)
+		}
+		err := run("distinct-cycles", coarsest.Instance{F: wl.F, B: wl.B}, k, deltas)
+
+		if err == nil {
+			wl = workload.Broom(cfg.Seed, n, 16, 64)
+			err = run("broom", coarsest.Instance{F: wl.F, B: wl.B}, 1,
+				[][]incr.Edit{{{Node: n - 1, SetB: true, B: 7}}})
+		}
+
+		if err == nil {
+			wl = workload.RandomFunction(cfg.Seed, n, 3)
+			comp, size := components(wl.F)
+			largest := 0
+			for c := range size {
+				if size[c] > size[largest] {
+					largest = c
+				}
+			}
+			one := []incr.Edit{{Node: slices.Index(comp, largest), SetB: true, B: 7}}
+			rng := rand.New(rand.NewSource(cfg.Seed))
+			burst := make([]incr.Edit, int(math.Sqrt(float64(n))))
+			for i := range burst {
+				burst[i] = incr.Edit{Node: rng.Intn(n), SetB: true, B: 7}
+			}
+			err = run("random", coarsest.Instance{F: wl.F, B: wl.B}, len(size), [][]incr.Edit{one, burst})
+		}
+		if err != nil {
+			fmt.Fprintf(cfg.Out, "{\"experiment\":\"A8\",\"error\":%q}\n", err.Error())
+			return
+		}
 	}
 	enc := json.NewEncoder(cfg.Out)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(doc)
+}
+
+// components numbers the components of the function f: comp[x] is x's
+// component and size[c] the node count of component c.
+func components(f []int) (comp, size []int) {
+	const unseen, onPath = -1, -2
+	comp = make([]int, len(f))
+	for x := range comp {
+		comp[x] = unseen
+	}
+	var path []int
+	for st := range f {
+		path = path[:0]
+		x := st
+		for comp[x] == unseen {
+			comp[x] = onPath
+			path = append(path, x)
+			x = f[x]
+		}
+		c := comp[x]
+		if c == onPath {
+			// The walk closed a cycle: a new component.
+			c = len(size)
+			size = append(size, 0)
+		}
+		for _, y := range path {
+			comp[y] = c
+		}
+		size[c] += len(path)
+	}
+	return comp, size
 }

@@ -69,7 +69,7 @@ func All() []Experiment {
 		{"A3", "Ablation: m.s.p. recursion cutoff", A3Cutoff},
 		{"A5", "Coalescing front door: micro-batched vs per-request small solves (JSON)", A5Coalescing},
 		{"A7", "Tiered storage: blob spill/read throughput and cold-start recovery (JSON)", A7TieredStorage},
-		{"A8", "Incremental re-solve: delta-apply latency vs full re-solve (JSON)", A8IncrementalResolve},
+		{"A8", "Incremental re-solve: delta-apply latency vs a fresh session and a full re-solve (JSON)", A8IncrementalResolve},
 	}
 }
 

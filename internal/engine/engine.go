@@ -15,9 +15,9 @@
 // The library reaches both stages one way: sfcp.PlanWith or
 // sfcp.PlanBatch plan, and sfcp.SolvePlanned, Solver.SolvePlanned or
 // Solver.SolveBatchPlanned execute; sfcp.Solve and sfcp.SolveWith are
-// PlanWith followed by the same execution. Delta re-solves have their own
-// planner, PlanResolve, which compares a delta's dirty fraction with one
-// constant crossover.
+// PlanWith followed by the same execution. Delta re-solves have no
+// planner: ResolveDelta applies every delta one way, and the session's
+// valve alone decides when to re-found it.
 //
 // Plans are deterministic: identical instances with identical requests
 // yield identical plans.

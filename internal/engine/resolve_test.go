@@ -52,16 +52,31 @@ func chainsChurn() (coarsest.Instance, func(int) []incr.Edit) {
 	}
 }
 
-// TestResolveCrossover pins the delta planner's one threshold: a delta
-// dirtying at most incrCrossover of the instance runs incrementally, one
-// above it rebuilds, and the state's code-space valve overrides an
-// incremental choice with a rebuild that the plan reports. Each row
-// applies deltas until one resolves to the wanted mode, and after every
-// delta the labels equal a full solve of the edited instance.
-func TestResolveCrossover(t *testing.T) {
-	at, atDelta := cyclesDelta(30)
-	over, overDelta := cyclesDelta(31)
+// twoCycleChurn is 512 two-cycles with one label, and a delta stream
+// giving one node a fresh label every round. Each delta mints a canonical
+// string of period two, a map entry of about 50 bytes for two codes, so
+// the session passes its byte budget before its code space runs out.
+func twoCycleChurn() (coarsest.Instance, func(int) []incr.Edit) {
+	const n = 1024
+	in := coarsest.Instance{F: make([]int, n), B: make([]int, n)}
+	for x := range in.F {
+		in.F[x] = x ^ 1
+	}
+	return in, func(round int) []incr.Edit {
+		return []incr.Edit{{Node: 2 * (round % (n / 2)), SetB: true, B: 1000 + round}}
+	}
+}
+
+// TestResolveValve pins the one delta path: ResolveDelta re-solves the
+// dirty region unless the session's valve re-founds the state, and the
+// reason names the cause. Each row applies deltas until one resolves to
+// the wanted mode, and after every delta the labels equal a full solve
+// of the edited instance.
+func TestResolveValve(t *testing.T) {
+	half, halfDelta := cyclesDelta(50)
+	bw := workload.Broom(5, 200, 12, 4)
 	chains, churn := chainsChurn()
+	pairs, mint := twoCycleChurn()
 	for _, tc := range []struct {
 		name   string
 		in     coarsest.Instance
@@ -70,9 +85,11 @@ func TestResolveCrossover(t *testing.T) {
 		mode   string
 		reason string
 	}{
-		{"at", at, atDelta, 1, ResolveIncremental, "dirty fraction 0.300 (480/1600 nodes across 30 components) within crossover 0.30"},
-		{"over", over, overDelta, 1, ResolveFullFallback, "dirty fraction 0.310 (496/1600 nodes across 31 components) above crossover 0.30"},
-		{"valve", chains, churn, 100, ResolveFullFallback, "within crossover 0.30; component-scoped incremental re-solve; persistent code space exhausted, state rebuilt"},
+		{"half", half, halfDelta, 1, ResolveIncremental, "dirty fraction 0.500 (800/1600 nodes across 50 components); component-scoped incremental re-solve"},
+		{"broom", coarsest.Instance{F: bw.F, B: bw.B}, func(int) []incr.Edit { return []incr.Edit{{Node: 150, SetB: true, B: 9}} }, 1,
+			ResolveFullFallback, "dirty fraction 1.000 (200/200 nodes across 1 components); no clean node left, state re-founded"},
+		{"codes", chains, churn, 100, ResolveFullFallback, "(16/64 nodes across 1 components); code space exhausted, state re-founded"},
+		{"bytes", pairs, mint, 2000, ResolveFullFallback, "(2/1024 nodes across 1 components); state bytes past budget, state re-founded"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, err := NewIncremental(tc.in)
@@ -90,11 +107,11 @@ func TestResolveCrossover(t *testing.T) {
 					t.Fatal(err)
 				}
 				if want := coarsest.LinearSequential(edited); !slices.Equal(widen(out.Labels), want) {
-					t.Fatalf("round %d: %s re-solve disagrees with a full solve of the edited instance", round, out.Plan.Mode)
+					t.Fatalf("round %d: %s re-solve disagrees with a full solve of the edited instance", round, out.Mode)
 				}
-				if out.Plan.Mode == tc.mode {
-					if !strings.Contains(out.Plan.Reason, tc.reason) {
-						t.Errorf("round %d: reason %q, want it to contain %q", round, out.Plan.Reason, tc.reason)
+				if out.Mode == tc.mode {
+					if !strings.Contains(out.Reason, tc.reason) {
+						t.Errorf("round %d: reason %q, want it to contain %q", round, out.Reason, tc.reason)
 					}
 					return
 				}

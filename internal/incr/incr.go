@@ -31,9 +31,9 @@
 // across the clean/dirty boundary. Recomputation is therefore idempotent
 // on unchanged nodes, and one O(n) first-occurrence renumber of the raw
 // codes reproduces exactly the canonical labels a full solve emits.
-// Stale entries (structures that no longer occur) waste code space but
-// never correctness; a rebuild valve re-founds the state before the code
-// space runs out.
+// Stale entries (structures that no longer occur) waste code space and
+// bytes but never correctness; ApplyDelta's valve re-founds the state
+// before either runs out.
 //
 // Every per-node array is int32, laid out as in the linear solver
 // (DESIGN.md section 8 has the byte budget).
@@ -67,10 +67,9 @@ type Info struct {
 	DirtyNodes      int
 	// DirtyFrac is DirtyNodes / n.
 	DirtyFrac float64
-	// Rebuilt reports that the call re-founded the whole state (the
-	// Rebuild path, or ApplyDelta's code-exhaustion valve) instead of
-	// recomputing only the dirty region.
-	Rebuilt bool
+	// Refound names the valve's cause when the call re-founded the whole
+	// state instead of recomputing only the dirty region; empty otherwise.
+	Refound string
 	// NumClasses is the class count of the refreshed labeling.
 	NumClasses int
 }
@@ -79,10 +78,16 @@ type Info struct {
 // at math.MaxInt32 so that every code fits an int32. A full solve needs
 // at most n codes, and a region pass at most one per region node, so a
 // delta runs incrementally only while that many codes are still free;
-// otherwise it rebuilds, which resets the space to at most n live codes.
+// otherwise the valve re-founds the state, which resets the space to at
+// most n live codes.
 // The renumber table is the scratch pair cyc/rank, 2n int32s, so the
 // code space costs no memory of its own.
 const codeSlack = 2
+
+// byteBudget bounds what a session holds, in bytes per element (the
+// footprint). A region pass that leaves the state above it makes the
+// valve re-found the state with an empty pair table.
+const byteBudget = 80
 
 // Tags of State.cyc; cycle ids are non-negative.
 const (
@@ -135,9 +140,14 @@ type State struct {
 	wide    []int
 	wideIdx map[int]int32
 	wideMax int
-	// recode asks the next delta to rebuild: interning a wide label
+	// recode asks the next delta to re-found: interning a wide label
 	// compacted wide and so renamed the classes the coders hold.
 	recode bool
+	// fits records that the last re-found left the state within
+	// byteBudget. Some instances need more on their own (distinct wide
+	// labels cost a map entry each), and the byte cause fires only while
+	// the state started within it.
+	fits bool
 
 	// work is cyc followed by rank during a pass, and the code -> label+1
 	// table of renumber (codes stay below limit <= 2n).
@@ -209,24 +219,22 @@ func (s *State) Snapshot() coarsest.Instance {
 	return ins
 }
 
-// DirtyStats sizes the region a delta would invalidate — the components
-// of the edited nodes and of their new F-targets, under the current
-// decomposition — without applying it. This is the planner's input for
-// choosing between ApplyDelta and Rebuild.
-func (s *State) DirtyStats(edits []Edit) (nodes, comps int, err error) {
-	if err := s.validateEdits(edits); err != nil {
-		return 0, 0, err
-	}
-	leaders := s.dirtyLeaders(edits)
-	return s.size(leaders), len(leaders), nil
-}
-
 // ApplyDelta applies the edits and recomputes labels by re-running the
-// decomposition on the dirty region only. Output labels are
-// byte-identical to a full solve of the edited instance. The state's
-// persistent code space fills with structural churn; when the dirty
-// region could outrun it the call transparently rebuilds instead
-// (Info.Rebuilt). The returned slice is owned by the state (see Labels).
+// decomposition on the dirty region only: the components of the edited
+// nodes and of their new F-targets. Output labels are byte-identical to
+// a full solve of the edited instance. The returned slice is owned by
+// the state (see Labels).
+//
+// Stale coder entries pile up with structural churn, so a valve
+// re-founds the whole state instead, with one full solve into empty
+// coders, for the first of these causes that holds (Info.Refound):
+//   - no clean node left: the region is all n nodes, so no code the
+//     coders hold is needed any more;
+//   - wide-label table compacted: interning renamed classes the coders
+//     hold;
+//   - code space exhausted: the region could outrun the free codes;
+//   - state bytes past budget: the region pass left the state above
+//     byteBudget, and the last re-found had left it within.
 func (s *State) ApplyDelta(edits []Edit) ([]int32, Info, error) {
 	if err := s.validateEdits(edits); err != nil {
 		return nil, Info{}, err
@@ -239,44 +247,43 @@ func (s *State) ApplyDelta(edits []Edit) ([]int32, Info, error) {
 	info.DirtyFrac = float64(info.DirtyNodes) / float64(s.n)
 
 	// The region is gathered before the edits land: they do not move
-	// nodes between the dirty components' rings.
+	// nodes between the dirty components' rings. All n nodes dirty need
+	// no list, since the valve re-founds the state.
 	region := s.region[:0]
-	for _, l := range leaders {
-		for x := l; ; {
-			region = append(region, x)
-			if x = s.link[x]; x == l {
-				break
+	if info.DirtyNodes < s.n {
+		for _, l := range leaders {
+			for x := l; ; {
+				region = append(region, x)
+				if x = s.link[x]; x == l {
+					break
+				}
 			}
 		}
 	}
 	s.region = region
 	s.applyEdits(edits)
 
-	if s.recode || int(s.low-int32(len(s.keys))) < len(region) {
-		s.init()
-		info.Rebuilt = true
-	} else {
+	switch {
+	case info.DirtyNodes == s.n:
+		info.Refound = "no clean node left"
+	case s.recode:
+		info.Refound = "wide-label table compacted"
+	case int(s.low-int32(len(s.keys))) < len(region):
+		info.Refound = "code space exhausted"
+	default:
 		s.solveRegion(region)
+		if s.fits && s.footprint() > byteBudget*s.n {
+			// init keeps the pair table's size, and stale pair codes
+			// may be what grew, so the table goes too.
+			info.Refound = "state bytes past budget"
+			s.keys, s.slots = nil, nil
+		}
+	}
+	if info.Refound != "" {
+		s.init()
+	} else {
 		s.renumber()
 	}
-	info.NumClasses = s.classes
-	return s.labels, info, nil
-}
-
-// Rebuild applies the edits and re-founds the whole state with a full
-// solve — the planner's fallback when the dirty fraction makes the
-// incremental path a loss. The returned slice is owned by the state.
-func (s *State) Rebuild(edits []Edit) ([]int32, Info, error) {
-	if err := s.validateEdits(edits); err != nil {
-		return nil, Info{}, err
-	}
-	leaders := s.dirtyLeaders(edits)
-	info := Info{DirtyComponents: len(leaders), DirtyNodes: s.size(leaders), Rebuilt: true}
-	if s.n > 0 {
-		info.DirtyFrac = float64(info.DirtyNodes) / float64(s.n)
-	}
-	s.applyEdits(edits)
-	s.init()
 	info.NumClasses = s.classes
 	return s.labels, info, nil
 }
@@ -393,7 +400,8 @@ func (s *State) compactWide() {
 }
 
 // init (re)founds the state from the current f/cls: empty coders, one
-// full-region solve, canonical renumber.
+// full-region solve, canonical renumber. The pair table keeps its size
+// unless the caller dropped it.
 func (s *State) init() {
 	n := len(s.f)
 	s.n = n
@@ -426,6 +434,7 @@ func (s *State) init() {
 	}
 	s.solveRegion(region)
 	s.renumber()
+	s.fits = s.footprint() <= byteBudget*n
 }
 
 // solveRegion runs the linear decomposition on a region closed under f —
@@ -453,7 +462,7 @@ func (s *State) solveRegion(region []int32) {
 
 // maxKeptRegion bounds the region scratch a state keeps, at n/maxKeptRegion
 // nodes. A delta's region is usually far smaller; a larger one — the full
-// solve's, or one the planner would send to Rebuild — allocates its
+// solve's, or a delta's that dirties much of the instance — allocates its
 // scratch (16 B per region node) for that pass alone instead of holding it
 // for the life of the session.
 const maxKeptRegion = 8

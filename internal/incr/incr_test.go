@@ -125,8 +125,8 @@ func TestApplyDeltaMatchesFullSolve(t *testing.T) {
 			}
 			want := coarsest.LinearSequential(cur)
 			if !equalInts(got, want) {
-				t.Fatalf("%s round %d: incremental labels differ from full solve (dirty %d/%d, rebuilt=%v)",
-					name, round, info.DirtyNodes, n, info.Rebuilt)
+				t.Fatalf("%s round %d: incremental labels differ from full solve (dirty %d/%d, re-founded %q)",
+					name, round, info.DirtyNodes, n, info.Refound)
 			}
 			if info.NumClasses != coarsest.NumClasses(want) {
 				t.Fatalf("%s round %d: classes = %d, want %d", name, round, info.NumClasses, coarsest.NumClasses(want))
@@ -138,42 +138,23 @@ func TestApplyDeltaMatchesFullSolve(t *testing.T) {
 	}
 }
 
-// TestRebuildMatchesFullSolve pins the fallback path to the same oracle.
-func TestRebuildMatchesFullSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	w := workload.RandomFunction(11, 300, 4)
-	cur := coarsest.Instance{F: w.F, B: w.B}
-	st, err := Build(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 10; round++ {
-		edits := randomEdits(rng, 300, 1+rng.Intn(8))
-		mirror(cur, edits)
-		got, info, err := st.Rebuild(edits)
-		if err != nil {
-			t.Fatalf("round %d: Rebuild: %v", round, err)
-		}
-		if !info.Rebuilt {
-			t.Fatalf("round %d: Rebuild did not report Rebuilt", round)
-		}
-		if want := coarsest.LinearSequential(cur); !equalInts(got, want) {
-			t.Fatalf("round %d: Rebuild labels differ from full solve", round)
-		}
-	}
-}
-
 // TestCodeExhaustionValve drives structural churn until the persistent
-// code counter passes the rebuild bound, and checks the valve fires and
-// the state stays correct afterwards.
+// code counter passes the bound, and checks the valve re-founds the state
+// for that cause and the state stays correct afterwards.
 func TestCodeExhaustionValve(t *testing.T) {
-	// A chain (deep tree onto a self-loop) where every B relabel to a
-	// fresh value mints fresh pair codes down the whole suffix.
-	const n = 48
+	// Four chains (deep trees onto self-loops), so an edit leaves clean
+	// nodes; every B relabel of the first chain to a fresh value mints
+	// fresh pair codes down its suffix.
+	const chains, length = 4, 12
+	const n = chains * length
 	f := make([]int, n)
 	b := make([]int, n)
-	for i := 1; i < n; i++ {
-		f[i] = i - 1
+	for i := range f {
+		if i%length != 0 {
+			f[i] = i - 1
+		} else {
+			f[i] = i
+		}
 	}
 	cur := coarsest.Instance{F: f, B: b}
 	st, err := Build(cur)
@@ -181,24 +162,25 @@ func TestCodeExhaustionValve(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := 1000
-	rebuilt := false
-	for round := 0; round < 200 && !rebuilt; round++ {
+	refound := ""
+	for round := 0; round < 200 && refound == ""; round++ {
 		fresh++
-		edits := []Edit{{Node: n / 2, SetB: true, B: fresh}}
+		edits := []Edit{{Node: length / 2, SetB: true, B: fresh}}
 		mirror(cur, edits)
 		got, info, err := st.ApplyDelta(edits)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := coarsest.LinearSequential(cur); !equalInts(got, want) {
-			t.Fatalf("round %d: labels diverged (rebuilt=%v)", round, info.Rebuilt)
+			t.Fatalf("round %d: labels diverged (re-founded %q)", round, info.Refound)
 		}
-		rebuilt = rebuilt || info.Rebuilt
+		refound = info.Refound
 	}
-	if !rebuilt {
-		t.Fatalf("valve never fired: %d pair and %d cycle codes of %d", len(st.keys), st.limit-st.low, st.limit)
+	if refound != "code space exhausted" {
+		t.Fatalf("valve cause %q, want code space exhausted: %d pair and %d cycle codes of %d",
+			refound, len(st.keys), st.limit-st.low, st.limit)
 	}
-	// The state remains usable and correct after the rebuild.
+	// The state remains usable and correct after the re-found.
 	edits := []Edit{{Node: 3, SetF: true, F: 40}}
 	mirror(cur, edits)
 	got, _, err := st.ApplyDelta(edits)
@@ -206,21 +188,22 @@ func TestCodeExhaustionValve(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := coarsest.LinearSequential(cur); !equalInts(got, want) {
-		t.Fatal("labels diverged after valve rebuild")
+		t.Fatal("labels diverged after the re-found")
 	}
 }
 
 // TestCrossComponentRetarget splits and merges components explicitly:
 // retargeting an edge into another component must dirty both and keep
 // membership bookkeeping exact (later edits to migrated nodes still
-// resolve correct dirty sets).
+// resolve correct dirty sets). A third component stays clean, so every
+// step runs the region pass.
 func TestCrossComponentRetarget(t *testing.T) {
-	// Two disjoint 8-cycles, each with a 4-chain hanging off node 0.
+	// Three disjoint 8-cycles, each with a 4-chain hanging off node 0.
 	mk := func() coarsest.Instance {
-		n := 24
+		n := 36
 		f := make([]int, n)
 		b := make([]int, n)
-		for c := 0; c < 2; c++ {
+		for c := 0; c < 3; c++ {
 			base := c * 12
 			for i := 0; i < 8; i++ {
 				f[base+i] = base + (i+1)%8
@@ -254,9 +237,12 @@ func TestCrossComponentRetarget(t *testing.T) {
 	}
 	for i, edits := range steps {
 		mirror(cur, edits)
-		got, _, err := st.ApplyDelta(edits)
+		got, info, err := st.ApplyDelta(edits)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
+		}
+		if info.Refound != "" {
+			t.Fatalf("step %d: re-founded %q, want a region pass", i, info.Refound)
 		}
 		if want := coarsest.LinearSequential(cur); !equalInts(got, want) {
 			t.Fatalf("step %d: labels differ from full solve", i)
@@ -274,23 +260,27 @@ func TestDirtyStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, comps, err := st.DirtyStats([]Edit{{Node: 1, SetB: true, B: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nodes != 4 || comps != 1 {
-		t.Fatalf("B edit: dirty = (%d nodes, %d comps), want (4, 1)", nodes, comps)
-	}
-	nodes, comps, err = st.DirtyStats([]Edit{{Node: 1, SetF: true, F: 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nodes != 8 || comps != 2 {
-		t.Fatalf("cross retarget: dirty = (%d nodes, %d comps), want (8, 2)", nodes, comps)
-	}
-	// DirtyStats must not mutate.
-	if got, want := st.Labels(), coarsest.LinearSequential(cur); !equalInts(got, want) {
-		t.Fatal("DirtyStats mutated the state")
+	for _, tc := range []struct {
+		name         string
+		edits        []Edit
+		nodes, comps int
+		refound      string
+	}{
+		{"B edit", []Edit{{Node: 1, SetB: true, B: 5}}, 4, 1, ""},
+		{"cross retarget", []Edit{{Node: 1, SetF: true, F: 6}}, 8, 2, "no clean node left"},
+	} {
+		mirror(cur, tc.edits)
+		got, info, err := st.ApplyDelta(tc.edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.DirtyNodes != tc.nodes || info.DirtyComponents != tc.comps || info.Refound != tc.refound {
+			t.Errorf("%s: dirty = (%d nodes, %d comps), re-founded %q; want (%d, %d), %q",
+				tc.name, info.DirtyNodes, info.DirtyComponents, info.Refound, tc.nodes, tc.comps, tc.refound)
+		}
+		if want := coarsest.LinearSequential(cur); !equalInts(got, want) {
+			t.Errorf("%s: labels differ from full solve", tc.name)
+		}
 	}
 }
 
@@ -310,9 +300,6 @@ func TestEditValidation(t *testing.T) {
 	for i, edits := range bad {
 		if _, _, err := st.ApplyDelta(edits); err == nil {
 			t.Errorf("case %d: ApplyDelta accepted invalid edit %+v", i, edits[0])
-		}
-		if _, _, err := st.DirtyStats(edits); err == nil {
-			t.Errorf("case %d: DirtyStats accepted invalid edit %+v", i, edits[0])
 		}
 	}
 }
@@ -401,46 +388,76 @@ func wideLabels(ins coarsest.Instance) coarsest.Instance {
 	return ins
 }
 
+// twoCycles is n/2 two-cycles, 2i <-> 2i+1, with B[x] = label(x).
+func twoCycles(n int, label func(x int) int) coarsest.Instance {
+	ins := coarsest.Instance{F: make([]int, n), B: make([]int, n)}
+	for x := range ins.F {
+		ins.F[x], ins.B[x] = x^1, label(x)
+	}
+	return ins
+}
+
 // TestStateBytes pins a session's memory in bytes, counted from slice
 // capacities (plus the canonical strings and an estimate per map entry),
-// so the figure is deterministic: after Build, and again after 256 random
-// single-edit deltas, on the request benchmark's four families and on
-// wide labels.
+// so the figure is deterministic. It holds byteBudget after Build and
+// after every delta: 256 random single-edit deltas on the request
+// benchmark's four families and on wide labels, and 2n deltas that each
+// give one node of n/2 two-cycles a fresh label, minting a canonical
+// string of period two. Two-cycles with distinct wide labels need more
+// than the budget on their own; there the valve must not re-found over
+// and over.
 func TestStateBytes(t *testing.T) {
 	const n = 1 << 16
-	const maxBytes = 80
+	const pairs = 1 << 12
 	conv := func(w workload.Instance) coarsest.Instance { return coarsest.Instance{F: w.F, B: w.B} }
+	random := func(rng *rand.Rand, _ int) []Edit { return randomEdits(rng, n, 1) }
+	fresh := func(_ *rand.Rand, d int) []Edit {
+		return []Edit{{Node: 2 * (d % (pairs / 2)), SetB: true, B: 1000 + d}}
+	}
 	rows := []struct {
-		name string
-		ins  coarsest.Instance
+		name   string
+		ins    coarsest.Instance
+		deltas int
+		delta  func(rng *rand.Rand, d int) []Edit
+		over   bool // Build alone passes byteBudget
 	}{
-		{"random", conv(workload.RandomFunction(1, n, 3))},
-		{"perm", conv(workload.RandomPermutation(1, n, 3))},
-		{"cycles", conv(workload.DistinctCycles(1, n/256, 256, 3))},
-		{"broom", conv(workload.Broom(1, n, 16, 64))},
-		{"wide", wideLabels(conv(workload.RandomFunction(1, n, 3)))},
+		{"random", conv(workload.RandomFunction(1, n, 3)), 256, random, false},
+		{"perm", conv(workload.RandomPermutation(1, n, 3)), 256, random, false},
+		{"cycles", conv(workload.DistinctCycles(1, n/256, 256, 3)), 256, random, false},
+		{"broom", conv(workload.Broom(1, n, 16, 64)), 256, random, false},
+		{"wide", wideLabels(conv(workload.RandomFunction(1, n, 3))), 256,
+			func(rng *rand.Rand, d int) []Edit { return widenEdits(random(rng, d)) }, false},
+		{"two-cycle churn", twoCycles(pairs, func(int) int { return 0 }), 2 * pairs, fresh, false},
+		{"wide two-cycles", twoCycles(pairs, func(x int) int { return x<<40 | 1<<62 }), 64,
+			func(rng *rand.Rand, d int) []Edit { return widenEdits(fresh(rng, pairs+d)) }, true},
 	}
 	for _, r := range rows {
 		st, err := Build(r.ins)
 		if err != nil {
 			t.Fatal(err)
 		}
-		built := float64(st.footprint()) / n
+		size := float64(len(r.ins.F))
+		built, peak, refounds := float64(st.footprint())/size, 0.0, 0
 		rng := rand.New(rand.NewSource(9))
-		for range 256 {
-			edits := randomEdits(rng, n, 1)
-			if r.name == "wide" {
-				edits = widenEdits(edits)
-			}
-			if _, _, err := st.ApplyDelta(edits); err != nil {
+		for d := range r.deltas {
+			_, info, err := st.ApplyDelta(r.delta(rng, d))
+			if err != nil {
 				t.Fatal(err)
 			}
+			if info.Refound != "" {
+				refounds++
+			}
+			peak = max(peak, float64(st.footprint())/size)
 		}
-		after := float64(st.footprint()) / n
-		t.Logf("%s: %.1f B/elem after Build, %.1f after 256 deltas", r.name, built, after)
-		if built > maxBytes || after > maxBytes {
-			t.Errorf("%s: session holds %.1f B/elem after Build and %.1f after deltas, want <= %d",
-				r.name, built, after, maxBytes)
+		t.Logf("%s: %.1f B/elem after Build, at most %.1f after each of %d deltas, %d re-founds",
+			r.name, built, peak, r.deltas, refounds)
+		switch {
+		case r.over != (built > byteBudget):
+			t.Errorf("%s: session holds %.1f B/elem after Build; the row expects over %d to be %v", r.name, built, byteBudget, r.over)
+		case !r.over && peak > byteBudget:
+			t.Errorf("%s: session reaches %.1f B/elem after a delta, want <= %d", r.name, peak, byteBudget)
+		case r.over && refounds > 1:
+			t.Errorf("%s: %d re-founds in %d deltas, want at most 1", r.name, refounds, r.deltas)
 		}
 	}
 }
@@ -476,8 +493,8 @@ func TestDeltaAllocsFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Rebuilt || st.low == low {
-			t.Fatalf("delta %d: rebuilt=%v, minted %d codes; want an incremental delta that mints", i, info.Rebuilt, low-st.low)
+		if info.Refound != "" || st.low == low {
+			t.Fatalf("delta %d: re-founded %q, minted %d codes; want an incremental delta that mints", i, info.Refound, low-st.low)
 		}
 	}
 	runtime.ReadMemStats(&after)
@@ -488,10 +505,10 @@ func TestDeltaAllocsFlat(t *testing.T) {
 
 // TestWideLabelDeltas holds the class rename of labels of 2^31 and above
 // to a full solve across deltas: one that introduces a new wide label,
-// one that removes the last node carrying one, its return, a rebuild
-// that drops the labels no node carries, and a wide table so full that
-// interning compacts it and the next delta rebuilds. Snapshot must give
-// the labels back exactly throughout.
+// one that removes the last node carrying one, its return, a delta
+// editing every component, whose re-found drops the labels no node
+// carries, and a wide table so full that interning compacts it and the
+// delta re-founds. Snapshot must give the labels back exactly throughout.
 func TestWideLabelDeltas(t *testing.T) {
 	const wide = 1 << 62
 	w := workload.DistinctCycles(3, 8, 16, 3)
@@ -533,12 +550,21 @@ func TestWideLabelDeltas(t *testing.T) {
 		check(step.name)
 	}
 
+	// Node 17's edit plus one per remaining cycle (cycles 0 and 1 are one
+	// component now), each keeping the label it has, dirty every node.
 	edits := []Edit{{Node: 17, SetB: true, B: 9}}
+	for c := 2; c < 8; c++ {
+		edits = append(edits, Edit{Node: 16 * c, SetB: true, B: cur.B[16*c]})
+	}
 	mirror(cur, edits)
-	if _, _, err := st.Rebuild(edits); err != nil {
+	_, info, err := st.ApplyDelta(edits)
+	if err != nil {
 		t.Fatal(err)
 	}
-	check("rebuild")
+	if info.Refound != "no clean node left" {
+		t.Fatalf("a delta editing every component re-founded %q", info.Refound)
+	}
+	check("re-found")
 	live := map[int]bool{}
 	for _, b := range cur.B {
 		if b > 1<<31 {
@@ -546,20 +572,20 @@ func TestWideLabelDeltas(t *testing.T) {
 		}
 	}
 	if len(st.wide) != len(live) {
-		t.Fatalf("after rebuild %d wide labels interned, %d carried", len(st.wide), len(live))
+		t.Fatalf("after the re-found %d wide labels interned, %d carried", len(st.wide), len(live))
 	}
 
 	// With no room left for a new wide label, interning compacts the
-	// table, which renames classes, so the delta must rebuild.
+	// table, which renames classes, so the delta must re-found.
 	st.wideMax = len(st.wide)
 	edits = []Edit{{Node: 60, SetB: true, B: wide | 99}}
 	mirror(cur, edits)
-	_, info, err := st.ApplyDelta(edits)
+	_, info, err = st.ApplyDelta(edits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Rebuilt {
-		t.Fatal("a delta that compacted the wide table did not rebuild")
+	if info.Refound != "wide-label table compacted" {
+		t.Fatalf("a delta that compacted the wide table re-founded %q", info.Refound)
 	}
 	check("compaction")
 }

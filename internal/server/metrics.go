@@ -70,10 +70,9 @@ const (
 	metricCacheBytes               = "sfcpd_cache_bytes"
 
 	// Incremental re-solve families: deltas applied by mode (the
-	// component-scoped incremental path vs the full-re-solve fallback the
-	// planner or code-space exhaustion forced), and a histogram of the
-	// dirty fraction each delta invalidated — the quantity the planner's
-	// crossover decision is made on.
+	// component-scoped incremental path vs the full re-solve the session's
+	// valve forced), and a histogram of the dirty fraction each delta
+	// invalidated.
 	metricResolveTotal     = "sfcpd_resolve_total"
 	metricResolveDirtyFrac = "sfcpd_resolve_dirty_frac"
 )
@@ -110,9 +109,10 @@ type metrics struct {
 	dirtyFracCount int64
 }
 
-// dirtyFracBounds are the dirty-fraction histogram's upper bounds; the
-// delta planner's crossover (0.3) is one of them, so a scrape shows which
-// side of the decision traffic lands on.
+// dirtyFracBounds are the dirty-fraction histogram's upper bounds. No
+// bound marks a decision: a delta re-founds its session when the
+// session's valve fires, and the one fraction that always fires it is 1
+// (no clean node left).
 var dirtyFracBounds = [...]float64{0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1}
 
 type solveStats struct {

@@ -399,8 +399,8 @@ func TestResolvedAlgorithmSharedCache(t *testing.T) {
 	if auto.PlanReason == "" {
 		t.Errorf("auto response missing plan_reason: %+v", auto)
 	}
-	// A 100-element instance is far below the crossover on every host, so
-	// the resolution is deterministic.
+	// Auto resolves to linear at every size, so the resolution is
+	// deterministic.
 	if auto.ResolvedAlgorithm != "linear" {
 		t.Fatalf("small-instance auto resolved to %q, want linear", auto.ResolvedAlgorithm)
 	}

@@ -30,8 +30,10 @@ type Delta struct {
 const (
 	// ResolveModeIncremental recomputed only the dirty components.
 	ResolveModeIncremental = engine.ResolveIncremental
-	// ResolveModeFullFallback rebuilt the whole decomposition (dirty
-	// fraction above the 0.3 crossover, or code-space exhaustion).
+	// ResolveModeFullFallback re-founded the whole decomposition: the
+	// session's valve fired because the delta left no clean node, the
+	// code space ran out, the wide-label table was compacted, or the
+	// session would have passed its byte budget. Reason names the cause.
 	ResolveModeFullFallback = engine.ResolveFullFallback
 )
 
@@ -40,7 +42,8 @@ const (
 type ResolveInfo struct {
 	// Mode is ResolveModeIncremental or ResolveModeFullFallback.
 	Mode string `json:"mode"`
-	// Reason is the planner's human-readable decision trace.
+	// Reason is a human-readable trace: the dirty set and, for
+	// ResolveModeFullFallback, the valve's cause.
 	Reason string `json:"reason"`
 	// DirtyComponents and DirtyNodes size the region the delta
 	// invalidated under the pre-edit decomposition; DirtyFrac is
@@ -102,10 +105,10 @@ func (inc *Incremental) Instance() Instance {
 }
 
 // Resolve applies a delta to the session and returns the refreshed
-// result. The planner resolves between the component-scoped incremental
-// path and a full re-solve from the delta's dirty fraction against a
-// fixed crossover of 0.3 (Result.Resolve reports the decision); either way
-// the labels are byte-identical to a full solve of the edited instance.
+// result. It re-solves only the components the delta dirties, unless the
+// session's valve re-founds the whole decomposition instead
+// (Result.Resolve reports which ran, and why); either way the labels are
+// byte-identical to a full solve of the edited instance.
 // The session advances in place: after Resolve it describes the edited
 // version (re-resolving an old version needs a session rebuilt from that
 // version's instance).
@@ -125,13 +128,13 @@ func Resolve(prev *Incremental, delta Delta) (Result, error) {
 	}
 	return Result{
 		Labels:     widen(out.Labels),
-		NumClasses: out.NumClasses,
+		NumClasses: out.Info.NumClasses,
 		Resolve: &ResolveInfo{
-			Mode:            out.Plan.Mode,
-			Reason:          out.Plan.Reason,
-			DirtyComponents: out.Plan.DirtyComponents,
-			DirtyNodes:      out.Plan.DirtyNodes,
-			DirtyFrac:       out.Plan.DirtyFrac,
+			Mode:            out.Mode,
+			Reason:          out.Reason,
+			DirtyComponents: out.Info.DirtyComponents,
+			DirtyNodes:      out.Info.DirtyNodes,
+			DirtyFrac:       out.Info.DirtyFrac,
 			Duration:        out.Duration,
 		},
 		Timings: Timings{Solve: out.Duration},
