@@ -37,18 +37,19 @@
 //
 // Versioned instances give long-lived sessions sub-linear latency:
 // POST /instances solves once and addresses the result by the
-// instance's SHA-256 digest; POST /instances/{digest}/delta applies a
-// batch of point edits (JSON {"edits":[{"node":0,"f":1,"b":2},...]} or
-// the binary delta frame, Content-Type: application/x-sfcp-delta),
-// re-solving only the dirty components when they are at most 30% of the
-// instance (above that it rebuilds the whole decomposition), and
-// re-registers the session under the edited instance's digest. Up to
-// -instance-sessions sessions stay resident, each costing n × about
-// 33-64 bytes (README, "Incremental re-solve"); evicted or restart-lost
-// versions rebuild from the blob tier when -data-dir is set. Instance
-// builds and deltas run on the linear solver's crew, so they share its
-// -pool-workers bound and -queue depth with linear solves too large for
-// the batch crew.
+// instance's content address, the root of a SHA-256 hash tree over
+// fixed element ranges of F and of B; POST /instances/{digest}/delta
+// applies a batch of point edits (JSON {"edits":[{"node":0,"f":1,"b":2},...]}
+// or the binary delta frame, Content-Type: application/x-sfcp-delta),
+// re-solving only the dirty components unless the session's valve
+// re-founds the whole decomposition, and re-registers the session under
+// the child's address, which the session keeps current by rehashing
+// only the ranges the edits touched. Up to -instance-sessions sessions
+// stay resident, each costing n × about 33-64 bytes (README,
+// "Incremental re-solve"); evicted or restart-lost versions rebuild from
+// the blob tier when -data-dir is set. Instance builds and deltas run on
+// the linear solver's crew, so they share its -pool-workers bound and
+// -queue depth with linear solves too large for the batch crew.
 //
 // Small solves (requests whose plan resolves to the linear solver, below
 // 32768 elements) run on the pool's batch crew, one worker per GOMAXPROCS: a worker that comes free takes

@@ -56,7 +56,8 @@ func FuzzSolve(f *testing.F) {
 // FuzzResolveMatchesFullSolve drives an Incremental session through random
 // edit bursts and demands labels byte-identical to a from-scratch solve of
 // the edited instance after every burst — the incremental path's one
-// correctness contract. As in FuzzSolve, an odd byte after B's first n
+// correctness contract — and the session's address equal to the edited
+// instance's. As in FuzzSolve, an odd byte after B's first n
 // switches to wide labels (b<<40 | 1<<62), for the base and the edits
 // alike. Run longer with:
 //
@@ -117,6 +118,9 @@ func FuzzResolveMatchesFullSolve(f *testing.F) {
 					t.Fatalf("labels[%d] = %d after delta, full solve says %d (F=%v B=%v)",
 						i, res.Labels[i], full.Labels[i], edited.F, edited.B)
 				}
+			}
+			if got, want := inc.Digest(), edited.Digest(); got != want {
+				t.Fatalf("session address %s after delta, fresh address %s (F=%v B=%v)", got, want, edited.F, edited.B)
 			}
 			delta.Edits = delta.Edits[:0]
 		}

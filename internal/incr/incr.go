@@ -45,6 +45,7 @@ import (
 	"math"
 	"math/bits"
 
+	"sfcp/internal/addr"
 	"sfcp/internal/circ"
 	"sfcp/internal/coarsest"
 )
@@ -149,6 +150,10 @@ type State struct {
 	// the state started within it.
 	fits bool
 
+	// address is the instance's content address, its leaves hashed at the
+	// first Digest and rehashed where edits touch them.
+	address addr.Tree
+
 	// work is cyc followed by rank during a pass, and the code -> label+1
 	// table of renumber (codes stay below limit <= 2n).
 	work []int32
@@ -218,6 +223,12 @@ func (s *State) Snapshot() coarsest.Instance {
 	}
 	return ins
 }
+
+// Digest returns the current instance's content address, the one
+// Snapshot's instance has (package addr). The first call hashes every
+// leaf; after that a call hashes only the leaves edits have touched since
+// the last one, plus the root.
+func (s *State) Digest() string { return s.address.Root(s.f, s.cls, s.wide) }
 
 // ApplyDelta applies the edits and recomputes labels by re-running the
 // decomposition on the dirty region only: the components of the edited
@@ -353,6 +364,7 @@ func (s *State) applyEdits(edits []Edit) {
 	for _, e := range edits {
 		if e.SetF {
 			s.f[e.Node] = int32(e.F)
+			s.address.TouchF(e.Node)
 		}
 		if e.SetB {
 			if _, ok := s.wideIdx[e.B]; !ok && e.B > math.MaxInt32 && len(s.wide) >= s.wideMax {
@@ -364,6 +376,7 @@ func (s *State) applyEdits(edits []Edit) {
 				s.recode = true
 			}
 			s.cls[e.Node] = s.class(e.B)
+			s.address.TouchB(e.Node)
 		}
 	}
 }
@@ -683,14 +696,14 @@ func (s *State) renumber() {
 const mapEntryBytes = 48
 
 // footprint returns the bytes the state retains: slice capacities, plus
-// the canonical strings and an estimate per map entry.
+// the canonical strings, an estimate per map entry and the address tree.
 func (s *State) footprint() int {
 	b := 0
 	for _, buf := range [][]int32{s.f, s.cls, s.comp, s.link, s.raw, s.labels, s.work, s.slots, s.region, s.path, s.seq, s.aux, s.leaders} {
 		b += 4 * cap(buf)
 	}
 	b += 8 * (cap(s.keys) + cap(s.rows) + cap(s.wide))
-	return b + cap(s.key) + s.canonBytes + mapEntryBytes*(len(s.canon)+len(s.wideIdx))
+	return b + cap(s.key) + s.canonBytes + mapEntryBytes*(len(s.canon)+len(s.wideIdx)) + s.address.Bytes()
 }
 
 // grow returns buf resized to n, reallocated only when it is too small

@@ -1,11 +1,13 @@
 package incr
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 
+	"sfcp/internal/addr"
 	"sfcp/internal/coarsest"
 	"sfcp/internal/workload"
 )
@@ -398,8 +400,9 @@ func twoCycles(n int, label func(x int) int) coarsest.Instance {
 }
 
 // TestStateBytes pins a session's memory in bytes, counted from slice
-// capacities (plus the canonical strings and an estimate per map entry),
-// so the figure is deterministic. It holds byteBudget after Build and
+// capacities (plus the canonical strings, an estimate per map entry and
+// the address tree, asked for after Build and after every delta), so the
+// figure is deterministic. It holds byteBudget after Build and
 // after every delta: 256 random single-edit deltas on the request
 // benchmark's four families and on wide labels, and 2n deltas that each
 // give one node of n/2 two-cycles a fresh label, minting a canonical
@@ -436,6 +439,7 @@ func TestStateBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		st.Digest()
 		size := float64(len(r.ins.F))
 		built, peak, refounds := float64(st.footprint())/size, 0.0, 0
 		rng := rand.New(rand.NewSource(9))
@@ -447,6 +451,7 @@ func TestStateBytes(t *testing.T) {
 			if info.Refound != "" {
 				refounds++
 			}
+			st.Digest()
 			peak = max(peak, float64(st.footprint())/size)
 		}
 		t.Logf("%s: %.1f B/elem after Build, at most %.1f after each of %d deltas, %d re-founds",
@@ -588,4 +593,79 @@ func TestWideLabelDeltas(t *testing.T) {
 		t.Fatalf("a delta that compacted the wide table re-founded %q", info.Refound)
 	}
 	check("compaction")
+}
+
+// TestDigestTracksEdits holds a session's maintained address to a fresh
+// address of its Snapshot after every delta, on instances from one
+// element to three leaves and five elements (a leaf covers 4096), with
+// narrow and with wide labels: edits on both sides of each leaf edge,
+// random bursts, the re-founds they cause and a wide-table compaction.
+// The narrow sessions are asked for their address from the start, the
+// wide ones only from the third delta on, after edits have landed. A
+// rejected delta leaves the address as it was.
+func TestDigestTracksEdits(t *testing.T) {
+	const leaf = 4096
+	for _, n := range []int{1, leaf - 1, leaf, leaf + 1, 3*leaf + 5} {
+		for _, wide := range []bool{false, true} {
+			w := workload.RandomFunction(int64(n), n, 3)
+			ins := coarsest.Instance{F: w.F, B: w.B}
+			if wide {
+				ins = wideLabels(ins)
+			}
+			st, err := Build(ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(step string) {
+				t.Helper()
+				snap := st.Snapshot()
+				if got, want := st.Digest(), addr.Of(snap.F, snap.B); got != want {
+					t.Fatalf("n=%d wide=%v, %s: session address %s, fresh address %s", n, wide, step, got, want)
+				}
+			}
+			if !wide {
+				check("build")
+			}
+			rng := rand.New(rand.NewSource(int64(n)))
+			for d := range 24 {
+				var edits []Edit
+				if d%3 == 0 {
+					for _, x := range []int{0, leaf - 1, leaf, 2*leaf - 1, 2 * leaf, 3 * leaf, n - 1} {
+						if x < n {
+							edits = append(edits, Edit{Node: x, SetF: true, F: rng.Intn(n), SetB: true, B: rng.Intn(5)})
+						}
+					}
+				} else {
+					edits = randomEdits(rng, n, 1+rng.Intn(8))
+				}
+				if wide {
+					edits = widenEdits(edits)
+				}
+				if _, _, err := st.ApplyDelta(edits); err != nil {
+					t.Fatal(err)
+				}
+				if !wide || d >= 2 {
+					check(fmt.Sprintf("delta %d", d))
+				}
+			}
+
+			before := st.Digest()
+			if _, _, err := st.ApplyDelta([]Edit{{Node: 0, SetB: true, B: 1}, {Node: n, SetB: true, B: 1}}); err == nil {
+				t.Fatalf("n=%d: an edit out of range was accepted", n)
+			}
+			if got := st.Digest(); got != before {
+				t.Fatalf("n=%d wide=%v: a rejected delta moved the address from %s to %s", n, wide, before, got)
+			}
+
+			if wide {
+				// No room for a new wide label: interning compacts the
+				// table and renames classes, not values.
+				st.wideMax = len(st.wide)
+				if _, info, err := st.ApplyDelta([]Edit{{Node: n - 1, SetB: true, B: 1<<62 | 12345}}); err != nil || info.Refound == "" {
+					t.Fatalf("n=%d: compaction delta: %v, re-found %q", n, err, info.Refound)
+				}
+				check("compaction")
+			}
+		}
+	}
 }

@@ -16,9 +16,12 @@ import (
 )
 
 // The versioned-instance API. An instance registered here is addressed by
-// its SHA-256 content digest, and a delta POSTed against that digest
-// produces a child version — solved incrementally from the parent's
-// resident decomposition state — cached under the child's own digest:
+// its content digest (sfcp.Instance.Digest), and a delta POSTed against
+// that digest produces a child version — solved incrementally from the
+// parent's resident decomposition state — cached under the child's own
+// digest, which the session keeps current (sfcp.Incremental.Digest) at
+// the cost of the leaves the delta touched, not of a copy and a hash of
+// the whole instance:
 //
 //	POST /instances                 register + solve (JSON or application/x-sfcp)
 //	POST /instances/{digest}/delta  apply edits (JSON or application/x-sfcp-delta)
@@ -29,8 +32,10 @@ import (
 // evicted, consumed by a concurrent delta, or from before a restart — is
 // reloaded from the blob tier and rebuilt with a full solve, so with a
 // durable store the whole version tree survives process restarts. The
-// instance payload of every version is persisted under its plain digest
-// at registration time to make that reload possible.
+// instance payload of every version is persisted when the version is
+// made, under store.VersionKey(digest), to make that reload possible;
+// the job manager's payloads use the plain digest and are deleted when
+// their last job finishes.
 //
 // Session builds, rebuilds and re-solves are O(n) solver work, so each
 // request runs as one task on the pool's linear crew: it shares that
@@ -241,15 +246,21 @@ func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusBadRequest
 			return err
 		}
-		child := inc.Instance()
-		childDigest := child.Digest()
+		childDigest := inc.Digest()
+		var child sfcp.Instance
+		if s.blobs != nil {
+			// Only the blob tier needs the payload, and it is copied
+			// before the put: after it a concurrent delta may advance the
+			// session past this version.
+			child = inc.Instance()
+		}
 		s.sessions.put(childDigest, inc)
 		s.instancePut(childDigest, child)
 		s.metrics.resolve(res.Resolve.Mode, res.Resolve.DirtyFrac)
 		resp = DeltaResponse{
 			ParentDigest:   parent,
 			Digest:         childDigest,
-			N:              len(child.F),
+			N:              len(res.Labels),
 			NumClasses:     res.NumClasses,
 			Labels:         res.Labels,
 			Resolve:        res.Resolve,
@@ -357,10 +368,11 @@ func (s *Server) instanceSession(digest string) (inc *sfcp.Incremental, rebuilt 
 	if s.blobs == nil {
 		return nil, false, fmt.Errorf("%w: %s (no blob tier configured)", store.ErrNotFound, digest)
 	}
-	ins, err := store.GetInstance(s.blobs, digest)
+	key := store.VersionKey(digest)
+	ins, err := store.GetInstance(s.blobs, key)
 	if errors.Is(err, store.ErrCorrupt) {
 		s.logf("server: %v (dropping it)", err)
-		_ = s.blobs.Delete(digest)
+		_ = s.blobs.Delete(key)
 		return nil, false, fmt.Errorf("%w: %s (payload unreadable)", store.ErrNotFound, digest)
 	}
 	if err != nil {
@@ -374,7 +386,7 @@ func (s *Server) instanceSession(digest string) (inc *sfcp.Incremental, rebuilt 
 }
 
 // instancePut persists one version's instance payload into the blob tier
-// under its plain content digest — the bytes a restart (or an evicted
+// under store.VersionKey(digest) — the bytes a restart (or an evicted
 // session) rebuilds from. Like the result write-through, failures are
 // logged and swallowed: persistence accelerates and survives, it never
 // gates.
@@ -382,7 +394,7 @@ func (s *Server) instancePut(digest string, ins sfcp.Instance) {
 	if s.blobs == nil {
 		return
 	}
-	if err := store.PutInstance(s.blobs, digest, ins); err != nil {
+	if err := store.PutInstance(s.blobs, store.VersionKey(digest), ins); err != nil {
 		s.logf("server: persisting instance blob %s: %v", digest, err)
 	}
 }

@@ -301,6 +301,75 @@ func TestInstanceRestartSurvival(t *testing.T) {
 	}
 }
 
+// TestInstanceAddressAcrossLeaves: on an instance of more than three
+// leaves (a leaf covers 4096 elements), JSON and binary registrations
+// share one digest; three chained deltas, each editing F and B in
+// different leaves, answer the digests of fresh registrations; and
+// registering the last child's content finds its session resident under
+// the digest the last delta answered.
+func TestInstanceAddressAcrossLeaves(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const n = 3*4096 + 5
+	w := workload.RandomFunction(17, n, 3)
+	ins := sfcp.Instance{F: w.F, B: w.B}
+	edited := sfcp.Instance{F: append([]int{}, ins.F...), B: append([]int{}, ins.B...)}
+
+	ir := createInstance(t, ts.URL, ins)
+	var wire bytes.Buffer
+	if err := ins.EncodeBinary(&wire); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/instances", sfcp.BinaryMediaType, &wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bin InstanceResponse
+	err = json.NewDecoder(resp.Body).Decode(&bin)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("binary registration: status %d, %v", resp.StatusCode, err)
+	}
+	if bin.Digest != ir.Digest || ir.Digest != ins.Digest() || !bin.Reused {
+		t.Fatalf("JSON digest %s, binary %s (reused %v), want %s", ir.Digest, bin.Digest, bin.Reused, ins.Digest())
+	}
+
+	digest := ir.Digest
+	for i, edits := range [][]sfcp.Edit{
+		{{Node: 0, B: ptr(9)}, {Node: 4096, F: ptr(1)}},
+		{{Node: 8191, B: ptr(7)}, {Node: n - 1, F: ptr(0)}},
+		{{Node: 4095, F: ptr(n - 1), B: ptr(3)}, {Node: n - 3, B: ptr(1)}},
+	} {
+		for _, e := range edits {
+			if e.F != nil {
+				edited.F[e.Node] = *e.F
+			}
+			if e.B != nil {
+				edited.B[e.Node] = *e.B
+			}
+		}
+		body, _ := json.Marshal(sfcp.Delta{Edits: edits})
+		resp, dr, data := postDeltaJSON(t, ts.URL, digest, string(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delta %d: status %d (body %s)", i, resp.StatusCode, data)
+		}
+		if dr.ParentDigest != digest || dr.Digest != edited.Digest() {
+			t.Fatalf("delta %d: parent %s child %s, want parent %s child %s", i, dr.ParentDigest, dr.Digest, digest, edited.Digest())
+		}
+		digest = dr.Digest
+	}
+
+	last := createInstance(t, ts.URL, edited)
+	if !last.Reused || last.Digest != digest {
+		t.Fatalf("registering the last child: digest %s reused %v, want %s reused", last.Digest, last.Reused, digest)
+	}
+	wantLabels, _ := fullSolveLabels(t, edited)
+	if !equalIntsSrv(last.Labels, wantLabels) {
+		t.Fatal("the resident child's labels diverge from a full solve")
+	}
+}
+
+func ptr(v int) *int { return &v }
+
 // TestResolveMetrics pins the sfcpd_resolve_total and dirty-fraction
 // histogram families.
 func TestResolveMetrics(t *testing.T) {

@@ -26,13 +26,14 @@ import (
 //	fill     solve metrics, cache put, and write-through to the blob
 //	         tier at or above SpillN elements, on every crew.
 //
-// The cache uses the instance's SHA-256 content address. Both ingest
-// formats share the keyspace deliberately: the wire format's XXH64
-// trailer guards integrity but is not collision-resistant, so cache
-// correctness — where a crafted collision would serve one instance
-// another's labels — rests on the cryptographic digest, and a JSON upload
-// of an instance hits the entry its binary twin populated. With caching
-// disabled and no blob tier no digest is computed at all.
+// The cache uses the instance's content address: the root of a SHA-256
+// hash tree over the decoded values (sfcp.Instance.Digest), so both
+// ingest formats share the keyspace deliberately. The wire format's
+// XXH64 trailer guards integrity but is not collision-resistant, so
+// cache correctness — where a crafted collision would serve one instance
+// another's labels — rests on the cryptographic digest, and a JSON
+// upload of an instance hits the entry its binary twin populated. With
+// caching disabled and no blob tier no digest is computed at all.
 
 // solveOutcome is what the pipeline reports about one request: the result
 // (its Plan always this request's own), whether a cache tier served it,

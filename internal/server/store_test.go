@@ -265,3 +265,44 @@ func TestCacheBytesGauge(t *testing.T) {
 	}
 	t.Fatal("sfcpd_cache_bytes not in /metrics")
 }
+
+// TestVersionOutlivesJobPayload: a version POST /instances registered
+// stays addressable after a job on the same instance finishes and the
+// server restarts. Both persist the instance in one blob tier, and the
+// job manager deletes its payload once the last job on it is done, so
+// versions are stored under a key of their own.
+func TestVersionOutlivesJobPayload(t *testing.T) {
+	journal, blobs := store.NewMemJobStore(), store.NewMemBlobStore()
+	ins := sfcp.Instance{F: []int{1, 2, 0, 4, 3}, B: []int{0, 1, 0, 1, 1}}
+
+	s1, ts1 := storeServer(t, journal, blobs)
+	ir := createInstance(t, ts1.URL, ins)
+	resp, data := post(t, ts1.URL+"/jobs", `{"algorithm":"linear","f":[1,2,0,4,3],"b":[0,1,0,1,1]}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, data)
+	}
+	var snap struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	waitJobLabels(t, ts1, snap.ID)
+	// Close waits for the job's runner, which releases the payload.
+	ts1.Close()
+	s1.Close()
+
+	s2, ts2 := storeServer(t, journal, blobs)
+	defer func() { ts2.Close(); s2.Close() }()
+	resp, dr, data := postDeltaJSON(t, ts2.URL, ir.Digest, `{"edits":[{"node":3,"b":0}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta on a registered version after its job finished: status %d (body %s)", resp.StatusCode, data)
+	}
+	if !dr.SessionRebuilt {
+		t.Fatal("expected session_rebuilt after restart")
+	}
+	edited := sfcp.Instance{F: ins.F, B: []int{0, 1, 0, 0, 1}}
+	if want, _ := fullSolveLabels(t, edited); dr.Digest != edited.Digest() || !equalIntsSrv(dr.Labels, want) {
+		t.Fatalf("delta diverges from a full solve of the edited instance")
+	}
+}

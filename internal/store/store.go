@@ -7,11 +7,12 @@
 // The split mirrors the layering the storage-backed services in the
 // related work use: metadata records travel through a journal with an
 // ordered scan for recovery, while bulk payloads (instance arrays,
-// result labels) live in a content-addressed blob tier keyed by the
-// digests the codec already computes — so the bytes on disk are the
-// wire format and integrity checking is free on every read. The same
-// seam is what a future multi-node mode will reuse: peer-fetching a
-// cached result is a BlobStore.Get against a remote tier.
+// result labels) live in a blob tier keyed by content addresses (the
+// instance digest, or a key derived from it). The bytes on disk are the
+// wire format, so the codec's XXH64 trailer makes integrity checking
+// free on every read. The same seam is what a future multi-node mode
+// will reuse: peer-fetching a cached result is a BlobStore.Get against a
+// remote tier.
 //
 // Durability policy is deliberately lenient on the read side: a corrupt
 // journal entry or an unreadable blob is logged and skipped, never a
@@ -145,6 +146,17 @@ func ResultKey(algorithm string, seed uint64, instanceDigest string) string {
 	h.Write([]byte{0})
 	io.WriteString(h, strconv.FormatUint(seed, 10))
 	h.Write([]byte{0})
+	io.WriteString(h, instanceDigest)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// VersionKey derives the blob key under which a registered instance
+// version's payload is stored: a SHA-256 over its content address. Job
+// payloads use the plain address and are deleted when their last job
+// finishes; a version must stay addressable, so it has a key of its own.
+func VersionKey(instanceDigest string) string {
+	h := sha256.New()
+	io.WriteString(h, "sfcp-version\x00")
 	io.WriteString(h, instanceDigest)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -95,8 +95,19 @@ func (inc *Incremental) NumClasses() int {
 	return inc.st.NumClasses()
 }
 
-// Instance returns a copy of the current (post-edit) instance — the
-// version whose digest addresses this session's latest labels.
+// Digest returns the current version's content address: Instance().Digest()
+// without the copy. The session hashes its instance the first time it is
+// asked; after that Resolve keeps the address current by rehashing only
+// the fixed element ranges its edits touch, plus the root (DESIGN.md
+// section 9).
+func (inc *Incremental) Digest() string {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	return inc.st.Digest()
+}
+
+// Instance returns a copy of the current (post-edit) instance, O(n). To
+// name the version, Digest costs only what the last edits touched.
 func (inc *Incremental) Instance() Instance {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()

@@ -2,12 +2,10 @@ package sfcp
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"sync"
 
+	"sfcp/internal/addr"
 	"sfcp/internal/coarsest"
 	"sfcp/internal/engine"
 )
@@ -40,36 +38,16 @@ func algorithmNames() string {
 	return s
 }
 
-// Digest returns a stable hex-encoded SHA-256 content address of the
-// instance, suitable as a cache key: two instances share a digest iff they
-// have identical F and B. Lengths are folded in, so (F, B) boundaries are
-// unambiguous.
+// Digest returns the instance's content address: 64 lowercase hex
+// characters naming (F, B), suitable as a cache key. Two instances share
+// a digest iff they have identical F and B. The address is the root of a
+// two-level SHA-256 hash tree over fixed element ranges of F and of B
+// (package internal/addr, DESIGN.md section 9), so a session
+// (Incremental.Digest) keeps it current under edits at the cost of the
+// ranges they touch. Every element is hashed as 8 bytes, invalid ones
+// too: Digest runs before validation.
 func (ins Instance) Digest() string {
-	// The hash state sees exactly the byte stream of the original
-	// one-Write-per-int implementation; batching ~4KiB per h.Write only
-	// amortizes the hasher's per-call overhead, which otherwise dominates
-	// content-addressing 10^8-element instances on the cache hot path.
-	h := sha256.New()
-	var buf [4096]byte
-	n := 0
-	writeInt := func(v int) {
-		if n == len(buf) {
-			h.Write(buf[:])
-			n = 0
-		}
-		binary.LittleEndian.PutUint64(buf[n:], uint64(v))
-		n += 8
-	}
-	writeInt(len(ins.F))
-	for _, v := range ins.F {
-		writeInt(v)
-	}
-	writeInt(len(ins.B))
-	for _, v := range ins.B {
-		writeInt(v)
-	}
-	h.Write(buf[:n])
-	return hex.EncodeToString(h.Sum(nil))
+	return addr.Of(ins.F, ins.B)
 }
 
 // Solver executes resolved plans with reusable scratch arenas: the

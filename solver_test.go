@@ -162,44 +162,64 @@ func TestInstanceDigest(t *testing.T) {
 	if (sfcp.Instance{F: []int{0}, B: []int{5}}).Digest() == a.Digest() {
 		t.Error("different instances share a digest")
 	}
+	// Digest runs before validation, so an element is hashed as all 8 of
+	// its bytes: an invalid F[i] + 2^32 must not take a valid instance's
+	// address (a resident session would answer it unvalidated).
+	if (sfcp.Instance{F: []int{0, 1 + 1<<32}, B: []int{1, 0}}).Digest() == a.Digest() {
+		t.Error("F[i] and F[i]+2^32 share a digest")
+	}
 }
 
-// TestInstanceDigestGolden pins the digest byte stream: the buffered
-// implementation must stay byte-identical to the original
-// one-h.Write-per-int encoding (lengths and values as little-endian
-// uint64), or every deployed cache keyed on it silently empties.
+// digestLeaf is the address's leaf size in elements, the unexported
+// constant of internal/addr.
+const digestLeaf = 4096
+
+// TestInstanceDigestGolden pins the content address, the root of a
+// two-level SHA-256 tree (DESIGN.md section 9). The golden is the one
+// deployed caches, result blobs and version blobs are keyed on; a change
+// to it is a change of format. An in-test reference tree, one hash write
+// per word, cross-checks the streamed implementation on sizes around the
+// leaf boundaries, with F and B of different lengths too.
 func TestInstanceDigestGolden(t *testing.T) {
 	ins := sfcp.Instance{F: []int{1, 2, 0, 2}, B: []int{0, 1, 0, 1}}
-	const want = "6587ecba422fc5924216859f13eb7d5a404c392da192079cec1cf1c7712520f1"
+	const want = "9331effea58de3a77ee3b3413cc7faf6f3c98c9ed0f74d382f945a0da4f1df17"
 	if got := ins.Digest(); got != want {
 		t.Fatalf("golden digest changed:\n got %s\nwant %s", got, want)
 	}
 
-	// Cross-check against an in-test reference of the original encoding on
-	// sizes that straddle the internal buffer boundary (4096 bytes = 512
-	// ints), including the exact-fill and fill+1 cases.
+	word := func(w []byte, v int) []byte { return binary.LittleEndian.AppendUint64(w, uint64(v)) }
+	leaves := func(vals []int) []byte {
+		var sums []byte
+		for lo := 0; lo < len(vals); lo += digestLeaf {
+			h := sha256.New()
+			h.Write([]byte{0x00})
+			for _, v := range vals[lo:min(lo+digestLeaf, len(vals))] {
+				h.Write(word(nil, v))
+			}
+			sums = h.Sum(sums)
+		}
+		return sums
+	}
 	ref := func(ins sfcp.Instance) string {
 		h := sha256.New()
-		var buf [8]byte
-		writeInt := func(v int) {
-			binary.LittleEndian.PutUint64(buf[:], uint64(v))
-			h.Write(buf[:])
+		h.Write([]byte{0x01})
+		for _, v := range []int{1, len(ins.F), len(ins.B), digestLeaf} {
+			h.Write(word(nil, v))
 		}
-		writeInt(len(ins.F))
-		for _, v := range ins.F {
-			writeInt(v)
-		}
-		writeInt(len(ins.B))
-		for _, v := range ins.B {
-			writeInt(v)
-		}
+		h.Write(leaves(ins.F))
+		h.Write(leaves(ins.B))
 		return hex.EncodeToString(h.Sum(nil))
 	}
-	for _, n := range []int{0, 1, 255, 256, 511, 512, 513, 1024, 3000} {
+	const L = digestLeaf
+	for _, n := range []int{0, 1, L - 1, L, L + 1, 3*L + 5} {
 		w := workload.RandomFunction(int64(n), n+1, 3)
-		ins := sfcp.Instance{F: w.F[:n], B: w.B[:n]}
-		if got, want := ins.Digest(), ref(ins); got != want {
-			t.Errorf("n=%d: digest %s, reference %s", n, got, want)
+		for _, ins := range []sfcp.Instance{
+			{F: w.F[:n], B: w.B[:n]},
+			{F: w.F[:n+1], B: w.B[:n]},
+		} {
+			if got, want := ins.Digest(), ref(ins); got != want {
+				t.Errorf("len(F)=%d len(B)=%d: digest %s, reference %s", len(ins.F), len(ins.B), got, want)
+			}
 		}
 	}
 }
