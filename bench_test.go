@@ -22,22 +22,14 @@ import (
 
 const benchSeed = 1993
 
-// BenchmarkPlannerAuto measures what the planner buys: AlgorithmAuto
-// (resolved to the sequential linear solver) against the seed behavior
-// of always running native-parallel.
+// BenchmarkPlannerAuto measures a small AlgorithmAuto solve end to end:
+// the plan plus the sequential linear solve it resolves to.
 func BenchmarkPlannerAuto(b *testing.B) {
 	wl := workload.RandomFunction(benchSeed, 1<<12, 3)
 	ins := Instance{F: wl.F, B: wl.B}
 	b.Run("auto-small", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := SolveWith(ins, Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("seed-native-parallel-small", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := SolveWith(ins, Options{Algorithm: AlgorithmNativeParallel}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -250,26 +242,6 @@ func BenchmarkE7AlgorithmComparison(b *testing.B) {
 			coarsest.LinearSequential(ins)
 		}
 	})
-}
-
-// BenchmarkE8Speedup regenerates E8: native goroutine solver wall-clock
-// across worker counts vs the sequential linear algorithm.
-func BenchmarkE8Speedup(b *testing.B) {
-	n := 1 << 18
-	wl := workload.RandomFunction(benchSeed, n, 3)
-	ins := coarsest.Instance{F: wl.F, B: wl.B}
-	b.Run("linear-sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			coarsest.LinearSequential(ins)
-		}
-	})
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("native/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				coarsest.NativeParallel(ins, w)
-			}
-		})
-	}
 }
 
 // BenchmarkE10BBMemory regenerates E10: cells of the literal BB table vs

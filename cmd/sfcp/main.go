@@ -19,7 +19,7 @@
 //
 // Usage:
 //
-//	sfcp [-algo auto|moore|hopcroft|linear|parallel-pram|native-parallel|doubling-hash|doubling-sort]
+//	sfcp [-algo auto|moore|hopcroft|linear|parallel-pram|doubling-hash|doubling-sort]
 //	     [-in file] [-stats] [-explain] [-workers n] [-seed s]
 //	     [-submit -server http://host:8080 [-wait] [-poll 250ms] [-priority p]]
 //

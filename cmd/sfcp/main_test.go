@@ -107,7 +107,7 @@ func TestExplainPlan(t *testing.T) {
 
 func TestParseAlgo(t *testing.T) {
 	for _, name := range []string{"auto", "moore", "hopcroft", "linear",
-		"parallel-pram", "native-parallel", "doubling-hash", "doubling-sort"} {
+		"parallel-pram", "doubling-hash", "doubling-sort"} {
 		if _, err := parseAlgo(name); err != nil {
 			t.Errorf("parseAlgo(%q): %v", name, err)
 		}

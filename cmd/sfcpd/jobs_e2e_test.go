@@ -63,7 +63,7 @@ func pollUntil(t *testing.T, ts *httptest.Server, id string, want jobs.State, ti
 func TestE2EJobsHugeBinary(t *testing.T) {
 	n := 10_000_000
 	// Pinned for the deterministic workload at full scale (cross-checked by
-	// linear, hopcroft and native-parallel in TestE2EHugeBinary).
+	// linear and hopcroft in TestE2EHugeBinary).
 	wantClasses := 8529291
 	if raceEnabled || testing.Short() {
 		n = 200_000

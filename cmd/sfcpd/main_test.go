@@ -329,7 +329,7 @@ func TestE2EHugeBinary(t *testing.T) {
 	// At full scale the expected class count is pinned rather than re-solved
 	// locally (a second 10^7 solve would double the test's wall time on one
 	// core): workload generation is deterministic, and 8529291 was
-	// cross-checked by linear, hopcroft and native-parallel.
+	// cross-checked by linear and hopcroft.
 	wantClasses := 8529291
 	if raceEnabled || testing.Short() {
 		n = 200_000

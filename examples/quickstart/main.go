@@ -35,7 +35,7 @@ func main() {
 	// reports the complexity counters of Theorem 5.1.
 	for _, alg := range []sfcp.Algorithm{
 		sfcp.AlgorithmMoore, sfcp.AlgorithmHopcroft, sfcp.AlgorithmLinear,
-		sfcp.AlgorithmParallelPRAM, sfcp.AlgorithmNativeParallel,
+		sfcp.AlgorithmParallelPRAM,
 	} {
 		res, err := sfcp.SolveWith(sfcp.Instance{F: f, B: ab}, sfcp.Options{Algorithm: alg})
 		if err != nil {

@@ -11,8 +11,8 @@ import (
 // refinement on arbitrary byte-derived instances. Labels lie in [0, 5),
 // or, when rawB has an odd byte at index n, are lifted to b<<40 | 1<<62,
 // far above 2^31: the linear solver renames them through its map, and
-// ParallelPRAM and native-parallel rename them densely before their pair
-// coders, which pack labels below 2^31 only. Run longer with:
+// ParallelPRAM renames them densely before its pair coder, which packs
+// labels below 2^31 only. Run longer with:
 //
 //	go test -fuzz=FuzzSolve -fuzztime 30s
 func FuzzSolve(f *testing.F) {
@@ -41,7 +41,7 @@ func FuzzSolve(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, alg := range []Algorithm{AlgorithmParallelPRAM, AlgorithmLinear, AlgorithmNativeParallel, AlgorithmHopcroft} {
+		for _, alg := range []Algorithm{AlgorithmParallelPRAM, AlgorithmLinear, AlgorithmHopcroft} {
 			res, err := SolveWith(ins, Options{Algorithm: alg})
 			if err != nil {
 				t.Fatal(err)

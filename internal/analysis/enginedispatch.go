@@ -36,9 +36,6 @@ var dispatchRules = []dispatchRule{
 			"LinearSequential":        true,
 			"LinearSequentialScratch": true,
 			"LinearSequentialBatch":   true,
-			"NativeParallel":          true,
-			"NativeParallelScratch":   true,
-			"NativeParallelCtx":       true,
 			"ParallelPRAM":            true,
 			"ParallelPRAMContext":     true,
 			"DoublingHashPRAM":        true,

@@ -3,11 +3,11 @@ package analysis
 import "go/ast"
 
 // ScratchAlias guards the scratch-arena contract: buffers handed out by
-// a coarsest.Scratch (bufI32/bufI32Raw/bufI64/bufBool) are recycled by the next
-// solve, so a slice derived from one must never outlive the call —
-// returning it, storing it into a field, or sending it on a channel
-// publishes memory that the arena will scribble over. Escaping data
-// must be copied into a fresh allocation first.
+// a coarsest.Scratch (bufI32/bufI32Raw) are recycled by the next solve,
+// so a slice derived from one must never outlive the call — returning
+// it, storing it into a field, or sending it on a channel publishes
+// memory that the arena will scribble over. Escaping data must be copied
+// into a fresh allocation first.
 //
 // The taint tracking is syntactic and per-function: a variable assigned
 // from an arena call (or sliced/appended from a tainted variable) is
@@ -19,7 +19,7 @@ var ScratchAlias = &Analyzer{
 	Run:  runScratchAlias,
 }
 
-var scratchBufFuncs = map[string]bool{"bufI32": true, "bufI32Raw": true, "bufI64": true, "bufBool": true}
+var scratchBufFuncs = map[string]bool{"bufI32": true, "bufI32Raw": true}
 
 func runScratchAlias(p *Pass) error {
 	for _, f := range p.Pkg.Files {
@@ -98,8 +98,8 @@ func checkScratchEscapes(p *Pass, body *ast.BlockStmt) {
 }
 
 // scratchTainted reports whether expr is arena-derived: a direct
-// bufI32/bufI32Raw/bufI64/bufBool call, a tainted variable, or a slice/append/
-// conversion built from one.
+// bufI32/bufI32Raw call, a tainted variable, or a slice/append/conversion
+// built from one.
 func scratchTainted(expr ast.Expr, tainted map[string]bool) bool {
 	switch e := expr.(type) {
 	case *ast.Ident:

@@ -8,6 +8,6 @@ func dispatchRow(in coarsest.Instance) []int {
 	return coarsest.Hopcroft(in)
 }
 
-func anotherRow(in coarsest.Instance, workers int) []int {
-	return coarsest.NativeParallel(in, workers)
+func anotherRow(in coarsest.Instance, sc *coarsest.Scratch) []int {
+	return coarsest.LinearSequentialScratch(in, sc)
 }

@@ -36,11 +36,12 @@ import (
 // refound says the session's valve re-founded the state instead of
 // running the region pass. address_ns is what naming the child costs
 // after each rep's delta (incr.State.Digest: the touched leaves and the
-// root, every leaf having been hashed once after the build). Emits one
-// JSON document (like A5 and A7) for BENCH_A8.json trajectory tracking;
-// CI gates its rows. Each row also carries the session's size: the live
-// heap a GC leaves after the build, less the one it left before, per
-// element.
+// root, every leaf having been hashed once after the build). agree says
+// every rep's labels, from both sessions, equal the full solve's; the
+// check runs outside the timed spans. Emits one JSON document (like A5
+// and A7) for BENCH_A8.json trajectory tracking; CI gates its rows. Each
+// row also carries the session's size: the live heap a GC leaves after
+// the build, less the one it left before, per element.
 func A8IncrementalResolve(cfg Config) {
 	type row struct {
 		Family     string  `json:"family"`
@@ -78,19 +79,6 @@ func A8IncrementalResolve(cfg Config) {
 		doc.Reps = 3
 	}
 
-	best := func(op func() error) (time.Duration, error) {
-		bestDur := time.Duration(1<<63 - 1)
-		for r := 0; r < doc.Reps; r++ {
-			t0 := time.Now()
-			if err := op(); err != nil {
-				return 0, err
-			}
-			if d := time.Since(t0); d < bestDur {
-				bestDur = d
-			}
-		}
-		return bestDur, nil
-	}
 	var sc coarsest.Scratch
 	same := func(l int32, want int) bool { return int(l) == want }
 
@@ -119,12 +107,15 @@ func A8IncrementalResolve(cfg Config) {
 				edited.B[e.Node] = e.B
 			}
 			var full []int
-			fullDur, _ := best(func() error {
+			fullDur := time.Duration(math.MaxInt64)
+			for range doc.Reps {
+				t0 := time.Now()
 				full = coarsest.LinearSequentialScratch(edited, &sc)
-				return nil
-			})
-			// The session's labels are its own slice, so each result is
-			// checked before the next run overwrites it. Then the rep
+				fullDur = min(fullDur, time.Since(t0))
+			}
+			// Each timed span ends before its labels are checked. The
+			// session's labels are its own slice, so each result is
+			// checked before the next run overwrites it; then the rep
 			// names the child: the touched leaves' rehash and the root.
 			agree := true
 			var info incr.Info
@@ -132,24 +123,26 @@ func A8IncrementalResolve(cfg Config) {
 			for range doc.Reps {
 				t0 := time.Now()
 				labels, i, err := st.ApplyDelta(delta)
+				d := time.Since(t0)
 				if err != nil {
 					return err
 				}
-				info = i
+				info, incrDur = i, min(incrDur, d)
 				agree = agree && slices.EqualFunc(labels, full, same)
 				t1 := time.Now()
 				st.Digest()
-				incrDur, addrDur = min(incrDur, t1.Sub(t0)), min(addrDur, time.Since(t1))
+				addrDur = min(addrDur, time.Since(t1))
 			}
-			buildDur, err := best(func() error {
+			buildDur := time.Duration(math.MaxInt64)
+			for range doc.Reps {
+				t0 := time.Now()
 				fresh, err := engine.NewIncremental(edited)
-				if err == nil {
-					agree = agree && slices.EqualFunc(fresh.Labels(), full, same)
+				d := time.Since(t0)
+				if err != nil {
+					return err
 				}
-				return err
-			})
-			if err != nil {
-				return err
+				buildDur = min(buildDur, d)
+				agree = agree && slices.EqualFunc(fresh.Labels(), full, same)
 			}
 			doc.Rows = append(doc.Rows, row{
 				Family:     family,

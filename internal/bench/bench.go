@@ -61,7 +61,6 @@ func All() []Experiment {
 		{"E5", "Lemma 3.11: cycle partitioning", E5CyclePartition},
 		{"E6", "Lemma 4.3: tree labeling", E6TreeLabel},
 		{"E7", "Intro: comparison with prior algorithms", E7Comparison},
-		{"E8", "Practical wall-clock speedup", E8Speedup},
 		{"E9", "Fig. 1 and worked examples", E9PaperExamples},
 		{"E10", "Remark 3.2: BB table memory", E10BBMemory},
 		{"A1", "Ablation: integer sorting strategies", A1IntSort},
@@ -446,56 +445,6 @@ func E7Comparison(cfg Config) {
 			float64(ch.Stats.Work)/float64(paper.Stats.Work))
 	}
 	w2.Flush()
-}
-
-// E8Speedup measures wall-clock of the native goroutine implementation
-// against the sequential linear-time solver across worker counts. On a
-// single-core host the curve is expectedly flat; the harness reports
-// GOMAXPROCS so readers can judge.
-func E8Speedup(cfg Config) {
-	n := 1 << 20
-	if cfg.Quick {
-		n = 1 << 17
-	}
-	wl := workload.RandomFunction(cfg.Seed, n, 3)
-	ins := coarsest.Instance{F: wl.F, B: wl.B}
-	fmt.Fprintf(cfg.Out, "E8: wall-clock, n = %d, GOMAXPROCS = %d\n", n, runtime.GOMAXPROCS(0))
-
-	t0 := time.Now()
-	seqLabels := coarsest.LinearSequential(ins)
-	seq := time.Since(t0)
-	t0 = time.Now()
-	hopLabels := coarsest.Hopcroft(ins)
-	hop := time.Since(t0)
-	if !coarsest.SamePartition(seqLabels, hopLabels) {
-		fmt.Fprintln(cfg.Out, "SOLVERS DISAGREE")
-		return
-	}
-	fmt.Fprintf(cfg.Out, "sequential linear: %v   hopcroft: %v\n", seq.Round(time.Millisecond), hop.Round(time.Millisecond))
-
-	w := newTable(cfg)
-	fmt.Fprintln(w, "workers\tnative wall\tvs linear\tself-speedup\t")
-	var base time.Duration
-	maxW := runtime.NumCPU() * 2
-	if maxW > 16 {
-		maxW = 16
-	}
-	for workers := 1; workers <= maxW; workers *= 2 {
-		t0 = time.Now()
-		labels := coarsest.NativeParallel(ins, workers)
-		el := time.Since(t0)
-		if !coarsest.SamePartition(labels, seqLabels) {
-			fmt.Fprintf(w, "%d\tWRONG RESULT\t\t\t\n", workers)
-			continue
-		}
-		if workers == 1 {
-			base = el
-		}
-		fmt.Fprintf(w, "%d\t%v\t%.2fx\t%.2fx\t\n",
-			workers, el.Round(time.Millisecond),
-			float64(seq)/float64(el), float64(base)/float64(el))
-	}
-	w.Flush()
 }
 
 // E9PaperExamples replays Fig. 1 / Example 2.2, Example 3.1 and Example

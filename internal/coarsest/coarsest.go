@@ -18,8 +18,6 @@
 //     O(n log log n) operations on the simulated Arbitrary CRCW PRAM.
 //   - DoublingHashPRAM / DoublingSortPRAM: the prior parallel baselines
 //     (Galley–Iliopoulos-shape and Srikant-shape).
-//   - NativeParallel: a practical goroutine implementation for wall-clock
-//     benchmarks.
 //
 // All solvers return dense Q-labels normalized by first occurrence, so any
 // two correct solvers return identical slices.
@@ -37,8 +35,8 @@ type Instance struct {
 	B []int
 }
 
-// maxN is the largest instance the solvers accept: the linear and
-// native-parallel solvers hold node indexes in int32.
+// maxN is the largest instance the solvers accept: the linear solver
+// holds node indexes in int32.
 const maxN = math.MaxInt32
 
 // Validate checks the instance is well formed and at most maxN nodes.
@@ -109,13 +107,12 @@ func NormalizeLabels(labels []int) []int {
 	return out
 }
 
-// narrowLabels returns labels both pair coders can take: b itself when
+// narrowLabels returns labels the PRAM pair coder can take: b itself when
 // every label is below 2^31, else b's first-occurrence renaming, which
 // induces the same partition with labels below n. pram.PairCode packs two
-// 31-bit components into one key and par.Dict.Code two 32-bit ones, so a
-// wider label would panic the first and collide in the second. In the
-// PRAM solver the rename is host work done before the machine starts
-// counting (DESIGN.md section 7).
+// 31-bit components into one key, so a wider label would panic it. The
+// rename is host work done before the machine starts counting (DESIGN.md
+// section 7).
 func narrowLabels(b []int) []int {
 	for _, l := range b {
 		if int64(l) >= 1<<31 {

@@ -2,9 +2,86 @@ package coarsest
 
 import (
 	"encoding/binary"
+	"unsafe"
 
 	"sfcp/internal/circ"
 )
+
+// Scratch holds the linear solver's working buffers so repeated solves
+// (batch serving, benchmark loops) reuse one arena instead of
+// reallocating their n-sized slices per call: nine int32 slices
+// (36 B/elem) plus one row per cycle. A Scratch is not safe for
+// concurrent use; callers wanting concurrency keep one per worker (e.g.
+// via sync.Pool). The zero value is ready to use.
+type Scratch struct {
+	i32  [][]int32
+	ni32 int
+
+	// Per-solve state, reused across calls so the per-call cost of a
+	// map is a clear (proportional to the previous solve's entries)
+	// instead of fresh bucket allocation.
+	rows    []cycle          // one row per cycle
+	canon   map[string]int32 // canonical cycle string -> its class's first code
+	bRename map[int]int32    // B label -> class, when B leaves [0, n)
+	key     []byte           // canonical-string key build buffer
+	// pairArr is mooreSmall's pair coder: indexed class*n + class, value
+	// code+1. It is kept all-zero BETWEEN solves by undoing the touched
+	// entries (recorded in pairTouched) at the end of each round, so a new
+	// solve never pays an O(len) clear.
+	pairArr     []int32
+	pairTouched []int32
+}
+
+func (s *Scratch) reset() {
+	s.ni32 = 0
+	clear(s.canon)
+	clear(s.bRename)
+}
+
+// footprint returns the bytes of slice capacity the arena retains between
+// solves; the maps are not counted.
+func (s *Scratch) footprint() int {
+	b := 0
+	for _, buf := range s.i32 {
+		b += 4 * cap(buf)
+	}
+	b += int(unsafe.Sizeof(cycle{})) * cap(s.rows)
+	return b + cap(s.key) + 4*(cap(s.pairArr)+cap(s.pairTouched))
+}
+
+// checkout hands out the next int32 buffer of length n, growing the pool
+// on first use (and whenever n outgrows a stored buffer). Its contents
+// are whatever the last solve left there.
+func (s *Scratch) checkout(n int) []int32 {
+	if s.ni32 == len(s.i32) {
+		s.i32 = append(s.i32, make([]int32, n))
+	} else if cap(s.i32[s.ni32]) < n {
+		s.i32[s.ni32] = make([]int32, n)
+	}
+	buf := s.i32[s.ni32][:n]
+	s.ni32++
+	return buf
+}
+
+// bufI32 hands out the next zeroed int32 buffer of length n.
+func (s *Scratch) bufI32(n int) []int32 {
+	buf := s.checkout(n)
+	clear(buf)
+	return buf
+}
+
+// bufI32Raw is bufI32 without the zeroing pass, for buffers that are fully
+// written before they are read.
+func (s *Scratch) bufI32Raw(n int) []int32 { return s.checkout(n) }
+
+// cycleRows hands out k rows for the per-cycle facts, growing to exactly
+// k when the retained rows are too few.
+func (s *Scratch) cycleRows(k int) []cycle {
+	if cap(s.rows) < k {
+		s.rows = make([]cycle, k)
+	}
+	return s.rows[:k]
+}
 
 // LinearSequential solves the coarsest partition problem in O(n) expected
 // time with the cycle/tree decomposition of the paper run sequentially —

@@ -5,9 +5,9 @@
 //
 //  1. MakePlan (MakeBatchPlan for a batch) resolves a request to an
 //     explainable Plan{Algorithm, Workers, Reason}. Auto resolves to the
-//     sequential linear-time solver on one worker without reading the
-//     instance; explicit algorithms keep their name and only get a
-//     worker count.
+//     sequential linear-time solver on one worker; explicit algorithms
+//     keep their name and only get a worker count. No plan reads an
+//     instance.
 //  2. Execute (ExecuteBatch for a batch) dispatches a plan through the
 //     single dispatch table mapping each Algorithm to its
 //     internal/coarsest entry point.
@@ -19,8 +19,7 @@
 // planner: ResolveDelta applies every delta one way, and the session's
 // valve alone decides when to re-found it.
 //
-// Plans are deterministic: identical instances with identical requests
-// yield identical plans.
+// Plans are deterministic: identical requests yield identical plans.
 package engine
 
 import (
@@ -33,7 +32,7 @@ import (
 )
 
 // Algorithm selects a solver. The zero value Auto defers the choice to the
-// planner, which resolves it per instance.
+// planner, which resolves it to Linear.
 type Algorithm uint8
 
 // The solver catalogue, in canonical presentation order.
@@ -49,8 +48,6 @@ const (
 	// ParallelPRAM is the paper's algorithm on the instrumented CRCW PRAM
 	// simulator (Theorem 5.1).
 	ParallelPRAM
-	// NativeParallel runs goroutines on real cores.
-	NativeParallel
 	// DoublingHash is the O(n log n)-work parallel baseline on the simulator.
 	DoublingHash
 	// DoublingSort is the O(n log^2 n)-work parallel baseline on the
@@ -63,7 +60,7 @@ const (
 func Algorithms() []Algorithm {
 	return []Algorithm{
 		Auto, Moore, Hopcroft, Linear,
-		ParallelPRAM, NativeParallel, DoublingHash, DoublingSort,
+		ParallelPRAM, DoublingHash, DoublingSort,
 	}
 }
 
@@ -80,8 +77,6 @@ func (a Algorithm) String() string {
 		return "linear"
 	case ParallelPRAM:
 		return "parallel-pram"
-	case NativeParallel:
-		return "native-parallel"
 	case DoublingHash:
 		return "doubling-hash"
 	case DoublingSort:
@@ -121,10 +116,6 @@ var dispatch = map[Algorithm]entry{
 	Linear: func(_ context.Context, in coarsest.Instance, _ Plan, _ uint64, sc *coarsest.Scratch) ([]int, *pram.Stats, error) {
 		return coarsest.LinearSequentialScratch(in, sc), nil, nil
 	},
-	NativeParallel: func(ctx context.Context, in coarsest.Instance, plan Plan, _ uint64, sc *coarsest.Scratch) ([]int, *pram.Stats, error) {
-		labels, err := coarsest.NativeParallelCtx(ctx, in, plan.Workers, sc)
-		return labels, nil, err
-	},
 	ParallelPRAM: func(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, _ *coarsest.Scratch) ([]int, *pram.Stats, error) {
 		res, err := coarsest.ParallelPRAMContext(ctx, in, coarsest.ParallelOptions{Workers: plan.Workers, Seed: seed})
 		if err != nil {
@@ -159,8 +150,8 @@ type Solution struct {
 }
 
 // Execute runs a resolved plan on a validated instance. plan.Algorithm must
-// be concrete (MakePlan never returns Auto); sc may be nil — the linear and
-// native-parallel solvers use it, the rest ignore it.
+// be concrete (MakePlan never returns Auto); sc may be nil — the linear
+// solver uses it, the rest ignore it.
 func Execute(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, sc *coarsest.Scratch) (Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return Solution{}, err

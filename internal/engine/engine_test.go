@@ -34,22 +34,23 @@ func families(seed int64, n int) map[string]coarsest.Instance {
 }
 
 // TestPlannerAgreesWithLinear is the differential gate on the planner:
-// whatever Auto resolves to — on either side of 2^15, the former
-// parallel crossover, with a one-worker and a wide budget — executing the
-// plan must give labels equal to the linear reference exactly (all
-// solvers normalize by first occurrence, so equality is slice-wise).
+// whatever Auto resolves to, with a one-worker and a wide budget,
+// executing the plan on instances either side of 2^15 (the former
+// parallel crossover) must give labels equal to the linear reference
+// exactly (all solvers normalize by first occurrence, so equality is
+// slice-wise).
 func TestPlannerAgreesWithLinear(t *testing.T) {
-	for _, n := range []int{1 << 14, 1 << 15} {
-		for name, in := range families(1993, n) {
-			want := coarsest.LinearSequential(in)
-			for _, workers := range []int{1, 16} {
-				plan, err := MakePlan(in, Request{Algorithm: Auto, Workers: workers})
-				if err != nil {
-					t.Fatalf("n=%d %s workers=%d: %v", n, name, workers, err)
-				}
-				if plan.Algorithm == Auto {
-					t.Errorf("n=%d %s: plan not resolved past Auto", n, name)
-				}
+	for _, workers := range []int{1, 16} {
+		plan, err := MakePlan(Request{Algorithm: Auto, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if plan.Algorithm == Auto {
+			t.Fatalf("workers=%d: plan not resolved past Auto", workers)
+		}
+		for _, n := range []int{1 << 14, 1 << 15} {
+			for name, in := range families(1993, n) {
+				want := coarsest.LinearSequential(in)
 				sol, err := Execute(context.Background(), in, plan, 0, nil)
 				if err != nil {
 					t.Fatalf("n=%d %s workers=%d: %v", n, name, workers, err)
@@ -66,91 +67,78 @@ func TestPlannerAgreesWithLinear(t *testing.T) {
 	}
 }
 
-// TestPlanDeterminism: identical instances and requests always yield
-// identical plans, reason string and all.
+// TestPlanDeterminism: identical requests always yield identical plans,
+// reason string and all.
 func TestPlanDeterminism(t *testing.T) {
-	for name, in := range families(7, 1<<14) {
-		for _, req := range []Request{
-			{Algorithm: Auto},
-			{Algorithm: Auto, Workers: 16},
-			{Algorithm: NativeParallel},
-			{Algorithm: Linear},
-		} {
-			first, err := MakePlan(in, req)
+	for _, req := range []Request{
+		{Algorithm: Auto},
+		{Algorithm: Auto, Workers: 16},
+		{Algorithm: ParallelPRAM},
+		{Algorithm: Linear},
+	} {
+		first, err := MakePlan(req)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		for i := 0; i < 3; i++ {
+			again, err := MakePlan(req)
 			if err != nil {
-				t.Fatalf("%s %+v: %v", name, req, err)
+				t.Fatalf("%+v: %v", req, err)
 			}
-			for i := 0; i < 3; i++ {
-				again, err := MakePlan(in, req)
-				if err != nil {
-					t.Fatalf("%s %+v: %v", name, req, err)
-				}
-				if !reflect.DeepEqual(first, again) {
-					t.Fatalf("%s %+v: plan not deterministic:\n%+v\n%+v", name, req, first, again)
-				}
+			if !reflect.DeepEqual(first, again) {
+				t.Fatalf("%+v: plan not deterministic:\n%+v\n%+v", req, first, again)
 			}
 		}
 	}
 }
 
-// TestCrossoverRules pins the planner's decision table around 2^15, the
-// former parallel crossover. Auto resolves to the linear solver on one
-// worker at every size and budget, for single instances and batches
-// alike. An explicit native-parallel request keeps its grant: an
-// unstated budget gets one worker per 2^14 elements, at least one and at
-// most NumCPU, and an explicit count passes through.
+// TestCrossoverRules pins the planner's decision table, which reads no
+// instance. Auto resolves to the linear solver on one worker at every
+// budget, for single instances and for a batch with a member either side
+// of 2^15, the former parallel crossover. An explicit simulator request
+// runs on NumCPU workers when it leaves the budget unstated and on
+// exactly the stated count otherwise; the sequential solvers get one.
 func TestCrossoverRules(t *testing.T) {
-	cpus := runtime.NumCPU()
-	cases := []struct {
-		n         int
-		npWorkers int // explicit native-parallel with Workers: 0
-	}{
-		{1, 1},
-		{1<<15 - 1, 1},
-		{1 << 15, min(2, cpus)},
-		{1 << 20, min(64, cpus)},
+	var batch []coarsest.Instance
+	for _, n := range []int{1<<15 - 1, 1 << 15} {
+		wl := workload.RandomFunction(3, n, 3)
+		batch = append(batch, coarsest.Instance{F: wl.F, B: wl.B})
 	}
-	small := families(3, 1<<10)["random-function"]
-	for _, tc := range cases {
-		wl := workload.RandomFunction(3, tc.n, 3)
-		in := coarsest.Instance{F: wl.F, B: wl.B}
-		batch := []coarsest.Instance{small, in, small}
-		for _, workers := range []int{0, 1, 2, 8, 64} {
-			req := Request{Algorithm: Auto, Workers: workers}
-			plan, err := MakePlan(in, req)
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", tc.n, workers, err)
-			}
-			if plan != autoPlan {
-				t.Errorf("n=%d workers=%d: auto plan = %+v, want %+v", tc.n, workers, plan, autoPlan)
-			}
-			bplan, err := MakeBatchPlan(batch, req)
-			if err != nil {
-				t.Fatalf("batch max n=%d workers=%d: %v", tc.n, workers, err)
-			}
-			if bplan != autoPlan {
-				t.Errorf("batch max n=%d workers=%d: auto plan = %+v, want %+v", tc.n, workers, bplan, autoPlan)
-			}
+	cpus := runtime.NumCPU()
+	for _, w := range []struct {
+		algo      Algorithm
+		req, want int
+	}{
+		{Auto, 0, 1}, {Auto, 1, 1}, {Auto, 64, 1},
+		{ParallelPRAM, 0, cpus}, {ParallelPRAM, -1, cpus}, {ParallelPRAM, 3, 3},
+		{DoublingHash, 0, cpus}, {DoublingSort, 5, 5},
+		{Linear, 8, 1}, {Moore, 0, 1}, {Hopcroft, 2, 1},
+	} {
+		req := Request{Algorithm: w.algo, Workers: w.req}
+		plan, err := MakePlan(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, w := range []struct{ req, want int }{{0, tc.npWorkers}, {3, 3}} {
-			plan, err := MakePlan(in, Request{Algorithm: NativeParallel, Workers: w.req})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plan.Algorithm != NativeParallel || plan.Workers != w.want {
-				t.Errorf("n=%d explicit native-parallel workers=%d: %s/%d, want native-parallel/%d",
-					tc.n, w.req, plan.Algorithm, plan.Workers, w.want)
-			}
+		bplan, err := MakeBatchPlan(batch, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.algo == Auto && (plan != autoPlan || bplan != autoPlan) {
+			t.Errorf("auto workers=%d: plan %+v, batch plan %+v, want %+v", w.req, plan, bplan, autoPlan)
+		}
+		if plan.Workers != w.want || bplan.Workers != w.want {
+			t.Errorf("%v workers=%d: resolved %d workers (batch %d), want %d",
+				w.algo, w.req, plan.Workers, bplan.Workers, w.want)
 		}
 	}
 }
 
 // TestExplicitPlans: explicit algorithm requests are honored verbatim,
-// and an explicit worker count on native-parallel is an instruction.
+// and an explicit worker count on a simulator algorithm is an
+// instruction.
 func TestExplicitPlans(t *testing.T) {
-	in := families(5, 1<<17)["random-function"]
-	for _, algo := range []Algorithm{Moore, Hopcroft, Linear, ParallelPRAM, NativeParallel, DoublingHash, DoublingSort} {
-		plan, err := MakePlan(in, Request{Algorithm: algo, Workers: 3})
+	for _, algo := range []Algorithm{Moore, Hopcroft, Linear, ParallelPRAM, DoublingHash, DoublingSort} {
+		plan, err := MakePlan(Request{Algorithm: algo, Workers: 3})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -158,7 +146,7 @@ func TestExplicitPlans(t *testing.T) {
 			t.Errorf("explicit %v request resolved to %v", algo, plan.Algorithm)
 		}
 	}
-	explicit, _ := MakePlan(in, Request{Algorithm: NativeParallel, Workers: 64})
+	explicit, _ := MakePlan(Request{Algorithm: ParallelPRAM, Workers: 64})
 	if explicit.Workers != 64 {
 		t.Errorf("explicit worker count overridden: %d", explicit.Workers)
 	}
@@ -168,8 +156,11 @@ func TestExplicitPlans(t *testing.T) {
 // the dispatch table.
 func TestUnknownAlgorithm(t *testing.T) {
 	in := coarsest.Instance{F: []int{0}, B: []int{0}}
-	if _, err := MakePlan(in, Request{Algorithm: Algorithm(99)}); err == nil {
+	if _, err := MakePlan(Request{Algorithm: Algorithm(99)}); err == nil {
 		t.Error("MakePlan accepted Algorithm(99)")
+	}
+	if _, err := MakeBatchPlan([]coarsest.Instance{in}, Request{Algorithm: Algorithm(99)}); err == nil {
+		t.Error("MakeBatchPlan accepted Algorithm(99)")
 	}
 	if _, err := Execute(context.Background(), in, Plan{Algorithm: Auto}, 0, nil); err == nil {
 		t.Error("Execute accepted an unresolved Auto plan")

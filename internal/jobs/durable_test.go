@@ -2,10 +2,13 @@ package jobs
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -236,6 +239,50 @@ func TestRecoveryMissingPayloadFailsJob(t *testing.T) {
 	journal.Scan(func(r store.JobRecord) error { rec = r; return nil })
 	if rec.State != string(StateFailed) {
 		t.Fatalf("journal record after recovery: %+v", rec)
+	}
+}
+
+// TestRecoveryDropsRemovedAlgorithm: a queued job whose journal record
+// names an algorithm this build no longer has (native-parallel) is
+// dropped at boot with a log line, though its payload is in the blob
+// tier; a queued linear job on the same payload still runs, and the boot
+// does not fail.
+func TestRecoveryDropsRemovedAlgorithm(t *testing.T) {
+	ins := sizedInstance(6)
+	digest := ins.Digest()
+	blobs := store.NewMemBlobStore()
+	if err := store.PutInstance(blobs, digest, ins); err != nil {
+		t.Fatal(err)
+	}
+	journal := store.NewMemJobStore()
+	for i, algo := range []string{"native-parallel", "linear"} {
+		journal.Put(store.JobRecord{
+			ID: "old-" + algo, Seq: uint64(i + 1), Algorithm: algo, State: "queued", N: len(ins.F),
+			SubmittedAt:    time.Now(),
+			InstanceDigest: digest,
+		})
+	}
+	var mu sync.Mutex
+	var logs []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+		t.Logf(format, args...)
+	}
+	m := New(Config{Journal: journal, Blobs: blobs, Logf: logf}, modSolve)
+	defer m.Close()
+
+	waitState(t, m, "old-linear", StateDone)
+	if s, ok := m.Get("old-native-parallel"); ok {
+		t.Fatalf("job naming a removed algorithm was recovered: %+v", s)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.ContainsFunc(logs, func(l string) bool {
+		return strings.Contains(l, "old-native-parallel") && strings.Contains(l, "unknown algorithm")
+	}) {
+		t.Fatalf("no log line names the dropped job: %q", logs)
 	}
 }
 

@@ -171,6 +171,7 @@ func TestJobErrorsAndEdges(t *testing.T) {
 		wantSub  string
 	}{
 		{"unknown algorithm", `{"algorithm":"quantum","f":[0],"b":[0]}`, 400, "unknown algorithm"},
+		{"removed native-parallel", `{"algorithm":"native-parallel","f":[0],"b":[0]}`, 400, "unknown algorithm"},
 		{"oversized", fmt.Sprintf(`{"f":[%s0],"b":[%s0]}`,
 			strings.Repeat("0,", 8), strings.Repeat("0,", 8)), 400, "exceeds limit 8"},
 		{"malformed json", `{"f":[1`, 400, "invalid JSON"},

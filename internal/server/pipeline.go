@@ -157,7 +157,7 @@ func (s *Server) execute(ctx context.Context, ins sfcp.Instance, plan sfcp.Plan,
 	} else {
 		out = s.pool.submit(ctx, plan.Algorithm, func(ctx context.Context) (sfcp.Result, error) {
 			if seed == s.cfg.Seed {
-				return s.solvers[plan.Algorithm].SolvePlanned(ctx, ins, plan)
+				return s.solver.SolvePlanned(ctx, ins, plan)
 			}
 			return sfcp.SolvePlanned(ctx, ins, plan, sfcp.Options{Seed: seed})
 		})

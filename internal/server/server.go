@@ -210,7 +210,7 @@ type Server struct {
 	pool    *pool
 	cache   *resultCache
 	metrics *metrics
-	solvers map[sfcp.Algorithm]*sfcp.Solver
+	solver  *sfcp.Solver
 	jobs    *jobs.Manager
 	logf    func(format string, args ...any)
 
@@ -232,7 +232,7 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		cache:   newResultCache(cfg.CacheSize, cfg.CacheBytes),
 		metrics: newMetrics(),
-		solvers: map[sfcp.Algorithm]*sfcp.Solver{},
+		solver:  sfcp.NewSolver(sfcp.Options{Seed: cfg.Seed}),
 		logf:    cfg.Logf,
 
 		sessions: newSessionRegistry(cfg.InstanceSessions),
@@ -246,19 +246,8 @@ func New(cfg Config) *Server {
 		s.blobs = store.NewMetered(cfg.BlobStore)
 		jobBlobs = s.blobs
 	}
-	// One solver (scratch-arena pool) per concrete algorithm; "auto" never
-	// reaches this map — the pipeline's resolve stage replaces it first.
-	for _, algo := range sfcp.Algorithms() {
-		if algo == sfcp.AlgorithmAuto {
-			continue
-		}
-		s.solvers[algo] = sfcp.NewSolver(sfcp.Options{
-			Algorithm: algo, Workers: cfg.Workers, Seed: cfg.Seed,
-		})
-	}
-	linear := s.solvers[sfcp.AlgorithmLinear]
 	s.pool = newPool(cfg.WorkersPerAlgorithm, cfg.QueueDepth, func(ctx context.Context, ins []sfcp.Instance) ([]sfcp.Result, []error) {
-		return linear.SolveBatchPlanned(ctx, ins, batchPlan)
+		return s.solver.SolveBatchPlanned(ctx, ins, batchPlan)
 	}, s.metrics)
 	// Async jobs run through the same pipeline as synchronous requests —
 	// one dispatcher per pool worker so the job subsystem can keep every

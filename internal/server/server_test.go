@@ -57,6 +57,7 @@ func TestSolveEndpointTable(t *testing.T) {
 		{"trailing bracket", `{"f":[0],"b":[0]}]`, 400, "trailing data"},
 		{"trailing brace", `{"f":[0],"b":[0]}}`, 400, "trailing data"},
 		{"unknown algorithm", `{"algorithm":"quantum","f":[0],"b":[0]}`, 400, "unknown algorithm"},
+		{"removed native-parallel", `{"algorithm":"native-parallel","f":[0],"b":[0]}`, 400, "unknown algorithm"},
 		{"f out of range", `{"f":[5],"b":[0]}`, 400, "out of range"},
 		{"length mismatch", `{"f":[0,1],"b":[0]}`, 400, "|F| = 2 but |B| = 1"},
 		{"oversized instance", fmt.Sprintf(`{"f":[%s0],"b":[%s0]}`,

@@ -69,7 +69,7 @@ func TestPlanWithAllocs(t *testing.T) {
 func TestPlanWithMatchesSolve(t *testing.T) {
 	wl := workload.RandomPermutation(5, 3000, 3)
 	ins := Instance{F: wl.F, B: wl.B}
-	for _, opts := range []Options{{Workers: 2}, {Algorithm: AlgorithmNativeParallel}, {Algorithm: AlgorithmParallelPRAM, Workers: 3}} {
+	for _, opts := range []Options{{Workers: 2}, {Algorithm: AlgorithmDoublingHash}, {Algorithm: AlgorithmParallelPRAM, Workers: 3}} {
 		t.Run(fmt.Sprint(opts.Algorithm), func(t *testing.T) {
 			plan, err := PlanWith(ins, opts)
 			if err != nil {

@@ -13,9 +13,8 @@
 // The headline algorithm runs in O(log n) time using O(n log log n)
 // operations on an Arbitrary CRCW PRAM, which this library executes on a
 // deterministic instrumented simulator (AlgorithmParallelPRAM). Sequential
-// solvers (Moore, Hopcroft, linear-time), the prior parallel baselines, and
-// a goroutine-parallel implementation are included; all return identical
-// normalized labels.
+// solvers (Moore, Hopcroft, linear-time) and the prior parallel baselines
+// are included; all return identical normalized labels.
 //
 // The paper's subproblems of independent interest are exposed too: the
 // minimal starting point of a circular string (Lemma 3.7), sorting
@@ -70,10 +69,6 @@ const (
 	// CRCW PRAM simulator (Theorem 5.1); Result.Stats reports its
 	// parallel rounds and operations.
 	AlgorithmParallelPRAM = engine.ParallelPRAM
-	// AlgorithmNativeParallel runs goroutines on real cores. Its pointer
-	// doubling does O(n log n) work, so the planner never picks it; it
-	// runs only when requested by name.
-	AlgorithmNativeParallel = engine.NativeParallel
 	// AlgorithmDoublingHash is the O(n log n)-work parallel baseline
 	// (Galley–Iliopoulos cost shape) on the simulator.
 	AlgorithmDoublingHash = engine.DoublingHash
@@ -106,10 +101,9 @@ type Options struct {
 	// Algorithm selects the solver (default AlgorithmAuto, resolved by
 	// the planner; see Result.Plan).
 	Algorithm Algorithm
-	// Workers bounds host goroutines for the parallel solvers. 0 lets the
-	// engine choose: a NumCPU budget, scaled down to the instance size for
-	// native-parallel solves (PlanWith reports the exact count). Auto
-	// plans always run the linear solver on one goroutine.
+	// Workers bounds host goroutines for the PRAM simulations; 0 means
+	// NumCPU. The sequential solvers, Auto's linear one included, run on
+	// one goroutine (PlanWith reports the exact count).
 	Workers int
 	// Seed drives the simulator's deterministic arbitrary-write choices.
 	Seed uint64
@@ -181,15 +175,14 @@ func SolveWith(ins Instance, opts Options) (Result, error) {
 
 // PlanWith validates an instance and resolves its execution plan without
 // solving it: the algorithm that would run (AlgorithmAuto resolves to
-// AlgorithmLinear), the worker count, and the reason. Planning is
-// deterministic — identical instances and options always yield identical
-// plans — and allocates nothing for AlgorithmAuto.
+// AlgorithmLinear), the worker count, and the reason. The plan depends
+// on opts alone, not on the instance, and allocates nothing for
+// AlgorithmAuto.
 func PlanWith(ins Instance, opts Options) (Plan, error) {
-	in := coarsest.Instance{F: ins.F, B: ins.B}
-	if err := in.Validate(); err != nil {
+	if err := ins.Validate(); err != nil {
 		return Plan{}, err
 	}
-	return engine.MakePlan(in, engine.Request{Algorithm: opts.Algorithm, Workers: opts.Workers})
+	return engine.MakePlan(engine.Request{Algorithm: opts.Algorithm, Workers: opts.Workers})
 }
 
 // PlanBatch resolves one execution plan for a coalesced batch of
@@ -209,10 +202,10 @@ func PlanBatch(instances []Instance, opts Options) (Plan, error) {
 // consulted; the algorithm and worker count come from the plan.
 // Result.Timings.Plan is zero: planning happened at PlanWith time.
 //
-// The parallel solvers (native-parallel and the PRAM simulations) poll
-// ctx between refinement rounds or simulated steps and return ctx.Err()
-// within one round of a cancellation; the sequential solvers (moore,
-// hopcroft, linear) check it only on entry and then run to completion.
+// The PRAM simulations poll ctx between simulated steps and return
+// ctx.Err() within one step of a cancellation; the sequential solvers
+// (moore, hopcroft, linear) check it only on entry and then run to
+// completion.
 func SolvePlanned(ctx context.Context, ins Instance, plan Plan, opts Options) (Result, error) {
 	in := coarsest.Instance{F: ins.F, B: ins.B}
 	if err := in.Validate(); err != nil {

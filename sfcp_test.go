@@ -31,8 +31,7 @@ func TestSolveWithEveryAlgorithm(t *testing.T) {
 	ins, aq := paperInstance()
 	algos := []Algorithm{
 		AlgorithmAuto, AlgorithmMoore, AlgorithmHopcroft, AlgorithmLinear,
-		AlgorithmParallelPRAM, AlgorithmNativeParallel,
-		AlgorithmDoublingHash, AlgorithmDoublingSort,
+		AlgorithmParallelPRAM, AlgorithmDoublingHash, AlgorithmDoublingSort,
 	}
 	for _, alg := range algos {
 		res, err := SolveWith(ins, Options{Algorithm: alg})
@@ -71,8 +70,7 @@ func TestAlgorithmString(t *testing.T) {
 	names := map[Algorithm]string{
 		AlgorithmAuto: "auto", AlgorithmMoore: "moore", AlgorithmHopcroft: "hopcroft",
 		AlgorithmLinear: "linear", AlgorithmParallelPRAM: "parallel-pram",
-		AlgorithmNativeParallel: "native-parallel", AlgorithmDoublingHash: "doubling-hash",
-		AlgorithmDoublingSort: "doubling-sort",
+		AlgorithmDoublingHash: "doubling-hash", AlgorithmDoublingSort: "doubling-sort",
 	}
 	for a, want := range names {
 		if a.String() != want {
@@ -148,7 +146,7 @@ func TestSolversAgreeRandomFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, alg := range []Algorithm{AlgorithmLinear, AlgorithmParallelPRAM, AlgorithmNativeParallel} {
+		for _, alg := range []Algorithm{AlgorithmLinear, AlgorithmParallelPRAM} {
 			res, err := SolveWith(ins, Options{Algorithm: alg})
 			if err != nil {
 				t.Fatal(err)

@@ -51,10 +51,9 @@ func (ins Instance) Digest() string {
 }
 
 // Solver executes resolved plans with reusable scratch arenas: the
-// linear and native-parallel working sets are recycled across calls, so
-// a server solving many instances pays for an arena per concurrent solve,
-// not per request. A Solver is safe for concurrent use by multiple
-// goroutines.
+// linear solver's working set is recycled across calls, so a server
+// solving many instances pays for an arena per concurrent solve, not per
+// request. A Solver is safe for concurrent use by multiple goroutines.
 type Solver struct {
 	seed    uint64
 	scratch sync.Pool // *coarsest.Scratch

@@ -69,8 +69,7 @@ func TestSolveContextCancellation(t *testing.T) {
 	}
 	s := sfcp.NewSolver(sfcp.Options{})
 	for _, algo := range []sfcp.Algorithm{
-		sfcp.AlgorithmNativeParallel, sfcp.AlgorithmParallelPRAM,
-		sfcp.AlgorithmDoublingHash, sfcp.AlgorithmDoublingSort,
+		sfcp.AlgorithmParallelPRAM, sfcp.AlgorithmDoublingHash, sfcp.AlgorithmDoublingSort,
 		sfcp.AlgorithmMoore, sfcp.AlgorithmLinear, // sequential: entry check only
 	} {
 		p := mustPlan(t, big, sfcp.Options{Algorithm: algo})
