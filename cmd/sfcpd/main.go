@@ -3,8 +3,9 @@
 // resolve (the planner turns "auto" into the linear solver), lookup
 // (results are cached by resolved algorithm, seed and instance digest,
 // in RAM and, with -data-dir, on disk), execute (small linear solves are
-// batched on the pool's batch crew, the rest scheduled onto bounded
-// per-algorithm crews) and fill (metrics, cache, write-through).
+// batched on the pool's batch crew; the rest take one of -pool-workers
+// slots of their algorithm's lane and solve on the goroutine that asked)
+// and fill (metrics, cache, write-through).
 // Every response reports its own request's plan, cache hits included.
 //
 // Endpoints:
@@ -24,12 +25,13 @@
 // the binary wire format (sfcpgen -format bin emits it), with ?algorithm=,
 // ?seed= (and for /jobs ?priority=) query parameters; /solve/batch takes
 // concatenated instances and shards them into batch members as the upload
-// streams. Jobs queue per algorithm by priority, run on the same worker
-// pool as synchronous requests, and are evicted -job-ttl after finishing.
+// streams. Jobs queue by priority per lane (the algorithm they resolve
+// to, so "auto" and "linear" jobs share one queue), take the same slots
+// as synchronous requests, and are evicted -job-ttl after finishing.
 //
 // Usage:
 //
-//	sfcpd [-addr :8080] [-pool-workers 2] [-queue 8] [-cache 1024]
+//	sfcpd [-addr :8080] [-pool-workers 2] [-cache 1024]
 //	      [-cache-bytes 0] [-max-n 1048576] [-max-batch 256]
 //	      [-max-body 67108864] [-workers 0] [-seed 0] [-job-ttl 10m]
 //	      [-job-queue 1024] [-data-dir path] [-spill-n 65536]
@@ -47,9 +49,9 @@
 // only the ranges the edits touched. Up to -instance-sessions sessions
 // stay resident, each costing n × about 33-64 bytes (README,
 // "Incremental re-solve"); evicted or restart-lost versions rebuild from
-// the blob tier when -data-dir is set. Instance builds and deltas run on
-// the linear solver's crew, so they share its -pool-workers bound and
-// -queue depth with linear solves too large for the batch crew.
+// the blob tier when -data-dir is set. Instance builds and deltas run in
+// a slot of the linear lane, so they share its -pool-workers bound with
+// linear solves too large for the batch crew.
 //
 // Small solves (requests whose plan resolves to the linear solver, below
 // 32768 elements) run on the pool's batch crew, one worker per GOMAXPROCS: a worker that comes free takes
@@ -88,8 +90,7 @@ import (
 // caller opens the stores; this stays a pure flag mapping.
 func parseFlags(fs *flag.FlagSet, args []string) (addr, dataDir string, cfg server.Config, err error) {
 	a := fs.String("addr", ":8080", "listen address")
-	poolWorkers := fs.Int("pool-workers", 2, "solver goroutines per algorithm queue")
-	queue := fs.Int("queue", 0, "pending jobs per algorithm queue (0 = 4x pool-workers)")
+	poolWorkers := fs.Int("pool-workers", 2, "concurrent solves per algorithm; more wait for a slot")
 	cacheSize := fs.Int("cache", 1024, "result cache entries (negative disables)")
 	maxN := fs.Int("max-n", 1<<20, "largest accepted instance size")
 	maxBatch := fs.Int("max-batch", 256, "largest accepted batch")
@@ -107,7 +108,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (addr, dataDir string, cfg serv
 	}
 	return *a, *dir, server.Config{
 		WorkersPerAlgorithm: *poolWorkers,
-		QueueDepth:          *queue,
 		CacheSize:           *cacheSize,
 		MaxN:                *maxN,
 		MaxBatch:            *maxBatch,

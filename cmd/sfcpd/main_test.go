@@ -34,7 +34,7 @@ func TestParseFlags(t *testing.T) {
 			t.Errorf("dataDir = %q, want in-memory default", dataDir)
 		}
 		if cfg.WorkersPerAlgorithm != 2 || cfg.CacheSize != 1024 || cfg.MaxN != 1<<20 ||
-			cfg.MaxBatch != 256 || cfg.MaxBodyBytes != 64<<20 || cfg.QueueDepth != 0 ||
+			cfg.MaxBatch != 256 || cfg.MaxBodyBytes != 64<<20 ||
 			cfg.JobTTL != 10*time.Minute || cfg.JobMaxQueued != 1024 ||
 			cfg.SpillN != 0 || cfg.CacheBytes != 0 || cfg.JobStore != nil || cfg.BlobStore != nil {
 			t.Errorf("defaults mis-mapped: %+v", cfg)
@@ -42,7 +42,7 @@ func TestParseFlags(t *testing.T) {
 	})
 	t.Run("overrides", func(t *testing.T) {
 		addr, dataDir, cfg, err := parseFlags(flag.NewFlagSet("sfcpd", flag.ContinueOnError), []string{
-			"-addr", ":9999", "-pool-workers", "5", "-queue", "7", "-cache", "-1",
+			"-addr", ":9999", "-pool-workers", "5", "-cache", "-1",
 			"-max-n", "50", "-max-batch", "3", "-workers", "4", "-seed", "11",
 			"-max-body", "1024", "-job-ttl", "90s", "-job-queue", "17",
 			"-data-dir", "/tmp/sfcpd-data", "-spill-n", "512", "-cache-bytes", "4096",
@@ -52,7 +52,7 @@ func TestParseFlags(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := server.Config{
-			WorkersPerAlgorithm: 5, QueueDepth: 7, CacheSize: -1, MaxN: 50,
+			WorkersPerAlgorithm: 5, CacheSize: -1, MaxN: 50,
 			MaxBatch: 3, Workers: 4, Seed: 11, MaxBodyBytes: 1024,
 			JobTTL: 90 * time.Second, JobMaxQueued: 17,
 			SpillN: 512, CacheBytes: 4096, InstanceSessions: 5,

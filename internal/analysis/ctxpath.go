@@ -3,11 +3,11 @@ package analysis
 import "go/ast"
 
 // CtxPath keeps the cancellation chain unbroken in request- and
-// job-scoped code: inside internal/server, internal/jobs and cmd/sfcpd,
-// a context.Background() or context.TODO() severs a solve from the
-// request or daemon lifecycle that should be able to cancel it — the
-// exact bug the job dispatcher shipped with, where daemon shutdown
-// could not cancel running solves. Contexts there must derive from a
+// job-scoped code: inside internal/server, internal/jobs, internal/pool,
+// internal/store and cmd/sfcpd, a context.Background() or
+// context.TODO() severs a solve from the request or daemon lifecycle
+// that should be able to cancel it — the exact bug the job dispatcher
+// shipped with, where daemon shutdown could not cancel running solves. Contexts there must derive from a
 // caller's ctx, an *http.Request, or an explicitly-managed lifecycle
 // context. func main is exempt: the process root context legitimately
 // starts from Background. A deliberate root elsewhere (e.g. a manager's
@@ -23,6 +23,7 @@ var CtxPath = &Analyzer{
 var ctxScoped = map[string]bool{
 	"sfcp/internal/server": true,
 	"sfcp/internal/jobs":   true,
+	"sfcp/internal/pool":   true,
 	"sfcp/internal/store":  true,
 	"sfcp/cmd/sfcpd":       true,
 }

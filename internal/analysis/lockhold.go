@@ -7,11 +7,11 @@ import (
 )
 
 // LockHold flags work performed while a sync.Mutex/RWMutex is held in
-// internal/server and internal/jobs: channel sends/receives, selects,
-// solver invocations, blocking waits, sleeps and I/O. Mutexes there
-// guard in-memory maps and counters on request hot paths — holding one
-// across anything that can block turns every other request into a
-// convoy (or, with channels, a deadlock).
+// internal/server, internal/jobs, internal/pool and internal/store:
+// channel sends/receives, selects, solver invocations, blocking waits,
+// sleeps and I/O. Mutexes there guard in-memory maps and counters on
+// request hot paths — holding one across anything that can block turns
+// every other request into a convoy (or, with channels, a deadlock).
 //
 // The check is syntactic and per-function: a region starts at a
 // x.Lock()/x.RLock() call and ends at the next x.Unlock()/x.RUnlock()
@@ -29,6 +29,7 @@ var LockHold = &Analyzer{
 var lockScoped = map[string]bool{
 	"sfcp/internal/server": true,
 	"sfcp/internal/jobs":   true,
+	"sfcp/internal/pool":   true,
 	"sfcp/internal/store":  true,
 }
 

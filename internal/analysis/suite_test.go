@@ -24,6 +24,8 @@ func TestCtxPath(t *testing.T) {
 	analysistest.Run(t, analysis.CtxPath, "sfcp/cmd/sfcpd", "testdata/ctxpath/cleanmain")
 	analysistest.Run(t, analysis.CtxPath, "sfcp/internal/store", "testdata/ctxpath/storeflagged")
 	analysistest.Run(t, analysis.CtxPath, "sfcp/internal/store", "testdata/ctxpath/storeclean")
+	analysistest.Run(t, analysis.CtxPath, "sfcp/internal/pool", "testdata/ctxpath/poolflagged")
+	analysistest.Run(t, analysis.CtxPath, "sfcp/internal/pool", "testdata/ctxpath/poolclean")
 }
 
 // TestCtxPathOutOfScope runs the flagged fixture under an unscoped
@@ -52,6 +54,8 @@ func TestLockHold(t *testing.T) {
 	analysistest.Run(t, analysis.LockHold, "sfcp/internal/server", "testdata/lockhold/clean")
 	analysistest.Run(t, analysis.LockHold, "sfcp/internal/store", "testdata/lockhold/storeflagged")
 	analysistest.Run(t, analysis.LockHold, "sfcp/internal/store", "testdata/lockhold/storeclean")
+	analysistest.Run(t, analysis.LockHold, "sfcp/internal/pool", "testdata/lockhold/poolflagged")
+	analysistest.Run(t, analysis.LockHold, "sfcp/internal/pool", "testdata/lockhold/poolclean")
 }
 
 func TestMetricName(t *testing.T) {

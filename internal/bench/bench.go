@@ -29,6 +29,7 @@ import (
 	"sfcp/internal/intsort"
 	"sfcp/internal/listrank"
 	"sfcp/internal/partition"
+	"sfcp/internal/pool"
 	"sfcp/internal/pram"
 	"sfcp/internal/strsort"
 	"sfcp/internal/workload"
@@ -627,191 +628,18 @@ func intSlicesEqual(a, b []int) bool {
 	return true
 }
 
-// The batch crew's shape in internal/server pool.go.
-const (
-	a5BatchCap   = 64
-	a5BatchDepth = 2 * a5BatchCap
-)
-
-// a5Pool is a faithful miniature of sfcpd's worker pool (internal/server
-// pool.go at its defaults) with its two crews for small linear solves.
-// The linear crew has 2 workers on a queue of depth 8 and pays, per
-// request, a task allocation with a buffered result channel, a bounded
-// queue send, a worker wakeup and a result receive. The batch crew has
-// GOMAXPROCS workers on a queue of depth 128; a worker pops one request,
-// takes every other request already queued up to 64, yields once and
-// scoops again, then solves the pass as one batch. Waiters select on
-// their result and their context only; close settles what is still
-// queued. Each A5 arm routes through one crew, so both pay exactly the
-// dispatch glue of their production counterpart — no more (HTTP and
-// caching are stripped from both arms), no less — and differ only in the
-// mechanism.
-type a5Pool struct {
-	q, batch   chan *a5Task
-	solveBatch func(ins []sfcp.Instance) ([]sfcp.Result, []error)
-	// flushes, members and queueWait count batch passes, the requests
-	// they carried and those requests' summed queue wait, as the server's
-	// sfcpd_batcher_* families do.
-	flushes, members, queueWait atomic.Int64
-	done                        chan struct{}
-	wg                          sync.WaitGroup
-}
-
-type a5Task struct {
-	ctx    context.Context
-	run    func() ([]int, error)
-	ins    sfcp.Instance
-	queued time.Time
-	resC   chan a5TaskResult
-}
-
-type a5TaskResult struct {
-	labels []int
-	err    error
-}
-
-var errA5Shutdown = errors.New("bench: pool shut down")
-
-func newA5Pool(workers, depth int, solveBatch func(ins []sfcp.Instance) ([]sfcp.Result, []error)) *a5Pool {
-	p := &a5Pool{
-		q:          make(chan *a5Task, depth),
-		batch:      make(chan *a5Task, a5BatchDepth),
-		solveBatch: solveBatch,
-		done:       make(chan struct{}),
-	}
-	for w := 0; w < workers; w++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		p.wg.Add(1)
-		go p.batchWorker()
-	}
-	return p
-}
-
-func (p *a5Pool) worker() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.done:
-			return
-		case t := <-p.q:
-			if err := t.ctx.Err(); err != nil {
-				t.resC <- a5TaskResult{err: err}
-				continue
-			}
-			labels, err := t.run()
-			t.resC <- a5TaskResult{labels: labels, err: err}
-		}
-	}
-}
-
-func (p *a5Pool) batchWorker() {
-	defer p.wg.Done()
-	batch := make([]*a5Task, 0, a5BatchCap)
-	for {
-		select {
-		case <-p.done:
-			return
-		case t := <-p.batch:
-			batch = p.scoop(append(batch, t))
-			if len(batch) < a5BatchCap {
-				runtime.Gosched()
-				batch = p.scoop(batch)
-			}
-			p.runPass(batch)
-			clear(batch)
-			batch = batch[:0]
-		}
-	}
-}
-
-func (p *a5Pool) scoop(batch []*a5Task) []*a5Task {
-	for len(batch) < a5BatchCap {
-		select {
-		case t := <-p.batch:
-			batch = append(batch, t)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-func (p *a5Pool) runPass(batch []*a5Task) {
-	start := time.Now()
-	var wait time.Duration
-	live := batch[:0]
-	ins := make([]sfcp.Instance, 0, len(batch))
-	for _, t := range batch {
-		wait += start.Sub(t.queued)
-		if err := t.ctx.Err(); err != nil {
-			t.resC <- a5TaskResult{err: err}
-			continue
-		}
-		live = append(live, t)
-		ins = append(ins, t.ins)
-	}
-	p.flushes.Add(1)
-	p.members.Add(int64(len(batch)))
-	p.queueWait.Add(int64(wait))
-	results, errs := p.solveBatch(ins)
-	for i, t := range live {
-		t.resC <- a5TaskResult{labels: results[i].Labels, err: errs[i]}
-	}
-}
-
-func (p *a5Pool) submit(ctx context.Context, run func() ([]int, error)) ([]int, error) {
-	return p.await(ctx, p.q, &a5Task{ctx: ctx, run: run})
-}
-
-func (p *a5Pool) submitBatch(ctx context.Context, ins sfcp.Instance) ([]int, error) {
-	return p.await(ctx, p.batch, &a5Task{ctx: ctx, ins: ins, queued: time.Now()})
-}
-
-func (p *a5Pool) await(ctx context.Context, q chan<- *a5Task, t *a5Task) ([]int, error) {
-	t.resC = make(chan a5TaskResult, 1)
-	select {
-	case q <- t:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-p.done:
-		return nil, errA5Shutdown
-	}
-	select {
-	case <-p.done:
-		return nil, errA5Shutdown
-	default:
-	}
-	select {
-	case r := <-t.resC:
-		return r.labels, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (p *a5Pool) close() {
-	close(p.done)
-	p.wg.Wait()
-	for _, q := range []chan *a5Task{p.q, p.batch} {
-		for len(q) > 0 {
-			(<-q).resC <- a5TaskResult{err: errA5Shutdown}
-		}
-	}
-}
-
 // A5Coalescing measures the coalescing micro-batch front door against
 // per-request handling on its target regime: many concurrent small solves
 // (well under the batch crew's 32768-element threshold, and planned onto
-// the sequential linear solver). The per-request arm pays what sfcpd's
-// pool path pays per request — validation and the constant Auto plan
-// (PlanWith), bounded worker-pool dispatch, and a scratch checkout; the
-// coalesced arm queues requests for a miniature of the pool's batch crew,
-// plans each pass once and solves its members back-to-back under one
-// shared scratch arena. Emits one JSON document (like A7 and A8)
-// for BENCH_*.json trajectory tracking.
+// the sequential linear solver). Both arms run on sfcpd's own pool
+// (internal/pool at the server's default of 2 slots per lane), with HTTP
+// and caching stripped away. The per-request arm pays what a solve on a
+// lane pays — validation and the constant Auto plan (PlanWith), a slot
+// of the linear lane, and a scratch checkout — and solves on its own
+// goroutine; the coalesced arm queues requests for the pool's batch
+// crew, which solves each pass's members back-to-back under one shared
+// scratch arena. Emits one JSON document (like A7 and A8) for
+// BENCH_*.json trajectory tracking.
 func A5Coalescing(cfg Config) {
 	type row struct {
 		N             int     `json:"n"`
@@ -838,7 +666,7 @@ func A5Coalescing(cfg Config) {
 		Title:       "coalescing front door: micro-batched vs per-request small solves",
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Host:        Fingerprint(),
-		MaxSize:     a5BatchCap,
+		MaxSize:     pool.BatchCap,
 		Concurrency: 64,
 	}
 	requests := 10000
@@ -855,11 +683,11 @@ func A5Coalescing(cfg Config) {
 		if distinct > requests {
 			distinct = requests
 		}
-		pool := make([]sfcp.Instance, distinct)
+		instances := make([]sfcp.Instance, distinct)
 		want := make([][]int, distinct)
-		for i := range pool {
+		for i := range instances {
 			wl := workload.RandomFunction(cfg.Seed+int64(n)+int64(i), n, 3)
-			pool[i] = sfcp.Instance{F: wl.F, B: wl.B}
+			instances[i] = sfcp.Instance{F: wl.F, B: wl.B}
 			want[i] = coarsest.LinearSequential(coarsest.Instance{F: wl.F, B: wl.B})
 		}
 
@@ -890,32 +718,26 @@ func A5Coalescing(cfg Config) {
 			return time.Since(t0), agree.Load()
 		}
 
-		// Coalesced arm's batch solve: one batch plan and one scratch arena
-		// per pass.
+		// The server's pool, its batch crew solving as the server's does,
+		// and its passes counted through the same flush callback that
+		// feeds the server's sfcpd_batcher_* families.
 		coSolver := sfcp.NewSolver(sfcp.Options{})
-		solveBatch := func(instances []sfcp.Instance) ([]sfcp.Result, []error) {
-			plan, err := sfcp.PlanBatch(instances, sfcp.Options{Algorithm: sfcp.AlgorithmAuto})
-			if err != nil {
-				errs := make([]error, len(instances))
-				for i := range errs {
-					errs[i] = err
-				}
-				return make([]sfcp.Result, len(instances)), errs
-			}
-			return coSolver.SolveBatchPlanned(ctx, instances, plan)
-		}
-		// Crew sizing mirrors the server defaults: 2 workers and queue
-		// depth 8 per algorithm crew.
-		crews := newA5Pool(2, 8, solveBatch)
+		var flushes, members atomic.Int64
+		p := pool.New(2, func(ctx context.Context, ins []sfcp.Instance) ([]sfcp.Result, []error) {
+			return coSolver.SolveBatchPlanned(ctx, ins, pool.BatchPlan)
+		}, func(_ string, n int, _ time.Duration) {
+			flushes.Add(1)
+			members.Add(int64(n))
+		})
 
-		// Per-request arm: validate + plan on the caller, then bounded
-		// worker-pool dispatch and a scratch checkout — the pool path's
-		// per-request work with HTTP and caching stripped away.
+		// Per-request arm: validate + plan on the caller, then a slot of
+		// the linear lane and a scratch checkout — a lane solve's work
+		// with HTTP and caching stripped away.
 		perReq := sfcp.NewSolver(sfcp.Options{})
 		uncoHandle := func(i int) ([]int, error) {
-			ins := pool[i%distinct]
-			// The pool path reads the clock around both planning and
-			// dispatch (the queue-vs-solve latency split every response
+			ins := instances[i%distinct]
+			// The server reads the clock around both planning and
+			// execution (the plan-vs-execute latency split every response
 			// carries); the baseline pays the same two pairs per request.
 			planStart := time.Now()
 			plan, err := sfcp.PlanWith(ins, sfcp.Options{Algorithm: sfcp.AlgorithmAuto})
@@ -924,23 +746,22 @@ func A5Coalescing(cfg Config) {
 				return nil, err
 			}
 			solveStart := time.Now()
-			labels, err := crews.submit(ctx, func() ([]int, error) {
-				res, err := perReq.SolvePlanned(ctx, ins, plan)
-				if err != nil {
-					return nil, err
-				}
+			var res sfcp.Result
+			err = p.Run(ctx, plan.Algorithm, func() (err error) {
+				res, err = perReq.SolvePlanned(ctx, ins, plan)
 				res.Timings.Plan = planDur
-				return res.Labels, nil
+				return err
 			})
 			if time.Since(solveStart) < 0 {
 				return nil, errors.New("bench: clock went backwards")
 			}
-			return labels, err
+			return res.Labels, err
 		}
 
 		// Coalesced arm: the same traffic through the batch crew.
 		coHandle := func(i int) ([]int, error) {
-			return crews.submitBatch(ctx, pool[i%distinct])
+			out := p.Batch(ctx, instances[i%distinct])
+			return out.Res.Labels, out.Err
 		}
 
 		// Both arms repeat, pass-interleaved, and report their fastest
@@ -970,7 +791,7 @@ func A5Coalescing(cfg Config) {
 			}
 			okC = okC && o
 		}
-		crews.close()
+		p.Close()
 
 		r := row{
 			N:             n,
@@ -980,11 +801,11 @@ func A5Coalescing(cfg Config) {
 			UncoalescedNS: int64(uncoalesced),
 			CoalescedNS:   int64(coalesced),
 			Speedup:       float64(uncoalesced) / float64(coalesced),
-			Flushes:       crews.flushes.Load(),
+			Flushes:       flushes.Load(),
 			Agree:         okU && okC,
 		}
 		if r.Flushes > 0 {
-			r.AvgBatch = float64(crews.members.Load()) / float64(r.Flushes)
+			r.AvgBatch = float64(members.Load()) / float64(r.Flushes)
 		}
 		doc.Rows = append(doc.Rows, r)
 	}

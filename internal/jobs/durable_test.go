@@ -246,7 +246,8 @@ func TestRecoveryMissingPayloadFailsJob(t *testing.T) {
 // names an algorithm this build no longer has (native-parallel) is
 // dropped at boot with a log line, though its payload is in the blob
 // tier; a queued linear job on the same payload still runs, and the boot
-// does not fail.
+// does not fail. The drop is for good: the record leaves the journal, so
+// a second boot over the same stores has nothing left to drop.
 func TestRecoveryDropsRemovedAlgorithm(t *testing.T) {
 	ins := sizedInstance(6)
 	digest := ins.Digest()
@@ -271,18 +272,59 @@ func TestRecoveryDropsRemovedAlgorithm(t *testing.T) {
 		t.Logf(format, args...)
 	}
 	m := New(Config{Journal: journal, Blobs: blobs, Logf: logf}, modSolve)
-	defer m.Close()
 
 	waitState(t, m, "old-linear", StateDone)
 	if s, ok := m.Get("old-native-parallel"); ok {
 		t.Fatalf("job naming a removed algorithm was recovered: %+v", s)
 	}
 	mu.Lock()
-	defer mu.Unlock()
 	if !slices.ContainsFunc(logs, func(l string) bool {
 		return strings.Contains(l, "old-native-parallel") && strings.Contains(l, "unknown algorithm")
 	}) {
 		t.Fatalf("no log line names the dropped job: %q", logs)
+	}
+	logs = nil
+	mu.Unlock()
+	m.Close()
+	journal.Scan(func(r store.JobRecord) error {
+		if r.ID == "old-native-parallel" {
+			t.Errorf("the dropped job's record is still journaled: %+v", r)
+		}
+		return nil
+	})
+
+	m2 := New(Config{Journal: journal, Blobs: blobs, Logf: logf}, modSolve)
+	defer m2.Close()
+	waitState(t, m2, "old-linear", StateDone)
+	mu.Lock()
+	defer mu.Unlock()
+	if i := slices.IndexFunc(logs, func(l string) bool { return strings.Contains(l, "dropping") }); i >= 0 {
+		t.Errorf("second boot dropped a job again: %q", logs[i])
+	}
+}
+
+// TestRecoveryDropReleasesPayload: a dropped job that was the only one on
+// its instance leaves no payload blob behind.
+func TestRecoveryDropReleasesPayload(t *testing.T) {
+	ins := sizedInstance(6)
+	digest := ins.Digest()
+	blobs := store.NewMemBlobStore()
+	if err := store.PutInstance(blobs, digest, ins); err != nil {
+		t.Fatal(err)
+	}
+	journal := store.NewMemJobStore()
+	journal.Put(store.JobRecord{
+		ID: "old-native-parallel", Seq: 1, Algorithm: "native-parallel", State: "queued", N: len(ins.F),
+		SubmittedAt:    time.Now(),
+		InstanceDigest: digest,
+	})
+	m := New(Config{Journal: journal, Blobs: blobs, Logf: t.Logf}, modSolve)
+	defer m.Close()
+	if ok, err := blobs.Has(digest); err != nil || ok {
+		t.Errorf("payload blob of the dropped job: present %v, err %v; want it deleted", ok, err)
+	}
+	if n := journal.Len(); n != 0 {
+		t.Errorf("journal holds %d records after the drop, want 0", n)
 	}
 }
 

@@ -11,20 +11,23 @@
 //	queued ──▶ running ──▶ done | failed | cancelled
 //	   └──────────────────────────────────▶ cancelled
 //
-// Jobs wait in one priority queue per algorithm (higher Priority first,
-// FIFO within a priority), mirroring the per-algorithm isolation of the
-// solver pools: a burst of slow simulator jobs cannot delay cheap
-// sequential ones. Each algorithm has a fixed crew of dispatchers that pop
-// the queue and execute the solve through the SolveFunc the server wires
-// in (planning, cache, execution and metrics stay in one place).
+// Jobs wait in one priority queue per lane (higher Priority first, FIFO
+// within a priority). A job's lane is the algorithm it resolves to, the
+// same key as the pool's slot lanes, so "auto" and "linear" jobs share a
+// queue and one priority orders every job bound for the linear solver,
+// while a burst of slow simulator jobs cannot delay cheap sequential
+// ones. Each lane has a fixed crew of dispatchers that pop its queue and
+// run the solve on their own goroutine through the SolveFunc the server
+// wires in (planning, cache, execution and metrics stay in one place).
 //
 // Cancellation is cooperative: cancelling a queued job removes it from the
-// queue; cancelling a running job cancels its context, which the solvers
-// poll between refinement rounds / simulated PRAM steps, so the job
-// reaches the cancelled state within one round. Deleting a terminal job
-// releases its result payload immediately; otherwise terminal jobs (and
-// their results) are evicted TTL seconds after finishing by a janitor
-// tick.
+// queue; cancelling a running job cancels its context. The PRAM
+// simulations poll it every simulated step, so such a job reaches the
+// cancelled state within one step; a solve that does not poll it (the
+// sequential solvers) runs to its end first, and its result is
+// discarded. Deleting a terminal job releases its result payload
+// immediately; otherwise terminal jobs (and their results) are evicted
+// TTL seconds after finishing by a janitor tick.
 //
 // # Durability
 //
@@ -52,6 +55,7 @@ import (
 	"time"
 
 	"sfcp"
+	"sfcp/internal/engine"
 	"sfcp/internal/store"
 )
 
@@ -86,8 +90,8 @@ type Config struct {
 	// MaxQueued bounds jobs waiting across all algorithms (default 1024).
 	// Submit fails once the bound is hit — the backpressure signal.
 	MaxQueued int
-	// DispatchersPerAlgorithm is how many jobs of one algorithm may be in
-	// flight at once (default 2, matching the solver pool's worker crews).
+	// DispatchersPerAlgorithm is how many jobs of one lane may be in
+	// flight at once (default 2, matching the pool's slots per lane).
 	DispatchersPerAlgorithm int
 	// TTL is how long terminal jobs (and their results) are retained
 	// before eviction (default 10 minutes).
@@ -159,10 +163,11 @@ var ErrNotFound = errors.New("jobs: unknown job id")
 var ErrResultUnavailable = errors.New("jobs: result payload unavailable")
 
 // job is the internal record; all fields are guarded by the manager mutex
-// except ins/algo/seed/priority, which are immutable after Submit.
+// except ins/algo/lane/seed/priority, which are immutable after Submit.
 type job struct {
 	id       string
 	algo     sfcp.Algorithm
+	lane     sfcp.Algorithm // the queue it waits in; see laneOf
 	seed     *uint64
 	priority int
 	n        int
@@ -237,8 +242,8 @@ type Counts struct {
 	Requeued, Restored, Spilled int64
 }
 
-// Manager owns the job store, the per-algorithm queues and the dispatcher
-// and janitor goroutines. Create one with New; Close releases it.
+// Manager owns the job store, the per-lane queues and the dispatcher and
+// janitor goroutines. Create one with New; Close releases it.
 type Manager struct {
 	cfg   Config
 	solve SolveFunc
@@ -270,7 +275,7 @@ type Manager struct {
 	wg   sync.WaitGroup
 }
 
-// New starts a manager with one dispatcher crew per algorithm plus the
+// New starts a manager with one dispatcher crew per lane plus the
 // eviction janitor. solve must be non-nil. With a journal configured,
 // recovery runs here — before any dispatcher can race it.
 func New(cfg Config, solve SolveFunc) *Manager {
@@ -289,15 +294,15 @@ func New(cfg Config, solve SolveFunc) *Manager {
 	// read it under the mutex, but New writes it outside (nothing else can
 	// hold a *Manager yet), so interleaving spawn with population would race.
 	for _, algo := range sfcp.Algorithms() {
-		m.queues[algo] = &jobQueue{}
+		m.queues[laneOf(algo)] = &jobQueue{}
 	}
 	if m.cfg.Journal != nil {
 		m.recoverFromJournal()
 	}
-	for _, algo := range sfcp.Algorithms() {
+	for lane := range m.queues {
 		for d := 0; d < m.cfg.DispatchersPerAlgorithm; d++ {
 			m.wg.Add(1)
-			go m.dispatch(algo)
+			go m.dispatch(lane)
 		}
 	}
 	m.wg.Add(1)
@@ -305,13 +310,26 @@ func New(cfg Config, solve SolveFunc) *Manager {
 	return m
 }
 
+// laneOf is the lane a job of algo waits in: the algorithm its solve
+// resolves to. A plan reads only the request, so the lane is known at
+// submission and at recovery alike.
+func laneOf(algo sfcp.Algorithm) sfcp.Algorithm {
+	if plan, err := engine.MakePlan(engine.Request{Algorithm: algo}); err == nil {
+		return plan.Algorithm
+	}
+	return algo
+}
+
 // recoverFromJournal replays the journal into the store: terminal jobs
 // come back as fetchable snapshots (labels stay in the blob tier),
 // non-terminal jobs go back on their queues with payloads reloaded from
 // the tier at dispatch. Runs before the dispatchers exist, so no lock is
 // needed. Recovery is lenient all the way down: an unreadable record or
-// a missing payload downgrades one job, never the boot.
+// a missing payload downgrades one job, never the boot. A job naming an
+// algorithm this build lacks is dropped for good: its record is deleted,
+// and so is its payload once no recovered job needs it.
 func (m *Manager) recoverFromJournal() {
+	var dropped []string
 	err := m.cfg.Journal.Scan(func(rec store.JobRecord) error {
 		if rec.ID == "" || rec.Deleted {
 			return nil
@@ -322,11 +340,16 @@ func (m *Manager) recoverFromJournal() {
 		algo, aerr := sfcp.ParseAlgorithm(rec.Algorithm)
 		if aerr != nil {
 			m.cfg.Logf("jobs: recovery: job %s has unknown algorithm %q; dropping", rec.ID, rec.Algorithm)
+			if derr := m.cfg.Journal.Delete(rec.ID); derr != nil {
+				m.cfg.Logf("jobs: recovery: deleting journal record %s: %v", rec.ID, derr)
+			}
+			dropped = append(dropped, rec.InstanceDigest)
 			return nil
 		}
 		j := &job{
 			id:        rec.ID,
 			algo:      algo,
+			lane:      laneOf(algo),
 			seed:      rec.Seed,
 			priority:  rec.Priority,
 			n:         rec.N,
@@ -375,13 +398,18 @@ func (m *Manager) recoverFromJournal() {
 		}
 		j.blobRef = true
 		m.insRefs[rec.InstanceDigest]++
-		heap.Push(m.queues[algo], j)
+		heap.Push(m.queues[j.lane], j)
 		m.queued++
 		m.requeued++
 		return nil
 	})
 	if err != nil {
 		m.cfg.Logf("jobs: recovery: journal scan: %v", err)
+	}
+	for _, digest := range dropped {
+		if m.insRefs[digest] == 0 {
+			m.deleteInstanceBlob(digest)
+		}
 	}
 	if n := m.cfg.Journal.CorruptSkipped(); n > 0 {
 		m.cfg.Logf("jobs: recovery: journal had %d unreadable entries (skipped)", n)
@@ -411,7 +439,7 @@ func (m *Manager) Close() {
 			if durable {
 				continue // the journal record outlives the process
 			}
-			m.queues[j.algo].remove(j)
+			m.queues[j.lane].remove(j)
 			m.queued--
 			m.finishLocked(j, StateCancelled, "server shutting down", now)
 		case StateRunning:
@@ -442,12 +470,13 @@ func (m *Manager) Submit(algo sfcp.Algorithm, seed *uint64, priority int, ins sf
 	if err != nil {
 		return Snapshot{}, err
 	}
+	lane := laneOf(algo)
 	var digest string
 	blobbed := false
 	if m.cfg.Journal != nil {
 		// Fail fast before hashing a payload we would then throw away.
 		m.mu.Lock()
-		err := m.admitLocked(algo)
+		err := m.admitLocked(lane)
 		m.mu.Unlock()
 		if err != nil {
 			return Snapshot{}, err
@@ -464,13 +493,14 @@ func (m *Manager) Submit(algo sfcp.Algorithm, seed *uint64, priority int, ins sf
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.admitLocked(algo); err != nil {
+	if err := m.admitLocked(lane); err != nil {
 		return Snapshot{}, err
 	}
 	m.seq++
 	j := &job{
 		id:        id,
 		algo:      algo,
+		lane:      lane,
 		seed:      seed,
 		priority:  priority,
 		n:         len(ins.F),
@@ -490,7 +520,7 @@ func (m *Manager) Submit(algo sfcp.Algorithm, seed *uint64, priority int, ins sf
 		}
 	}
 	m.jobs[id] = j
-	heap.Push(m.queues[algo], j)
+	heap.Push(m.queues[lane], j)
 	m.queued++
 	m.submitted++
 	m.journalLocked(j)
@@ -499,16 +529,16 @@ func (m *Manager) Submit(algo sfcp.Algorithm, seed *uint64, priority int, ins sf
 }
 
 // admitLocked is the Submit admission check: open, under the queue
-// bound, and a known algorithm.
-func (m *Manager) admitLocked(algo sfcp.Algorithm) error {
+// bound, and a known lane.
+func (m *Manager) admitLocked(lane sfcp.Algorithm) error {
 	if m.closed {
 		return ErrClosed
 	}
 	if m.queued >= m.cfg.MaxQueued {
 		return fmt.Errorf("%w: %d jobs waiting", ErrQueueFull, m.queued)
 	}
-	if _, ok := m.queues[algo]; !ok {
-		return fmt.Errorf("jobs: no queue for algorithm %v", algo)
+	if _, ok := m.queues[lane]; !ok {
+		return fmt.Errorf("jobs: no queue for algorithm %v", lane)
 	}
 	return nil
 }
@@ -561,10 +591,10 @@ func (m *Manager) Result(id string) (sfcp.Result, Snapshot, error) {
 // Cancel requests cancellation — and, on a terminal job, deletion.
 // Queued jobs are removed and become cancelled immediately; running jobs
 // have their context cancelled and reach the cancelled state when the
-// solver's next cooperative check fires. A terminal job is evicted on
-// the spot: its result payload is released immediately rather than
-// waiting for the TTL janitor, and the returned snapshot is its final
-// pre-deletion state.
+// solver's next cooperative check fires, or when a solve that makes none
+// ends. A terminal job is evicted on the spot: its result payload is
+// released immediately rather than waiting for the TTL janitor, and the
+// returned snapshot is its final pre-deletion state.
 func (m *Manager) Cancel(id string) (Snapshot, bool) {
 	var releaseBlob, dropID string
 	m.mu.Lock()
@@ -576,7 +606,7 @@ func (m *Manager) Cancel(id string) (Snapshot, bool) {
 	var snap Snapshot
 	switch j.state {
 	case StateQueued:
-		m.queues[j.algo].remove(j)
+		m.queues[j.lane].remove(j)
 		m.queued--
 		releaseBlob = m.finishLocked(j, StateCancelled, "cancelled before start", m.cfg.now())
 		m.journalLocked(j)
@@ -627,14 +657,14 @@ func (m *Manager) Counts() Counts {
 	}
 }
 
-// dispatch is one dispatcher goroutine: pop the algorithm's queue, reload
-// a spilled payload, run the solve under the job's cancellable context,
+// dispatch is one dispatcher goroutine: pop the lane's queue, reload a
+// spilled payload, run the solve under the job's cancellable context,
 // persist the result, finalize.
-func (m *Manager) dispatch(algo sfcp.Algorithm) {
+func (m *Manager) dispatch(lane sfcp.Algorithm) {
 	defer m.wg.Done()
 	for {
 		m.mu.Lock()
-		q := m.queues[algo]
+		q := m.queues[lane]
 		for q.Len() == 0 && !m.closed {
 			m.cond.Wait()
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -127,6 +128,76 @@ func TestPriorityOrder(t *testing.T) {
 	want := []int{1, 3, 4, 2} // first, then prio 5 FIFO (3 before 4), then prio 0
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("execution order %v, want %v", order, want)
+	}
+}
+
+// TestAutoAndLinearShareALane: "auto" resolves to linear, so auto and
+// linear jobs wait in one queue with one crew of dispatchers. With one
+// dispatcher, a priority-5 linear job waits for the running auto job,
+// then runs before an auto job queued earlier at priority 0.
+func TestAutoAndLinearShareALane(t *testing.T) {
+	gate := make(chan struct{})
+	var order []int
+	var mu sync.Mutex
+	m := New(Config{DispatchersPerAlgorithm: 1}, func(ctx context.Context, algo sfcp.Algorithm, seed *uint64, ins sfcp.Instance, digest string) (sfcp.Result, bool, error) {
+		mu.Lock()
+		order = append(order, len(ins.F))
+		mu.Unlock()
+		select {
+		case <-gate:
+			return sfcp.Result{NumClasses: 1}, false, nil
+		case <-ctx.Done():
+			return sfcp.Result{}, false, ctx.Err()
+		}
+	})
+	defer m.Close()
+	sized := func(n int) sfcp.Instance { return sfcp.Instance{F: make([]int, n), B: make([]int, n)} }
+
+	running, err := m.Submit(sfcp.AlgorithmAuto, nil, 0, sized(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, running.ID, StateRunning)
+	early, err := m.Submit(sfcp.AlgorithmAuto, nil, 0, sized(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	urgent, err := m.Submit(sfcp.AlgorithmLinear, nil, 5, sized(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if s, _ := m.Get(urgent.ID); s.State != StateQueued {
+		t.Fatalf("linear job is %s while an auto job holds the lane's one dispatcher, want queued", s.State)
+	}
+	close(gate)
+	for _, id := range []string{running.ID, early.ID, urgent.ID} {
+		waitState(t, m, id, StateDone)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []int{1, 3, 2}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("execution order %v, want %v (running auto, then priority 5 linear, then priority 0 auto)", order, want)
+	}
+}
+
+// TestDispatchersPerLane: a default manager runs two dispatchers for each
+// of the six lanes ("auto" has none of its own) plus the janitor.
+func TestDispatchersPerLane(t *testing.T) {
+	// Wait for goroutines left over from earlier tests to exit.
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
+	m := New(Config{}, instantSolve)
+	defer m.Close()
+	if got, want := runtime.NumGoroutine()-before, 6*2+1; got != want {
+		t.Errorf("a default manager started %d goroutines, want %d (12 dispatchers and the janitor)", got, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"sfcp"
 	"sfcp/internal/jobs"
+	"sfcp/internal/pool"
 	"sfcp/internal/workload"
 )
 
@@ -17,7 +18,7 @@ import (
 // request that fails validation/planning counts under
 // sfcpd_plan_errors_total keyed by what was asked for, and never
 // fabricates solve-family samples for an algorithm ("auto") that nothing
-// ever resolves to — for a request bound for an algorithm crew (the
+// ever resolves to — for a request bound for an algorithm's lane (the
 // original server.go bug) and one bound for the batch crew alike.
 func TestPlanErrorMetricLabels(t *testing.T) {
 	for _, tc := range []struct {
@@ -123,7 +124,7 @@ func TestCoalescedSolves(t *testing.T) {
 		if r.Coalesced < 1 {
 			t.Errorf("request %d: coalesced = %d, want >= 1", i, r.Coalesced)
 		}
-		if r.FlushReason != flushSize && r.FlushReason != flushDrain {
+		if r.FlushReason != pool.FlushSize && r.FlushReason != pool.FlushDrain {
 			t.Errorf("request %d: flush_reason %q", i, r.FlushReason)
 		}
 		if r.PlanReason != plans[i].Reason {

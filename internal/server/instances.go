@@ -2,7 +2,6 @@ package server
 
 import (
 	"container/list"
-	"context"
 	"errors"
 	"fmt"
 	"mime"
@@ -38,10 +37,10 @@ import (
 // their last job finishes.
 //
 // Session builds, rebuilds and re-solves are O(n) solver work, so each
-// request runs as one task on the pool's linear crew: it shares that
-// crew's bounded concurrency and queue with the linear solves, leaves
-// the queue when its client goes away, and fails with 503 once the
-// server is closed.
+// request runs in a slot of the linear lane: it shares the lane's bounded
+// concurrency with the linear solves, stops waiting when its client goes
+// away, and fails with 503 once the server is closed. A request's task
+// either ran to the end or never started.
 
 // sessionRegistry is a bounded LRU of resident incremental sessions keyed
 // by the digest of the version they currently represent. take removes the
@@ -177,7 +176,7 @@ func (s *Server) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 	digest := ins.Digest()
 	resp := InstanceResponse{Digest: digest, N: len(ins.F)}
 	withLabels := !omitLabels(r)
-	err := s.onLinearCrew(r.Context(), func() error {
+	err := s.pool.Run(r.Context(), sfcp.AlgorithmLinear, func() error {
 		// A resident session makes registration idempotent: the labels
 		// come from the session rather than a re-solve, and take/put
 		// keeps the read atomic per session.
@@ -233,7 +232,7 @@ func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
 	// A failure of the task itself (not of its admission) is a server
 	// error unless the task marks it as the request's fault.
 	code := http.StatusInternalServerError
-	err = s.onLinearCrew(r.Context(), func() error {
+	err = s.pool.Run(r.Context(), sfcp.AlgorithmLinear, func() error {
 		inc, rebuilt, err := s.instanceSession(parent)
 		if err != nil {
 			return err
@@ -286,17 +285,6 @@ func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
 		resp.Labels = nil
 	}
 	writeReply(w, http.StatusOK, &resp)
-}
-
-// onLinearCrew runs task on the pool's linear crew and returns its error,
-// or the admission error — the request's context error, or errShutdown
-// once the server is closed — if the task never completed. In the latter
-// case the task may still be running, so callers read what it writes only
-// after a nil or task-made error.
-func (s *Server) onLinearCrew(ctx context.Context, task func() error) error {
-	return s.pool.submit(ctx, sfcp.AlgorithmLinear, func(context.Context) (sfcp.Result, error) {
-		return sfcp.Result{}, task()
-	}).err
 }
 
 // omitLabels reports whether the request asked to leave the label array

@@ -20,9 +20,10 @@ import (
 //	                         when the Accept header names application/x-sfcp
 //	DELETE /jobs/{id}        cancel (cooperative; idempotent)
 //
-// Job solves run through the same pipeline — cache, then the worker
-// pool's crews — as the synchronous endpoints, so a job can be answered
-// from cache and a job's result warms the cache for synchronous traffic.
+// Job solves run through the same pipeline — cache, then the pool's
+// batch crew or a slot of their lane — as the synchronous endpoints, so
+// a job can be answered from cache and a job's result warms the cache
+// for synchronous traffic.
 
 // JobRequest is the JSON body of POST /jobs: a SolveRequest plus a
 // scheduling priority (higher runs sooner; default 0). Binary submissions

@@ -28,7 +28,7 @@ const (
 	metricSolveErrorsTotal   = "sfcpd_solve_errors_total"
 	// Solve seconds are the solver's own wall clock (Result.Timings.Solve;
 	// for a batch-crew member its size-proportional share of the batch
-	// pass), so queue wait is excluded on every crew.
+	// pass), so slot and queue waits are excluded.
 	metricSolveSecondsSum    = "sfcpd_solve_seconds_sum"
 	metricSolveSecondsMax    = "sfcpd_solve_seconds_max"
 	metricSolveClassesSum    = "sfcpd_solve_classes_sum"

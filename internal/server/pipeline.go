@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sfcp"
+	"sfcp/internal/pool"
 	"sfcp/internal/store"
 )
 
@@ -19,12 +20,13 @@ import (
 //	lookup   instance digest → RAM cache → durable blob tier. A hit is
 //	         answered with this request's own plan, never the plan of
 //	         the request that populated the entry.
-//	execute  the only branch: a linear plan below batchMaxN elements
-//	         goes to the pool's batch crew, to be solved in one pass with
-//	         the requests queued beside it; everything else to its
-//	         algorithm's crew.
+//	execute  the only branch: a linear plan below pool.BatchMaxN
+//	         elements goes to the pool's batch crew, to be solved in one
+//	         pass with the requests queued beside it; everything else
+//	         takes a slot of its algorithm's lane and solves on the
+//	         calling goroutine.
 //	fill     solve metrics, cache put, and write-through to the blob
-//	         tier at or above SpillN elements, on every crew.
+//	         tier at or above SpillN elements, on either path.
 //
 // The cache uses the instance's content address: the root of a SHA-256
 // hash tree over the decoded values (sfcp.Instance.Digest), so both
@@ -147,28 +149,32 @@ func (s *Server) lookup(key string, algo sfcp.Algorithm, seed uint64, digest str
 }
 
 // execute runs a resolved request on the pool. Linear plans below
-// batchMaxN go to the batch crew, the rest to their algorithm's crew,
-// each solving exactly the plan that chose its queue and cache key.
+// pool.BatchMaxN go to the batch crew; the rest take a slot of their
+// algorithm's lane and solve here, each solving exactly the plan that
+// chose its lane and cache key.
 func (s *Server) execute(ctx context.Context, ins sfcp.Instance, plan sfcp.Plan, seed uint64) solveOutcome {
 	start := time.Now()
 	var out solveOutcome
-	if plan.Algorithm == sfcp.AlgorithmLinear && len(ins.F) < batchMaxN {
-		out = s.pool.submitBatch(ctx, ins)
+	if plan.Algorithm == sfcp.AlgorithmLinear && len(ins.F) < pool.BatchMaxN {
+		out = fromBatch(s.pool.Batch(ctx, ins))
 	} else {
-		out = s.pool.submit(ctx, plan.Algorithm, func(ctx context.Context) (sfcp.Result, error) {
+		out.err = s.pool.Run(ctx, plan.Algorithm, func() (err error) {
 			if seed == s.cfg.Seed {
-				return s.solver.SolvePlanned(ctx, ins, plan)
+				out.res, err = s.solver.SolvePlanned(ctx, ins, plan)
+			} else {
+				out.res, err = sfcp.SolvePlanned(ctx, ins, plan, sfcp.Options{Seed: seed})
 			}
-			return sfcp.SolvePlanned(ctx, ins, plan, sfcp.Options{Seed: seed})
+			return err
 		})
 	}
 	out.elapsed = time.Since(start)
 	return out
 }
 
-// batchPlan is the plan every batch-crew member resolved to: execute
-// admits linear plans only, and the batch solve reads nothing else.
-var batchPlan = sfcp.Plan{Algorithm: sfcp.AlgorithmLinear, Workers: 1}
+// fromBatch is the pipeline's view of a batch-crew outcome.
+func fromBatch(b pool.Outcome) solveOutcome {
+	return solveOutcome{res: b.Res, err: b.Err, coalesced: b.Coalesced, flushReason: b.FlushReason, queueWait: b.QueueWait}
+}
 
 // cacheKey builds the "resolved/seed/digest" cache key without fmt — this
 // runs on every cacheable request, and Sprintf's reflection costs more

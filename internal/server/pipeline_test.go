@@ -53,12 +53,12 @@ func solveVia(t *testing.T, ts *httptest.Server, route, algo string, ins sfcp.In
 
 // TestPipelineParity sends one small instance down every path that solves
 // it — the batch crew from /solve, a /solve/batch member and an async
-// job, an algorithm crew for explicit non-linear requests, and POST
+// job, an algorithm's lane for explicit non-linear requests, and POST
 // /instances — and requires identical labels from all of them. On the
 // solve, batch and job paths a miss and a later hit must each report the
 // plan sfcp.PlanWith resolves for that very request (never the plan of
 // whichever request filled the cache), and the counters must move by
-// exactly one plan per request and one solve per miss, on the crew the
+// exactly one plan per request and one solve per miss, on the path the
 // plan selects.
 func TestPipelineParity(t *testing.T) {
 	wl := workload.RandomFunction(41, 200, 3)
@@ -120,8 +120,9 @@ func TestPipelineParity(t *testing.T) {
 }
 
 // TestInstanceRoutesAfterClose: instance builds and deltas are admitted
-// through the linear pool crew, so once the server is closed they answer
-// 503 like /solve instead of solving on the handler goroutine.
+// through a slot of the pool's linear lane, so once the server is closed
+// they answer 503 like /solve instead of solving on the handler
+// goroutine.
 func TestInstanceRoutesAfterClose(t *testing.T) {
 	s, ts := newTestServer(t, Config{BlobStore: store.NewMemBlobStore()})
 	ir := createInstance(t, ts.URL, sfcp.Instance{F: []int{1, 0}, B: []int{0, 1}})

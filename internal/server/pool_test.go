@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -11,12 +12,16 @@ import (
 	"time"
 
 	"sfcp"
+	"sfcp/internal/pool"
 	"sfcp/internal/workload"
 )
 
+// batchDepth is the batch queue's capacity: two passes' worth.
+const batchDepth = 2 * pool.BatchCap
+
 // linearBatch solves a batch pass the way the server's batch crew does.
 func linearBatch(ctx context.Context, ins []sfcp.Instance) ([]sfcp.Result, []error) {
-	return sfcp.NewSolver(sfcp.Options{}).SolveBatchPlanned(ctx, ins, batchPlan)
+	return sfcp.NewSolver(sfcp.Options{}).SolveBatchPlanned(ctx, ins, pool.BatchPlan)
 }
 
 // smallInstance is a seeded random n-element instance and its labels.
@@ -66,33 +71,56 @@ func (g *batchGate) solve(ctx context.Context, ins []sfcp.Instance) ([]sfcp.Resu
 // parkAll holds every batch worker of p in a parked pass, one worker at a
 // time (a held worker cannot take the next park), so that requests
 // submitted afterwards stay queued.
-func (g *batchGate) parkAll(p *pool) {
+func (g *batchGate) parkAll(p *pool.Pool) {
 	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		go p.submitBatch(context.Background(), g.park)
+		go p.Batch(context.Background(), g.park)
 		<-g.started
 	}
 }
 
-// waitQueued blocks until q holds n tasks.
-func waitQueued(t *testing.T, q chan *poolTask, n int) {
+// submitBatch runs ins on p's batch crew as the execute stage does.
+func submitBatch(ctx context.Context, p *pool.Pool, ins sfcp.Instance) solveOutcome {
+	return fromBatch(p.Batch(ctx, ins))
+}
+
+// waitQueued blocks until n requests wait in the batch queue behind the
+// parked workers: the pool's queue is internal to it, so this counts
+// the goroutines blocked in Batch beyond one parked per worker.
+func waitQueued(t *testing.T, n int) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); len(q) < n; time.Sleep(time.Millisecond) {
+	waitBlocked(t, "pool.(*Pool).Batch(", runtime.GOMAXPROCS(0)+n)
+}
+
+// waitBlocked blocks until n goroutines sit in a select inside fn.
+func waitBlocked(t *testing.T, fn string, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		got := 0
+		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+			if bytes.Contains(g, []byte("[select")) && bytes.Contains(g, []byte(fn)) {
+				got++
+			}
+		}
+		if got >= n {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled: %d/%d", len(q), n)
+			t.Fatalf("%d/%d goroutines ever waited in %s", got, n, fn)
 		}
 	}
 }
 
 // submitAll submits every instance to the batch crew concurrently and
 // returns a wait function yielding the positional outcomes.
-func submitAll(p *pool, ctxs []context.Context, ins []sfcp.Instance) func() []solveOutcome {
+func submitAll(p *pool.Pool, ctxs []context.Context, ins []sfcp.Instance) func() []solveOutcome {
 	outs := make([]solveOutcome, len(ins))
 	var wg sync.WaitGroup
 	for i := range ins {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i] = p.submitBatch(ctxs[i], ins[i])
+			outs[i] = submitBatch(ctxs[i], p, ins[i])
 		}(i)
 	}
 	return func() []solveOutcome {
@@ -109,30 +137,30 @@ func background(n int) []context.Context {
 	return ctxs
 }
 
-// TestBatchCrewFlushOnSize: batchCap requests queued behind busy workers
+// TestBatchCrewFlushOnSize: pool.BatchCap requests queued behind busy workers
 // close one pass with reason "size", each member gets its own labels, and
 // the pass is reported to the sfcpd_batcher_* families.
 func TestBatchCrewFlushOnSize(t *testing.T) {
 	g := newBatchGate()
 	m := newMetrics()
-	p := newPool(1, 1, g.solve, m)
-	t.Cleanup(p.close)
+	p := pool.New(1, g.solve, m.batcherFlush)
+	t.Cleanup(p.Close)
 	g.parkAll(p)
 
-	ins := make([]sfcp.Instance, batchCap)
-	want := make([][]int, batchCap)
+	ins := make([]sfcp.Instance, pool.BatchCap)
+	want := make([][]int, pool.BatchCap)
 	for i := range ins {
 		ins[i], want[i] = smallInstance(t, int64(i), 8+i)
 	}
-	wait := submitAll(p, background(batchCap), ins)
-	waitQueued(t, p.batch, batchCap)
+	wait := submitAll(p, background(pool.BatchCap), ins)
+	waitQueued(t, pool.BatchCap)
 	g.release <- struct{}{} // one worker comes free and takes the whole queue
 	for i, out := range wait() {
 		if out.err != nil {
 			t.Fatalf("member %d: %v", i, out.err)
 		}
-		if out.flushReason != flushSize || out.coalesced != batchCap {
-			t.Errorf("member %d: pass (%q, %d), want (%q, %d)", i, out.flushReason, out.coalesced, flushSize, batchCap)
+		if out.flushReason != pool.FlushSize || out.coalesced != pool.BatchCap {
+			t.Errorf("member %d: pass (%q, %d), want (%q, %d)", i, out.flushReason, out.coalesced, pool.FlushSize, pool.BatchCap)
 		}
 		if !reflect.DeepEqual(out.res.Labels, want[i]) {
 			t.Errorf("member %d: labels are not its own (positional delivery broken)", i)
@@ -143,7 +171,7 @@ func TestBatchCrewFlushOnSize(t *testing.T) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.batcherFlushes[flushSize] != 1 || m.batcherQueueWait <= 0 {
+	if m.batcherFlushes[pool.FlushSize] != 1 || m.batcherQueueWait <= 0 {
 		t.Errorf("metrics saw %v size passes and %v queue wait, want 1 and > 0", m.batcherFlushes, m.batcherQueueWait)
 	}
 }
@@ -152,22 +180,22 @@ func TestBatchCrewFlushOnSize(t *testing.T) {
 // once, in a pass of its own with reason "drain".
 func TestBatchCrewFlushOnDrain(t *testing.T) {
 	m := newMetrics()
-	p := newPool(1, 1, linearBatch, m)
-	t.Cleanup(p.close)
+	p := pool.New(1, linearBatch, m.batcherFlush)
+	t.Cleanup(p.Close)
 	ins, want := smallInstance(t, 1, 40)
-	out := p.submitBatch(context.Background(), ins)
+	out := submitBatch(context.Background(), p, ins)
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	if out.flushReason != flushDrain || out.coalesced != 1 {
-		t.Errorf("pass (%q, %d), want (%q, 1)", out.flushReason, out.coalesced, flushDrain)
+	if out.flushReason != pool.FlushDrain || out.coalesced != 1 {
+		t.Errorf("pass (%q, %d), want (%q, 1)", out.flushReason, out.coalesced, pool.FlushDrain)
 	}
 	if !reflect.DeepEqual(out.res.Labels, want) {
 		t.Error("labels differ from the linear solver's")
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.batcherFlushes[flushDrain] != 1 || m.batcherCoalesced != 1 || m.batcherQueueCount != 1 {
+	if m.batcherFlushes[pool.FlushDrain] != 1 || m.batcherCoalesced != 1 || m.batcherQueueCount != 1 {
 		t.Errorf("metrics saw passes %v, %d members, %d waits; want one drain pass of 1", m.batcherFlushes, m.batcherCoalesced, m.batcherQueueCount)
 	}
 }
@@ -177,8 +205,8 @@ func TestBatchCrewFlushOnDrain(t *testing.T) {
 // the same pass still solve.
 func TestBatchCrewCtxCancelWhileQueued(t *testing.T) {
 	g := newBatchGate()
-	p := newPool(1, 1, g.solve, newMetrics())
-	t.Cleanup(p.close)
+	p := pool.New(1, g.solve, newMetrics().batcherFlush)
+	t.Cleanup(p.Close)
 	g.parkAll(p)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -189,7 +217,7 @@ func TestBatchCrewCtxCancelWhileQueued(t *testing.T) {
 		ins[i], want[i] = smallInstance(t, int64(10+i), 30)
 	}
 	wait := submitAll(p, ctxs, ins)
-	waitQueued(t, p.batch, 3)
+	waitQueued(t, 3)
 	cancel()
 	g.release <- struct{}{}
 	outs := wait()
@@ -211,15 +239,15 @@ func TestBatchCrewCtxCancelWhileQueued(t *testing.T) {
 // in the same pass solve.
 func TestBatchCrewErrorIsolation(t *testing.T) {
 	g := newBatchGate()
-	p := newPool(1, 1, g.solve, newMetrics())
-	t.Cleanup(p.close)
+	p := pool.New(1, g.solve, newMetrics().batcherFlush)
+	t.Cleanup(p.Close)
 	g.parkAll(p)
 
 	good0, want0 := smallInstance(t, 20, 25)
 	good2, want2 := smallInstance(t, 22, 35)
 	bad := sfcp.Instance{F: []int{5}, B: []int{0}} // F out of range
 	wait := submitAll(p, background(3), []sfcp.Instance{good0, bad, good2})
-	waitQueued(t, p.batch, 3)
+	waitQueued(t, 3)
 	g.release <- struct{}{}
 	outs := wait()
 	if outs[1].err == nil {
@@ -240,8 +268,8 @@ func TestBatchCrewErrorIsolation(t *testing.T) {
 // every submitter gets its own labels back.
 func TestBatchCrewConcurrentSubmits(t *testing.T) {
 	m := newMetrics()
-	p := newPool(1, 1, linearBatch, m)
-	t.Cleanup(p.close)
+	p := pool.New(1, linearBatch, m.batcherFlush)
+	t.Cleanup(p.Close)
 	const sizes, clients, perClient = 32, 64, 20
 	ins := make([]sfcp.Instance, sizes)
 	want := make([][]int, sizes)
@@ -255,13 +283,13 @@ func TestBatchCrewConcurrentSubmits(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < perClient; r++ {
 				k := (c*perClient + r) % sizes
-				out := p.submitBatch(context.Background(), ins[k])
+				out := submitBatch(context.Background(), p, ins[k])
 				if out.err != nil || !reflect.DeepEqual(out.res.Labels, want[k]) {
 					t.Errorf("client %d req %d: err %v or another member's labels", c, r, out.err)
 					return
 				}
-				if out.coalesced < 1 || out.coalesced > batchCap {
-					t.Errorf("client %d req %d: coalesced %d out of [1,%d]", c, r, out.coalesced, batchCap)
+				if out.coalesced < 1 || out.coalesced > pool.BatchCap {
+					t.Errorf("client %d req %d: coalesced %d out of [1,%d]", c, r, out.coalesced, pool.BatchCap)
 					return
 				}
 			}
@@ -270,7 +298,7 @@ func TestBatchCrewConcurrentSubmits(t *testing.T) {
 	wg.Wait()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	passes := m.batcherFlushes[flushSize] + m.batcherFlushes[flushDrain]
+	passes := m.batcherFlushes[pool.FlushSize] + m.batcherFlushes[pool.FlushDrain]
 	if total := int64(clients * perClient); m.batcherCoalesced != total || passes < 1 || passes > total {
 		t.Fatalf("metrics saw %d members in %d passes, want %d members", m.batcherCoalesced, passes, total)
 	}
@@ -284,13 +312,13 @@ func TestBatchCrewConcurrentSubmits(t *testing.T) {
 func TestBatchCrewReportsPasses(t *testing.T) {
 	g := newBatchGate()
 	m := newMetrics()
-	p := newPool(1, 1, g.solve, m)
-	t.Cleanup(p.close)
+	p := pool.New(1, g.solve, m.batcherFlush)
+	t.Cleanup(p.Close)
 	type report struct{ drain, size, members, waits int64 }
 	snapshot := func() report {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return report{m.batcherFlushes[flushDrain], m.batcherFlushes[flushSize], m.batcherCoalesced, m.batcherQueueCount}
+		return report{m.batcherFlushes[pool.FlushDrain], m.batcherFlushes[pool.FlushSize], m.batcherCoalesced, m.batcherQueueCount}
 	}
 	g.parkAll(p)
 	workers := int64(runtime.GOMAXPROCS(0))
@@ -299,12 +327,12 @@ func TestBatchCrewReportsPasses(t *testing.T) {
 		t.Fatalf("after parking every worker: %+v, want %+v", got, parked)
 	}
 
-	ins := make([]sfcp.Instance, batchCap)
+	ins := make([]sfcp.Instance, pool.BatchCap)
 	for i := range ins {
 		ins[i], _ = smallInstance(t, int64(i), 8)
 	}
-	wait := submitAll(p, background(batchCap), ins)
-	waitQueued(t, p.batch, batchCap)
+	wait := submitAll(p, background(pool.BatchCap), ins)
+	waitQueued(t, pool.BatchCap)
 	if got := snapshot(); got != parked {
 		t.Errorf("queued requests were reported before their pass: %+v, want %+v", got, parked)
 	}
@@ -314,7 +342,7 @@ func TestBatchCrewReportsPasses(t *testing.T) {
 			t.Fatalf("member %d: %v", i, out.err)
 		}
 	}
-	want := report{drain: workers, size: 1, members: workers + batchCap, waits: workers + batchCap}
+	want := report{drain: workers, size: 1, members: workers + pool.BatchCap, waits: workers + pool.BatchCap}
 	if got := snapshot(); got != want {
 		t.Errorf("after the size pass: %+v, want %+v", got, want)
 	}
@@ -322,19 +350,19 @@ func TestBatchCrewReportsPasses(t *testing.T) {
 
 // TestBatchCrewCloseFailsQueued: passes run under the pool's lifecycle, so
 // close alone ends a parked pass; a member still queued behind it is never
-// solved and gets errShutdown.
+// solved and gets pool.ErrShutdown.
 func TestBatchCrewCloseFailsQueued(t *testing.T) {
 	g := newBatchGate()
-	p := newPool(1, 1, g.solve, newMetrics())
+	p := pool.New(1, g.solve, newMetrics().batcherFlush)
 	g.parkAll(p)
 	ins, _ := smallInstance(t, 30, 20)
 	wait := submitAll(p, background(1), []sfcp.Instance{ins})
-	waitQueued(t, p.batch, 1)
+	waitQueued(t, 1)
 
 	// Nothing is ever sent on g.release: only close can unpark the workers.
 	closed := make(chan struct{})
 	go func() {
-		p.close()
+		p.Close()
 		close(closed)
 	}()
 	select {
@@ -342,8 +370,8 @@ func TestBatchCrewCloseFailsQueued(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("pool.close never returned: a parked pass did not see the lifecycle end")
 	}
-	if out := wait()[0]; !errors.Is(out.err, errShutdown) {
-		t.Errorf("queued member got %v, want errShutdown", out.err)
+	if out := wait()[0]; !errors.Is(out.err, pool.ErrShutdown) {
+		t.Errorf("queued member got %v, want pool.ErrShutdown", out.err)
 	}
 	if n := g.solved.Load(); n != 0 {
 		t.Errorf("%d queued members solved after close, want 0", n)
@@ -352,10 +380,10 @@ func TestBatchCrewCloseFailsQueued(t *testing.T) {
 
 // TestBatchCrewCloseFailsBlockedSubmit: a submitter blocked on a full batch
 // queue has no deadline of its own to end the wait; closing the pool must
-// fail it with errShutdown, along with every member queued ahead of it.
+// fail it with pool.ErrShutdown, along with every member queued ahead of it.
 func TestBatchCrewCloseFailsBlockedSubmit(t *testing.T) {
 	g := newBatchGate()
-	p := newPool(1, 1, g.solve, newMetrics())
+	p := pool.New(1, g.solve, newMetrics().batcherFlush)
 	g.parkAll(p)
 	ins, _ := smallInstance(t, 31, 12)
 	full := make([]sfcp.Instance, batchDepth)
@@ -363,26 +391,26 @@ func TestBatchCrewCloseFailsBlockedSubmit(t *testing.T) {
 		full[i] = ins
 	}
 	waitFull := submitAll(p, background(batchDepth), full)
-	waitQueued(t, p.batch, batchDepth)
+	waitQueued(t, batchDepth)
 	errc := make(chan error, 1)
-	go func() { errc <- p.submitBatch(context.Background(), ins).err }()
+	go func() { errc <- submitBatch(context.Background(), p, ins).err }()
 	// Let the extra submitter reach its send on the full queue. Had close
 	// won the race, the submit would fail the same way: the contract is
-	// errShutdown either way.
+	// pool.ErrShutdown either way.
 	time.Sleep(10 * time.Millisecond)
 
-	p.close()
+	p.Close()
 	select {
 	case err := <-errc:
-		if !errors.Is(err, errShutdown) {
-			t.Errorf("blocked submitter got %v, want errShutdown", err)
+		if !errors.Is(err, pool.ErrShutdown) {
+			t.Errorf("blocked submitter got %v, want pool.ErrShutdown", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("blocked submitter never settled after close")
 	}
 	for i, out := range waitFull() {
-		if !errors.Is(out.err, errShutdown) {
-			t.Errorf("queued member %d got %v, want errShutdown", i, out.err)
+		if !errors.Is(out.err, pool.ErrShutdown) {
+			t.Errorf("queued member %d got %v, want pool.ErrShutdown", i, out.err)
 		}
 	}
 	if n := g.solved.Load(); n != 0 {
@@ -391,18 +419,18 @@ func TestBatchCrewCloseFailsBlockedSubmit(t *testing.T) {
 }
 
 // TestBatchCrewSubmitAfterClose: once close has returned, a batch submit
-// fails at once with errShutdown and nothing is solved.
+// fails at once with pool.ErrShutdown and nothing is solved.
 func TestBatchCrewSubmitAfterClose(t *testing.T) {
 	g := newBatchGate()
-	p := newPool(1, 1, g.solve, newMetrics())
-	p.close()
+	p := pool.New(1, g.solve, newMetrics().batcherFlush)
+	p.Close()
 	ins, _ := smallInstance(t, 32, 10)
 	done := make(chan error, 1)
-	go func() { done <- p.submitBatch(context.Background(), ins).err }()
+	go func() { done <- submitBatch(context.Background(), p, ins).err }()
 	select {
 	case err := <-done:
-		if !errors.Is(err, errShutdown) {
-			t.Errorf("batch submit after close: %v, want errShutdown", err)
+		if !errors.Is(err, pool.ErrShutdown) {
+			t.Errorf("batch submit after close: %v, want pool.ErrShutdown", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("batch submit after close never returned")
@@ -413,25 +441,26 @@ func TestBatchCrewSubmitAfterClose(t *testing.T) {
 }
 
 // TestPoolCloseDoesNotExecuteQueued pins the shutdown contract: close
-// documents queued-but-unstarted requests as dropped (their submitters get
-// errShutdown), so a closing worker — on an algorithm crew or the batch
-// crew — must never execute them, and submits after close fail at once.
-// Before the priority done-check the worker's unbiased select would
-// randomly drain and run queued tasks after close.
+// documents waiting requests as dropped (their submitters get
+// pool.ErrShutdown), so neither a slot waiter on a lane nor a member
+// queued for the batch crew may run once close has begun, and submits
+// after close fail at once. Without the closed check after winning a
+// slot or a queued member, the unbiased selects would randomly run
+// waiting work after close.
 func TestPoolCloseDoesNotExecuteQueued(t *testing.T) {
 	const queued = 8
 	g := newBatchGate()
-	p := newPool(1, queued, g.solve, newMetrics())
+	p := pool.New(1, g.solve, newMetrics().batcherFlush)
 	ctx := context.Background()
 
-	// Park the single linear worker inside a task, and every batch worker
-	// inside a pass, so everything submitted behind them stays queued.
+	// Hold the linear lane's single slot, and park every batch worker
+	// inside a pass, so everything submitted behind them waits.
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go p.submit(ctx, sfcp.AlgorithmLinear, func(context.Context) (sfcp.Result, error) {
+	go p.Run(ctx, sfcp.AlgorithmLinear, func() error {
 		close(started)
 		<-release
-		return sfcp.Result{}, nil
+		return nil
 	})
 	<-started
 	g.parkAll(p)
@@ -444,10 +473,10 @@ func TestPoolCloseDoesNotExecuteQueued(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = p.submit(ctx, sfcp.AlgorithmLinear, func(context.Context) (sfcp.Result, error) {
+			errs[i] = p.Run(ctx, sfcp.AlgorithmLinear, func() error {
 				executed.Add(1)
-				return sfcp.Result{}, nil
-			}).err
+				return nil
+			})
 		}(i)
 	}
 	ins := make([]sfcp.Instance, queued)
@@ -455,23 +484,24 @@ func TestPoolCloseDoesNotExecuteQueued(t *testing.T) {
 		ins[i], _ = smallInstance(t, int64(i), 16)
 	}
 	waitBatch := submitAll(p, background(queued), ins)
-	// Wait until all sit in their queues (buffered channels, so the sends
-	// complete as soon as there is room; poll for the fill).
-	waitQueued(t, p.queues[sfcp.AlgorithmLinear], queued)
-	waitQueued(t, p.batch, queued)
+	// Wait until all wait for the slot or sit in the batch queue.
+	waitBlocked(t, "pool.(*Pool).Run(", queued)
+	waitQueued(t, queued)
 
 	// Close while the workers are still parked, then let them run: on
 	// their way out they must drain the queues without executing anything.
 	closed := make(chan struct{})
 	go func() {
-		p.close()
+		p.Close()
 		close(closed)
 	}()
-	// close blocks in wg.Wait until the parked workers exit, but the
-	// lifecycle context is cancelled first — wait for that signal before
-	// releasing the workers, so they provably observe a closing pool when
-	// they next hit their queues.
-	<-p.ctx.Done()
+	// close blocks until the parked workers exit and the held slot comes
+	// back, but it cancels the lifecycle first, and from then on a solve
+	// on an idle lane fails. Wait for that signal before releasing
+	// anything, so every waiter provably observes a closing pool.
+	for p.Run(ctx, sfcp.AlgorithmMoore, func() error { return nil }) == nil {
+		time.Sleep(time.Millisecond)
+	}
 	close(release)
 	close(g.release)
 	select {
@@ -488,19 +518,19 @@ func TestPoolCloseDoesNotExecuteQueued(t *testing.T) {
 		t.Errorf("%d queued batch members solved after close; close documents them as dropped", n)
 	}
 	for i, err := range errs {
-		if !errors.Is(err, errShutdown) {
-			t.Errorf("queued submitter %d got %v, want errShutdown", i, err)
+		if !errors.Is(err, pool.ErrShutdown) {
+			t.Errorf("queued submitter %d got %v, want pool.ErrShutdown", i, err)
 		}
 	}
 	for i, out := range waitBatch() {
-		if !errors.Is(out.err, errShutdown) {
-			t.Errorf("queued batch member %d got %v, want errShutdown", i, out.err)
+		if !errors.Is(out.err, pool.ErrShutdown) {
+			t.Errorf("queued batch member %d got %v, want pool.ErrShutdown", i, out.err)
 		}
 	}
-	if err := p.submitBatch(ctx, ins[0]).err; !errors.Is(err, errShutdown) {
-		t.Errorf("batch submit after close: %v, want errShutdown", err)
+	if err := submitBatch(ctx, p, ins[0]).err; !errors.Is(err, pool.ErrShutdown) {
+		t.Errorf("batch submit after close: %v, want pool.ErrShutdown", err)
 	}
-	if err := p.submit(ctx, sfcp.AlgorithmMoore, nil).err; !errors.Is(err, errShutdown) {
-		t.Errorf("submit after close: %v, want errShutdown", err)
+	if err := p.Run(ctx, sfcp.AlgorithmMoore, nil); !errors.Is(err, pool.ErrShutdown) {
+		t.Errorf("submit after close: %v, want pool.ErrShutdown", err)
 	}
 }

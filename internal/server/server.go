@@ -26,18 +26,18 @@
 // planner turns "auto" into the linear solver, and the resolved
 // algorithm keys everything downstream), lookup (an LRU keyed by
 // resolved algorithm, seed and instance digest, then the durable blob
-// tier), execute (on one worker pool: linear plans below 32768 elements
+// tier), execute (on internal/pool: linear plans below 32768 elements
 // run on its batch crew, solved in one pass with whatever else is queued
-// there, everything else on bounded per-algorithm crews) and fill
-// (metrics, cache, write-through). Hot
-// instances — the "millions of users asking the same question" regime —
-// are served without recomputation, and an "auto" request shares its
-// entry with the explicit request it resolves to. Every response reports
+// there; everything else takes a slot of its algorithm's lane and solves
+// on the goroutine that asked) and fill (metrics, cache, write-through).
+// Hot instances — the "millions of users asking the same question"
+// regime — are served without recomputation, and an "auto" request
+// shares its entry with the explicit request it resolves to. Every response reports
 // its own request's resolved algorithm and the planner's reason, cache
 // hits included. The versioned-instance routes run their session builds
-// and re-solves on the pool's linear crew, so they share its admission:
-// bounded concurrency, cancellation while queued, and 503 once the
-// server is closed.
+// and re-solves in a slot of the linear lane, so they share its
+// admission: bounded concurrency, cancellation while waiting, and 503
+// once the server is closed.
 package server
 
 import (
@@ -55,17 +55,16 @@ import (
 	"sfcp"
 	"sfcp/internal/codec"
 	"sfcp/internal/jobs"
+	"sfcp/internal/pool"
 	"sfcp/internal/store"
 )
 
 // Config sizes the server. Zero values select the documented defaults.
 type Config struct {
-	// WorkersPerAlgorithm is the number of solver goroutines dedicated to
-	// each algorithm's queue (default 2).
+	// WorkersPerAlgorithm is how many solves of one algorithm may run at
+	// once (default 2); further requests wait for a slot. Small linear
+	// solves run on the batch crew and do not count against it.
 	WorkersPerAlgorithm int
-	// QueueDepth bounds each algorithm's pending-job queue
-	// (default 4 * WorkersPerAlgorithm).
-	QueueDepth int
 	// CacheSize bounds the result LRU in entries (default 1024; negative
 	// disables caching).
 	CacheSize int
@@ -116,9 +115,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.WorkersPerAlgorithm <= 0 {
 		c.WorkersPerAlgorithm = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.WorkersPerAlgorithm
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
@@ -207,7 +203,7 @@ type BatchResponse struct {
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
-	pool    *pool
+	pool    *pool.Pool
 	cache   *resultCache
 	metrics *metrics
 	solver  *sfcp.Solver
@@ -246,12 +242,11 @@ func New(cfg Config) *Server {
 		s.blobs = store.NewMetered(cfg.BlobStore)
 		jobBlobs = s.blobs
 	}
-	s.pool = newPool(cfg.WorkersPerAlgorithm, cfg.QueueDepth, func(ctx context.Context, ins []sfcp.Instance) ([]sfcp.Result, []error) {
-		return s.solver.SolveBatchPlanned(ctx, ins, batchPlan)
-	}, s.metrics)
-	// Async jobs run through the same pipeline as synchronous requests —
-	// one dispatcher per pool worker so the job subsystem can keep every
-	// worker busy without overflowing the pool queues.
+	s.pool = pool.New(cfg.WorkersPerAlgorithm, func(ctx context.Context, ins []sfcp.Instance) ([]sfcp.Result, []error) {
+		return s.solver.SolveBatchPlanned(ctx, ins, pool.BatchPlan)
+	}, s.metrics.batcherFlush)
+	// Async jobs run through the same pipeline as synchronous requests,
+	// with one dispatcher per lane slot, so jobs alone can fill a lane.
 	s.jobs = jobs.New(jobs.Config{
 		MaxQueued:               cfg.JobMaxQueued,
 		DispatchersPerAlgorithm: cfg.WorkersPerAlgorithm,
@@ -281,12 +276,12 @@ func New(cfg Config) *Server {
 // ServeHTTP dispatches to the API routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the job manager (cancelling running jobs), then the worker
-// pool, waiting for the solves it is running. Queued requests fail, and
-// later solves and instance requests answer 503.
+// Close stops the job manager (cancelling running jobs), then the pool,
+// waiting for the solves it is running. Waiting requests fail, and later
+// solves and instance requests answer 503.
 func (s *Server) Close() {
 	s.jobs.Close()
-	s.pool.close()
+	s.pool.Close()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -606,7 +601,7 @@ func (s *Server) solveInstance(ctx context.Context, algo sfcp.Algorithm, seedOve
 // transient reports a failure of the server rather than of the request —
 // shutdown or cancellation — which deserves a 503 rather than a 400.
 func transient(err error) bool {
-	return errors.Is(err, errShutdown) ||
+	return errors.Is(err, pool.ErrShutdown) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
