@@ -135,11 +135,9 @@ func TestConformanceResolve(t *testing.T) {
 					t.Fatalf("burst %d: %d classes, full solve found %d (mode %s)",
 						burst, res.NumClasses, full.NumClasses, res.Resolve.Mode)
 				}
-				for i := range res.Labels {
-					if res.Labels[i] != full.Labels[i] {
-						t.Fatalf("burst %d: labels[%d] = %d, full solve says %d (mode %s, first divergence)",
-							burst, i, res.Labels[i], full.Labels[i], res.Resolve.Mode)
-					}
+				if !slices.Equal(res.Labels, full.Labels) {
+					t.Fatalf("burst %d: %d labels differ from the full solve's %d (mode %s)",
+						burst, len(res.Labels), len(full.Labels), res.Resolve.Mode)
 				}
 			}
 
@@ -186,6 +184,61 @@ func TestConformanceResolve(t *testing.T) {
 					res.NumClasses, full.NumClasses, res.Resolve.Mode)
 			}
 		})
+	}
+}
+
+// TestIncrementalConcurrentUse reads a session's labels, class count and
+// address from several goroutines while another applies deltas: a read
+// renumbers the session's codes when a delta has left them stale, so
+// reads write session state too, and run with -race this checks that the
+// session's lock orders them. Every read must see a whole version.
+func TestIncrementalConcurrentUse(t *testing.T) {
+	w := workload.DistinctCycles(5, 8, 24, 3)
+	ins := Instance{F: w.F, B: w.B}
+	n := len(ins.F)
+	inc, err := NewIncremental(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 4)
+	for range 4 {
+		go func() {
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				if labels, classes := inc.Labels(), inc.NumClasses(); len(labels) != n || classes < 1 || classes > n {
+					errs <- fmt.Errorf("read %d labels and %d classes from a session of %d", len(labels), classes, n)
+					return
+				}
+				inc.Digest()
+			}
+		}()
+	}
+	for d := range 64 {
+		b := d % 5
+		if _, err := inc.Apply(Delta{Edits: []Edit{{Node: (d * 37) % n, B: &b}}}); err != nil {
+			t.Error(err)
+			break
+		}
+		ins.B[(d*37)%n] = b
+	}
+	close(done)
+	for range 4 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	full, err := SolveWith(ins, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(inc.Labels(), full.Labels) || inc.NumClasses() != full.NumClasses {
+		t.Fatal("labels after the concurrent reads differ from a full solve")
 	}
 }
 

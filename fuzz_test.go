@@ -2,6 +2,7 @@ package sfcp
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"sfcp/internal/codec"
@@ -113,11 +114,9 @@ func FuzzResolveMatchesFullSolve(f *testing.F) {
 			if res.NumClasses != full.NumClasses {
 				t.Fatalf("resolve found %d classes, full solve %d", res.NumClasses, full.NumClasses)
 			}
-			for i := range res.Labels {
-				if res.Labels[i] != full.Labels[i] {
-					t.Fatalf("labels[%d] = %d after delta, full solve says %d (F=%v B=%v)",
-						i, res.Labels[i], full.Labels[i], edited.F, edited.B)
-				}
+			if !slices.Equal(res.Labels, full.Labels) {
+				t.Fatalf("labels %v after delta, full solve says %v (F=%v B=%v)",
+					res.Labels, full.Labels, edited.F, edited.B)
 			}
 			if got, want := inc.Digest(), edited.Digest(); got != want {
 				t.Fatalf("session address %s after delta, fresh address %s (F=%v B=%v)", got, want, edited.F, edited.B)

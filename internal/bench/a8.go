@@ -22,9 +22,14 @@ import (
 
 // A8IncrementalResolve measures what the incremental re-solve path buys.
 // Each row applies one delta to a live session (incr_ns, ApplyDelta as
-// engine.ResolveDelta runs it) and times, on the edited instance, a fresh
-// session (build_ns, engine.NewIncremental) and a from-scratch sequential
-// solve (full_ns). Three families at each n:
+// engine.ResolveDelta runs it, rep after rep with no label read between,
+// as a stream of label-free deltas runs), then applies it again and reads
+// its labels (labels_ns, the renumber the first State.Labels after a
+// delta makes), and times, on the edited instance, a fresh session
+// (build_ns, engine.NewIncremental, whose labels are not read) and a
+// from-scratch sequential solve (full_ns). speedup is
+// full_ns over incr_ns plus labels_ns: a delta whose labels are read
+// against a solve that emits them. Three families at each n:
 //   - distinct-cycles: 256-node cycles with mostly random labels, the
 //     incremental path's home regime. One B edit per cycle, swept from one
 //     cycle to all of them, so the dirty fraction grows linearly with the
@@ -37,11 +42,12 @@ import (
 // running the region pass. address_ns is what naming the child costs
 // after each rep's delta (incr.State.Digest: the touched leaves and the
 // root, every leaf having been hashed once after the build). agree says
-// every rep's labels, from both sessions, equal the full solve's; the
-// check runs outside the timed spans. Emits one JSON document (like A5
-// and A7) for BENCH_A8.json trajectory tracking; CI gates its rows. Each
-// row also carries the session's size: the live heap a GC leaves after
-// the build, less the one it left before, per element.
+// every rep's class count and every label read, from both sessions, equal
+// the full solve's; the checks run outside the timed spans. Emits one JSON
+// document (like A5 and A7) for BENCH_A8.json trajectory tracking; CI
+// gates its rows. Each row also carries the session's size: the live
+// heap a GC leaves after the build, less the one it left before, per
+// element.
 func A8IncrementalResolve(cfg Config) {
 	type row struct {
 		Family     string  `json:"family"`
@@ -53,6 +59,7 @@ func A8IncrementalResolve(cfg Config) {
 		DirtyFrac  float64 `json:"dirty_frac"`
 		Refound    bool    `json:"refound"`
 		IncrNS     int64   `json:"incr_ns"`
+		LabelsNS   int64   `json:"labels_ns"`
 		AddressNS  int64   `json:"address_ns"`
 		BuildNS    int64   `json:"build_ns"`
 		FullNS     int64   `json:"full_ns"`
@@ -113,25 +120,41 @@ func A8IncrementalResolve(cfg Config) {
 				full = coarsest.LinearSequentialScratch(edited, &sc)
 				fullDur = min(fullDur, time.Since(t0))
 			}
-			// Each timed span ends before its labels are checked. The
-			// session's labels are its own slice, so each result is
-			// checked before the next run overwrites it; then the rep
-			// names the child: the touched leaves' rehash and the root.
+			// Each timed span ends before its result is checked. The
+			// deltas run back to back, since a renumber between them
+			// would evict a large session from the caches but not a
+			// small one; the labels they leave are checked once after.
+			classes := coarsest.NumClasses(full)
 			agree := true
 			var info incr.Info
-			incrDur, addrDur := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+			incrDur := time.Duration(math.MaxInt64)
 			for range doc.Reps {
 				t0 := time.Now()
-				labels, i, err := st.ApplyDelta(delta)
+				i, err := st.ApplyDelta(delta)
 				d := time.Since(t0)
 				if err != nil {
 					return err
 				}
 				info, incrDur = i, min(incrDur, d)
-				agree = agree && slices.EqualFunc(labels, full, same)
+				agree = agree && i.NumClasses == classes
+			}
+			agree = agree && slices.EqualFunc(st.Labels(), full, same)
+			// Then each rep applies the delta again, reads its labels and
+			// names the child: the touched leaves' rehash and the root.
+			// The session's labels are its own slice, so each read is
+			// checked before the next delta overwrites it.
+			labelsDur, addrDur := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+			for range doc.Reps {
+				if _, err := st.ApplyDelta(delta); err != nil {
+					return err
+				}
 				t1 := time.Now()
+				labels := st.Labels()
+				labelsDur = min(labelsDur, time.Since(t1))
+				agree = agree && slices.EqualFunc(labels, full, same)
+				t2 := time.Now()
 				st.Digest()
-				addrDur = min(addrDur, time.Since(t1))
+				addrDur = min(addrDur, time.Since(t2))
 			}
 			buildDur := time.Duration(math.MaxInt64)
 			for range doc.Reps {
@@ -142,7 +165,7 @@ func A8IncrementalResolve(cfg Config) {
 					return err
 				}
 				buildDur = min(buildDur, d)
-				agree = agree && slices.EqualFunc(fresh.Labels(), full, same)
+				agree = agree && fresh.NumClasses() == classes && slices.EqualFunc(fresh.Labels(), full, same)
 			}
 			doc.Rows = append(doc.Rows, row{
 				Family:     family,
@@ -154,10 +177,11 @@ func A8IncrementalResolve(cfg Config) {
 				DirtyFrac:  info.DirtyFrac,
 				Refound:    info.Refound != "",
 				IncrNS:     int64(incrDur),
+				LabelsNS:   int64(labelsDur),
 				AddressNS:  int64(addrDur),
 				BuildNS:    int64(buildDur),
 				FullNS:     int64(fullDur),
-				Speedup:    float64(fullDur) / float64(incrDur),
+				Speedup:    float64(fullDur) / float64(incrDur+labelsDur),
 				Agree:      agree,
 			})
 		}

@@ -18,12 +18,11 @@ const (
 	ResolveFullFallback = "full_fallback"
 )
 
-// ResolveOutcome is ResolveDelta's full result: the refreshed labels
-// (owned by the state — copy to retain), the mode and an explainable
-// reason, what the application did, and the wall time of the apply
-// stage.
+// ResolveOutcome is ResolveDelta's full result: the mode and an
+// explainable reason, what the application did, and the wall time of the
+// apply stage. The labels stay in the state until someone reads them
+// (incr.State.Labels).
 type ResolveOutcome struct {
-	Labels   []int32
 	Mode     string
 	Reason   string
 	Info     incr.Info
@@ -44,11 +43,11 @@ func NewIncremental(in coarsest.Instance) (*incr.State, error) {
 // the state, and the mode reports which ran.
 func ResolveDelta(st *incr.State, edits []incr.Edit) (ResolveOutcome, error) {
 	t0 := time.Now()
-	labels, info, err := st.ApplyDelta(edits)
+	info, err := st.ApplyDelta(edits)
 	if err != nil {
 		return ResolveOutcome{}, err
 	}
-	out := ResolveOutcome{Labels: labels, Mode: ResolveIncremental, Info: info, Duration: time.Since(t0)}
+	out := ResolveOutcome{Mode: ResolveIncremental, Info: info, Duration: time.Since(t0)}
 	out.Reason = fmt.Sprintf("dirty fraction %.3f (%d/%d nodes across %d components); ",
 		info.DirtyFrac, info.DirtyNodes, st.N(), info.DirtyComponents)
 	if info.Refound != "" {

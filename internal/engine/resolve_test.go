@@ -106,7 +106,8 @@ func TestResolveValve(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := coarsest.LinearSequential(edited); !slices.Equal(widen(out.Labels), want) {
+				want := coarsest.LinearSequential(edited)
+				if !slices.Equal(widen(st.Labels()), want) || out.Info.NumClasses != coarsest.NumClasses(want) {
 					t.Fatalf("round %d: %s re-solve disagrees with a full solve of the edited instance", round, out.Mode)
 				}
 				if out.Mode == tc.mode {

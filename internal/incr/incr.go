@@ -2,9 +2,10 @@
 // coarsest partition problem: a reusable decomposition State built by one
 // full solve, plus ApplyDelta, which re-runs the cycle/tree machinery of
 // the linear algorithm only on the components a batch of edits
-// invalidates and splices the refreshed labels into the previous result
-// under the canonical first-occurrence renumbering — so every version's
-// labels are byte-identical to a full solve of the edited instance.
+// invalidates, in time proportional to them. Labels renumbers the codes
+// under the canonical first-occurrence rule when they are read, so every
+// version's labels are byte-identical to a full solve of the edited
+// instance.
 //
 // Why component-scoped recompute is sound: a node's Q-label is a function
 // of its forward orbit's B-signature (Lemma 2.1), and the orbit of a node
@@ -30,7 +31,10 @@
 // same code; a new structure gets a fresh code, so codes stay injective
 // across the clean/dirty boundary. Recomputation is therefore idempotent
 // on unchanged nodes, and one O(n) first-occurrence renumber of the raw
-// codes reproduces exactly the canonical labels a full solve emits.
+// codes reproduces exactly the canonical labels a full solve emits. A
+// code names exactly one class, so a count of the nodes holding each code
+// keeps the class count exact at the cost of the region alone; the
+// renumber waits until someone reads the labels.
 // Stale entries (structures that no longer occur) waste code space and
 // bytes but never correctness; ApplyDelta's valve re-founds the state
 // before either runs out.
@@ -71,7 +75,8 @@ type Info struct {
 	// Refound names the valve's cause when the call re-founded the whole
 	// state instead of recomputing only the dirty region; empty otherwise.
 	Refound string
-	// NumClasses is the class count of the refreshed labeling.
+	// NumClasses is the edited instance's class count, kept exact by the
+	// per-code counts without renumbering.
 	NumClasses int
 }
 
@@ -81,8 +86,8 @@ type Info struct {
 // delta runs incrementally only while that many codes are still free;
 // otherwise the valve re-founds the state, which resets the space to at
 // most n live codes.
-// The renumber table is the scratch pair cyc/rank, 2n int32s, so the
-// code space costs no memory of its own.
+// The renumber table is the scratch pair cyc/rank, 2n int32s; what the
+// code space costs of its own is the per-code counts, 4 B per code.
 const codeSlack = 2
 
 // byteBudget bounds what a session holds, in bytes per element (the
@@ -119,9 +124,15 @@ type State struct {
 	// holds minus its component's size instead. link threads each
 	// component's members into a ring through its leader.
 	comp, link []int32
-	// raw is the persistent Q-code; labels its first-occurrence renumber.
-	raw, labels []int32
-	classes     int
+	// raw is the persistent Q-code. A code names one class: refs[c]
+	// counts the nodes holding code c, over the whole code space, and
+	// classes the codes some node holds, which is the class count.
+	raw, refs []int32
+	classes   int
+	// labels is raw's first-occurrence renumber, allocated and made at the
+	// first read after a change (stale) and kept until the next change.
+	labels []int32
+	stale  bool
 
 	// Persistent coders. Pair codes count up from 0 and cycle codes of
 	// period two or more count down from limit, so codes are free while
@@ -199,12 +210,20 @@ func Build(ins coarsest.Instance) (*State, error) {
 // N returns the instance size.
 func (s *State) N() int { return s.n }
 
-// Labels returns the current canonical labels. The slice is owned by the
-// state and overwritten by the next delta; callers that retain it must
-// copy.
-func (s *State) Labels() []int32 { return s.labels }
+// Labels returns the current canonical labels. The first call after Build
+// or a delta renumbers the codes, O(n); later calls return the same
+// labels until the next delta. The slice is owned by the state and
+// overwritten by the renumber after the next delta; callers that retain
+// it must copy.
+func (s *State) Labels() []int32 {
+	if s.stale {
+		s.renumber()
+	}
+	return s.labels
+}
 
-// NumClasses returns the current class count.
+// NumClasses returns the current class count, O(1) and without a
+// renumber.
 func (s *State) NumClasses() int { return s.classes }
 
 // Snapshot returns a copy of the current (post-edit) instance, with B's
@@ -230,11 +249,12 @@ func (s *State) Snapshot() coarsest.Instance {
 // the last one, plus the root.
 func (s *State) Digest() string { return s.address.Root(s.f, s.cls, s.wide) }
 
-// ApplyDelta applies the edits and recomputes labels by re-running the
+// ApplyDelta applies the edits and recomputes the codes by re-running the
 // decomposition on the dirty region only: the components of the edited
-// nodes and of their new F-targets. Output labels are byte-identical to
-// a full solve of the edited instance. The returned slice is owned by
-// the state (see Labels).
+// nodes and of their new F-targets. Its cost is the region's, not n's:
+// the per-code counts keep Info.NumClasses exact, and the labels, which
+// the next Labels call renumbers, are byte-identical to a full solve of
+// the edited instance.
 //
 // Stale coder entries pile up with structural churn, so a valve
 // re-founds the whole state instead, with one full solve into empty
@@ -246,25 +266,27 @@ func (s *State) Digest() string { return s.address.Root(s.f, s.cls, s.wide) }
 //   - code space exhausted: the region could outrun the free codes;
 //   - state bytes past budget: the region pass left the state above
 //     byteBudget, and the last re-found had left it within.
-func (s *State) ApplyDelta(edits []Edit) ([]int32, Info, error) {
+func (s *State) ApplyDelta(edits []Edit) (Info, error) {
 	if err := s.validateEdits(edits); err != nil {
-		return nil, Info{}, err
+		return Info{}, err
 	}
 	if len(edits) == 0 {
-		return s.labels, Info{NumClasses: s.classes}, nil
+		return Info{NumClasses: s.classes}, nil
 	}
 	leaders := s.dirtyLeaders(edits)
 	info := Info{DirtyComponents: len(leaders), DirtyNodes: s.size(leaders)}
 	info.DirtyFrac = float64(info.DirtyNodes) / float64(s.n)
 
 	// The region is gathered before the edits land: they do not move
-	// nodes between the dirty components' rings. All n nodes dirty need
-	// no list, since the valve re-founds the state.
+	// nodes between the dirty components' rings. Its nodes give up their
+	// codes here, and the region pass counts the new ones. All n nodes
+	// dirty need no list, since the valve re-founds the state.
 	region := s.region[:0]
 	if info.DirtyNodes < s.n {
 		for _, l := range leaders {
 			for x := l; ; {
 				region = append(region, x)
+				s.unref(s.raw[x])
 				if x = s.link[x]; x == l {
 					break
 				}
@@ -273,6 +295,7 @@ func (s *State) ApplyDelta(edits []Edit) ([]int32, Info, error) {
 	}
 	s.region = region
 	s.applyEdits(edits)
+	s.stale = true
 
 	switch {
 	case info.DirtyNodes == s.n:
@@ -292,11 +315,9 @@ func (s *State) ApplyDelta(edits []Edit) ([]int32, Info, error) {
 	}
 	if info.Refound != "" {
 		s.init()
-	} else {
-		s.renumber()
 	}
 	info.NumClasses = s.classes
-	return s.labels, info, nil
+	return info, nil
 }
 
 func (s *State) validateEdits(edits []Edit) error {
@@ -412,9 +433,9 @@ func (s *State) compactWide() {
 	}
 }
 
-// init (re)founds the state from the current f/cls: empty coders, one
-// full-region solve, canonical renumber. The pair table keeps its size
-// unless the caller dropped it.
+// init (re)founds the state from the current f/cls: empty coders and
+// counts, one full-region solve. The pair table keeps its size unless the
+// caller dropped it.
 func (s *State) init() {
 	n := len(s.f)
 	s.n = n
@@ -427,7 +448,10 @@ func (s *State) init() {
 	s.comp = grow(s.comp, n)
 	s.link = grow(s.link, n)
 	s.raw = grow(s.raw, n)
-	s.labels = grow(s.labels, n)
+	s.refs = grow(s.refs, int(s.limit))
+	clear(s.refs)
+	s.classes = 0
+	s.stale = true
 	s.work = grow(s.work, 2*n)
 	s.cyc, s.rank = s.work[:n], s.work[n:]
 
@@ -446,14 +470,14 @@ func (s *State) init() {
 		region[i] = int32(i)
 	}
 	s.solveRegion(region)
-	s.renumber()
 	s.fits = s.footprint() <= byteBudget*n
 }
 
 // solveRegion runs the linear decomposition on a region closed under f —
 // the whole instance (init) or a union of dirty components (ApplyDelta)
-// — assigning raw codes through the persistent coders and rebuilding
-// comp and link for the region's nodes. Region nodes must be distinct.
+// — assigning raw codes through the persistent coders, counting the
+// nodes holding each, and rebuilding comp and link for the region's
+// nodes. Region nodes must be distinct and must hold no counted code.
 func (s *State) solveRegion(region []int32) {
 	s.findCycles(region)
 	s.codeCycles()
@@ -577,6 +601,7 @@ func (s *State) codeCycles() {
 		off, per := int32((p-msp)%p), int32(p)
 		for _, y := range nodes {
 			raw[y] = base + off
+			s.ref(base + off)
 			if off++; off == per {
 				off = 0
 			}
@@ -615,11 +640,13 @@ func (s *State) codeTrees(region []int32) {
 				}
 				if y := seq[row.start+r]; cls[x] == cls[y] {
 					cyc[x], rank[x], raw[x] = c, r, raw[y]
+					s.ref(raw[y])
 					continue
 				}
 			}
 			cyc[x] = unmarked
 			raw[x] = s.pairCode(raw[p], cls[x])
+			s.ref(raw[x])
 		}
 	}
 }
@@ -671,10 +698,26 @@ func (s *State) growSlots() {
 	}
 }
 
+// ref counts one more node holding code c.
+func (s *State) ref(c int32) {
+	if s.refs[c] == 0 {
+		s.classes++
+	}
+	s.refs[c]++
+}
+
+// unref counts one node fewer holding code c.
+func (s *State) unref(c int32) {
+	if s.refs[c]--; s.refs[c] == 0 {
+		s.classes--
+	}
+}
+
 // renumber converts the persistent raw codes into canonical
-// first-occurrence labels, in place — the same normal form every full
-// solver emits, which is what makes spliced output byte-identical.
+// first-occurrence labels — the same normal form every full solver emits,
+// which is what makes spliced output byte-identical.
 func (s *State) renumber() {
+	s.labels = grow(s.labels, s.n)
 	ids := s.work[:s.limit]
 	clear(ids[:len(s.keys)])
 	clear(ids[s.low:])
@@ -688,7 +731,7 @@ func (s *State) renumber() {
 		}
 		s.labels[x] = id - 1
 	}
-	s.classes = int(next)
+	s.stale = false
 }
 
 // mapEntryBytes estimates what a Go map spends per entry beyond its key
@@ -699,7 +742,7 @@ const mapEntryBytes = 48
 // the canonical strings, an estimate per map entry and the address tree.
 func (s *State) footprint() int {
 	b := 0
-	for _, buf := range [][]int32{s.f, s.cls, s.comp, s.link, s.raw, s.labels, s.work, s.slots, s.region, s.path, s.seq, s.aux, s.leaders} {
+	for _, buf := range [][]int32{s.f, s.cls, s.comp, s.link, s.raw, s.refs, s.labels, s.work, s.slots, s.region, s.path, s.seq, s.aux, s.leaders} {
 		b += 4 * cap(buf)
 	}
 	b += 8 * (cap(s.keys) + cap(s.rows) + cap(s.wide))

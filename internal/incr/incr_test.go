@@ -121,12 +121,12 @@ func TestApplyDeltaMatchesFullSolve(t *testing.T) {
 				edits = widenEdits(edits)
 			}
 			mirror(cur, edits)
-			got, info, err := st.ApplyDelta(edits)
+			info, err := st.ApplyDelta(edits)
 			if err != nil {
 				t.Fatalf("%s round %d: ApplyDelta: %v", name, round, err)
 			}
 			want := coarsest.LinearSequential(cur)
-			if !equalInts(got, want) {
+			if !equalInts(st.Labels(), want) {
 				t.Fatalf("%s round %d: incremental labels differ from full solve (dirty %d/%d, re-founded %q)",
 					name, round, info.DirtyNodes, n, info.Refound)
 			}
@@ -140,25 +140,137 @@ func TestApplyDeltaMatchesFullSolve(t *testing.T) {
 	}
 }
 
+// TestLabelsOnRead reads labels only after runs of 1, 2 and 5 deltas: the
+// renumber on read must give a full solve's labels however many deltas it
+// catches up on, a second read with no delta between must give them
+// again, and the class count, which the per-code counts keep without a
+// renumber, must match a full solve after every delta, read or not. The
+// runs go over every family, then over a broom, where every delta
+// re-founds, and end in a re-found for code exhaustion and for a
+// wide-table compaction while the labels are stale.
+func TestLabelsOnRead(t *testing.T) {
+	apply := func(t *testing.T, st *State, cur coarsest.Instance, edits []Edit) Info {
+		t.Helper()
+		mirror(cur, edits)
+		info, err := st.ApplyDelta(edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := coarsest.NumClasses(coarsest.LinearSequential(cur))
+		if info.NumClasses != want || st.NumClasses() != want {
+			t.Fatalf("%d classes in Info, %d from NumClasses, full solve %d (re-founded %q)",
+				info.NumClasses, st.NumClasses(), want, info.Refound)
+		}
+		return info
+	}
+	read := func(t *testing.T, st *State, cur coarsest.Instance) {
+		t.Helper()
+		want := coarsest.LinearSequential(cur)
+		if !equalInts(st.Labels(), want) {
+			t.Fatal("labels read after the run differ from a full solve")
+		}
+		if !equalInts(st.Labels(), want) {
+			t.Fatal("a second read with no delta between differs from a full solve")
+		}
+	}
+	runs := []int{1, 2, 5}
+	for name, base := range families() {
+		for _, run := range runs {
+			t.Run(fmt.Sprintf("%s/run=%d", name, run), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(run)))
+				cur := cloneIns(base)
+				st, err := Build(cur)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The first read also catches up on Build.
+				for range 8 {
+					for range run {
+						edits := randomEdits(rng, len(cur.F), 1+rng.Intn(4))
+						if name == "wide-labels" {
+							edits = widenEdits(edits)
+						}
+						apply(t, st, cur, edits)
+					}
+					read(t, st, cur)
+				}
+			})
+		}
+	}
+
+	t.Run("broom", func(t *testing.T) {
+		w := workload.Broom(5, 200, 12, 4)
+		cur := coarsest.Instance{F: w.F, B: w.B}
+		st, err := Build(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for _, run := range runs {
+			for range run {
+				// B edits keep the broom one component.
+				edits := []Edit{{Node: rng.Intn(len(cur.F)), SetB: true, B: rng.Intn(5)}}
+				if info := apply(t, st, cur, edits); info.Refound != "no clean node left" {
+					t.Fatalf("a broom delta re-founded %q", info.Refound)
+				}
+			}
+			read(t, st, cur)
+		}
+	})
+
+	t.Run("code space exhausted", func(t *testing.T) {
+		cur := chains()
+		st, err := Build(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read(t, st, cur)
+		for d := 0; ; d++ {
+			if d == 200 {
+				t.Fatal("no delta exhausted the code space")
+			}
+			info := apply(t, st, cur, []Edit{{Node: chainLen / 2, SetB: true, B: 1000 + d}})
+			if info.Refound == "code space exhausted" {
+				break
+			}
+		}
+		read(t, st, cur)
+	})
+
+	t.Run("wide-label table compacted", func(t *testing.T) {
+		w := workload.DistinctCycles(3, 8, 16, 3)
+		cur := wideLabels(coarsest.Instance{F: w.F, B: w.B})
+		st, err := Build(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.wideMax = len(st.wide)
+		if info := apply(t, st, cur, []Edit{{Node: 40, SetB: true, B: 1<<62 | 99}}); info.Refound != "wide-label table compacted" {
+			t.Fatalf("a delta that compacted the wide table re-founded %q", info.Refound)
+		}
+		read(t, st, cur)
+	})
+}
+
+// chainLen is the node count of each chain that chains builds.
+const chainLen = 12
+
+// chains is four chains of chainLen nodes (deep trees onto self-loops),
+// so an edit leaves clean nodes; every B relabel of the first chain to a
+// fresh value mints fresh pair codes down its suffix.
+func chains() coarsest.Instance {
+	ins := coarsest.Instance{F: make([]int, 4*chainLen), B: make([]int, 4*chainLen)}
+	for i := range ins.F {
+		ins.F[i] = i - min(i%chainLen, 1)
+	}
+	return ins
+}
+
 // TestCodeExhaustionValve drives structural churn until the persistent
 // code counter passes the bound, and checks the valve re-founds the state
 // for that cause and the state stays correct afterwards.
 func TestCodeExhaustionValve(t *testing.T) {
-	// Four chains (deep trees onto self-loops), so an edit leaves clean
-	// nodes; every B relabel of the first chain to a fresh value mints
-	// fresh pair codes down its suffix.
-	const chains, length = 4, 12
-	const n = chains * length
-	f := make([]int, n)
-	b := make([]int, n)
-	for i := range f {
-		if i%length != 0 {
-			f[i] = i - 1
-		} else {
-			f[i] = i
-		}
-	}
-	cur := coarsest.Instance{F: f, B: b}
+	cur := chains()
 	st, err := Build(cur)
 	if err != nil {
 		t.Fatal(err)
@@ -167,13 +279,13 @@ func TestCodeExhaustionValve(t *testing.T) {
 	refound := ""
 	for round := 0; round < 200 && refound == ""; round++ {
 		fresh++
-		edits := []Edit{{Node: length / 2, SetB: true, B: fresh}}
+		edits := []Edit{{Node: chainLen / 2, SetB: true, B: fresh}}
 		mirror(cur, edits)
-		got, info, err := st.ApplyDelta(edits)
+		info, err := st.ApplyDelta(edits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := coarsest.LinearSequential(cur); !equalInts(got, want) {
+		if want := coarsest.LinearSequential(cur); !equalInts(st.Labels(), want) {
 			t.Fatalf("round %d: labels diverged (re-founded %q)", round, info.Refound)
 		}
 		refound = info.Refound
@@ -185,11 +297,10 @@ func TestCodeExhaustionValve(t *testing.T) {
 	// The state remains usable and correct after the re-found.
 	edits := []Edit{{Node: 3, SetF: true, F: 40}}
 	mirror(cur, edits)
-	got, _, err := st.ApplyDelta(edits)
-	if err != nil {
+	if _, err := st.ApplyDelta(edits); err != nil {
 		t.Fatal(err)
 	}
-	if want := coarsest.LinearSequential(cur); !equalInts(got, want) {
+	if want := coarsest.LinearSequential(cur); !equalInts(st.Labels(), want) {
 		t.Fatal("labels diverged after the re-found")
 	}
 }
@@ -239,14 +350,14 @@ func TestCrossComponentRetarget(t *testing.T) {
 	}
 	for i, edits := range steps {
 		mirror(cur, edits)
-		got, info, err := st.ApplyDelta(edits)
+		info, err := st.ApplyDelta(edits)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		if info.Refound != "" {
 			t.Fatalf("step %d: re-founded %q, want a region pass", i, info.Refound)
 		}
-		if want := coarsest.LinearSequential(cur); !equalInts(got, want) {
+		if want := coarsest.LinearSequential(cur); !equalInts(st.Labels(), want) {
 			t.Fatalf("step %d: labels differ from full solve", i)
 		}
 	}
@@ -272,7 +383,7 @@ func TestDirtyStats(t *testing.T) {
 		{"cross retarget", []Edit{{Node: 1, SetF: true, F: 6}}, 8, 2, "no clean node left"},
 	} {
 		mirror(cur, tc.edits)
-		got, info, err := st.ApplyDelta(tc.edits)
+		info, err := st.ApplyDelta(tc.edits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +391,7 @@ func TestDirtyStats(t *testing.T) {
 			t.Errorf("%s: dirty = (%d nodes, %d comps), re-founded %q; want (%d, %d), %q",
 				tc.name, info.DirtyNodes, info.DirtyComponents, info.Refound, tc.nodes, tc.comps, tc.refound)
 		}
-		if want := coarsest.LinearSequential(cur); !equalInts(got, want) {
+		if want := coarsest.LinearSequential(cur); !equalInts(st.Labels(), want) {
 			t.Errorf("%s: labels differ from full solve", tc.name)
 		}
 	}
@@ -300,7 +411,7 @@ func TestEditValidation(t *testing.T) {
 		{{Node: 0, SetB: true, B: -3}},
 	}
 	for i, edits := range bad {
-		if _, _, err := st.ApplyDelta(edits); err == nil {
+		if _, err := st.ApplyDelta(edits); err == nil {
 			t.Errorf("case %d: ApplyDelta accepted invalid edit %+v", i, edits[0])
 		}
 	}
@@ -320,11 +431,11 @@ func TestEmptyDeltaAndEmptyInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := slices.Clone(st2.Labels())
-	got, info, err := st2.ApplyDelta(nil)
+	info, err := st2.ApplyDelta(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(got, before) || info.DirtyNodes != 0 {
+	if !slices.Equal(st2.Labels(), before) || info.DirtyNodes != 0 || info.NumClasses != st2.NumClasses() {
 		t.Fatal("empty delta changed labels or reported dirty work")
 	}
 }
@@ -338,7 +449,7 @@ func TestSnapshotTracksEdits(t *testing.T) {
 	}
 	edits := []Edit{{Node: 5, SetF: true, F: 7}, {Node: 6, SetB: true, B: 9}}
 	mirror(cur, edits)
-	if _, _, err := st.ApplyDelta(edits); err != nil {
+	if _, err := st.ApplyDelta(edits); err != nil {
 		t.Fatal(err)
 	}
 	snap := st.Snapshot()
@@ -366,11 +477,10 @@ func TestDeterminism(t *testing.T) {
 		var all [][]int32
 		for round := 0; round < 15; round++ {
 			edits := randomEdits(rng, 200, 1+rng.Intn(3))
-			labels, _, err := st.ApplyDelta(edits)
-			if err != nil {
+			if _, err := st.ApplyDelta(edits); err != nil {
 				t.Fatal(err)
 			}
-			all = append(all, slices.Clone(labels))
+			all = append(all, slices.Clone(st.Labels()))
 		}
 		return all
 	}
@@ -408,7 +518,9 @@ func twoCycles(n int, label func(x int) int) coarsest.Instance {
 // give one node of n/2 two-cycles a fresh label, minting a canonical
 // string of period two. Two-cycles with distinct wide labels need more
 // than the budget on their own; there the valve must not re-found over
-// and over.
+// and over. Every row runs twice: with no label read, as a stream of
+// label-free deltas leaves a session, and with the labels read after
+// Build and after every delta, which adds them (4 B/elem) to the session.
 func TestStateBytes(t *testing.T) {
 	const n = 1 << 16
 	const pairs = 1 << 12
@@ -435,34 +547,46 @@ func TestStateBytes(t *testing.T) {
 			func(rng *rand.Rand, d int) []Edit { return widenEdits(fresh(rng, pairs+d)) }, true},
 	}
 	for _, r := range rows {
-		st, err := Build(r.ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Digest()
-		size := float64(len(r.ins.F))
-		built, peak, refounds := float64(st.footprint())/size, 0.0, 0
-		rng := rand.New(rand.NewSource(9))
-		for d := range r.deltas {
-			_, info, err := st.ApplyDelta(r.delta(rng, d))
+		for _, read := range []bool{false, true} {
+			name := r.name
+			if read {
+				name += " (labels read)"
+			}
+			st, err := Build(r.ins)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.Refound != "" {
-				refounds++
-			}
 			st.Digest()
-			peak = max(peak, float64(st.footprint())/size)
-		}
-		t.Logf("%s: %.1f B/elem after Build, at most %.1f after each of %d deltas, %d re-founds",
-			r.name, built, peak, r.deltas, refounds)
-		switch {
-		case r.over != (built > byteBudget):
-			t.Errorf("%s: session holds %.1f B/elem after Build; the row expects over %d to be %v", r.name, built, byteBudget, r.over)
-		case !r.over && peak > byteBudget:
-			t.Errorf("%s: session reaches %.1f B/elem after a delta, want <= %d", r.name, peak, byteBudget)
-		case r.over && refounds > 1:
-			t.Errorf("%s: %d re-founds in %d deltas, want at most 1", r.name, refounds, r.deltas)
+			if read {
+				st.Labels()
+			}
+			size := float64(len(r.ins.F))
+			built, peak, refounds := float64(st.footprint())/size, 0.0, 0
+			rng := rand.New(rand.NewSource(9))
+			for d := range r.deltas {
+				info, err := st.ApplyDelta(r.delta(rng, d))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Refound != "" {
+					refounds++
+				}
+				if read {
+					st.Labels()
+				}
+				st.Digest()
+				peak = max(peak, float64(st.footprint())/size)
+			}
+			t.Logf("%s: %.1f B/elem after Build, at most %.1f after each of %d deltas, %d re-founds",
+				name, built, peak, r.deltas, refounds)
+			switch {
+			case r.over != (built > byteBudget):
+				t.Errorf("%s: session holds %.1f B/elem after Build; the row expects over %d to be %v", name, built, byteBudget, r.over)
+			case !r.over && peak > byteBudget:
+				t.Errorf("%s: session reaches %.1f B/elem after a delta, want <= %d", name, peak, byteBudget)
+			case r.over && refounds > 1:
+				t.Errorf("%s: %d re-founds in %d deltas, want at most 1", name, refounds, r.deltas)
+			}
 		}
 	}
 }
@@ -494,7 +618,7 @@ func TestDeltaAllocsFlat(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for i := range 64 {
 		low := st.low
-		_, info, err := st.ApplyDelta([]Edit{{Node: i*256 + 7, SetB: true, B: 1000 + i}})
+		info, err := st.ApplyDelta([]Edit{{Node: i*256 + 7, SetB: true, B: 1000 + i}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -549,7 +673,7 @@ func TestWideLabelDeltas(t *testing.T) {
 	}
 	for _, step := range steps {
 		mirror(cur, step.edits)
-		if _, _, err := st.ApplyDelta(step.edits); err != nil {
+		if _, err := st.ApplyDelta(step.edits); err != nil {
 			t.Fatal(err)
 		}
 		check(step.name)
@@ -562,7 +686,7 @@ func TestWideLabelDeltas(t *testing.T) {
 		edits = append(edits, Edit{Node: 16 * c, SetB: true, B: cur.B[16*c]})
 	}
 	mirror(cur, edits)
-	_, info, err := st.ApplyDelta(edits)
+	info, err := st.ApplyDelta(edits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +709,7 @@ func TestWideLabelDeltas(t *testing.T) {
 	st.wideMax = len(st.wide)
 	edits = []Edit{{Node: 60, SetB: true, B: wide | 99}}
 	mirror(cur, edits)
-	_, info, err = st.ApplyDelta(edits)
+	info, err = st.ApplyDelta(edits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +765,7 @@ func TestDigestTracksEdits(t *testing.T) {
 				if wide {
 					edits = widenEdits(edits)
 				}
-				if _, _, err := st.ApplyDelta(edits); err != nil {
+				if _, err := st.ApplyDelta(edits); err != nil {
 					t.Fatal(err)
 				}
 				if !wide || d >= 2 {
@@ -650,7 +774,7 @@ func TestDigestTracksEdits(t *testing.T) {
 			}
 
 			before := st.Digest()
-			if _, _, err := st.ApplyDelta([]Edit{{Node: 0, SetB: true, B: 1}, {Node: n, SetB: true, B: 1}}); err == nil {
+			if _, err := st.ApplyDelta([]Edit{{Node: 0, SetB: true, B: 1}, {Node: n, SetB: true, B: 1}}); err == nil {
 				t.Fatalf("n=%d: an edit out of range was accepted", n)
 			}
 			if got := st.Digest(); got != before {
@@ -661,7 +785,7 @@ func TestDigestTracksEdits(t *testing.T) {
 				// No room for a new wide label: interning compacts the
 				// table and renames classes, not values.
 				st.wideMax = len(st.wide)
-				if _, info, err := st.ApplyDelta([]Edit{{Node: n - 1, SetB: true, B: 1<<62 | 12345}}); err != nil || info.Refound == "" {
+				if info, err := st.ApplyDelta([]Edit{{Node: n - 1, SetB: true, B: 1<<62 | 12345}}); err != nil || info.Refound == "" {
 					t.Fatalf("n=%d: compaction delta: %v, re-found %q", n, err, info.Refound)
 				}
 				check("compaction")

@@ -229,6 +229,7 @@ func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp DeltaResponse
+	withLabels := !omitLabels(r)
 	// A failure of the task itself (not of its admission) is a server
 	// error unless the task marks it as the request's fault.
 	code := http.StatusInternalServerError
@@ -237,7 +238,7 @@ func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		res, err := sfcp.Resolve(inc, delta)
+		info, err := inc.Apply(delta)
 		if err != nil {
 			// Edit validation precedes mutation, so the session still
 			// represents the parent version; re-register it there.
@@ -245,27 +246,28 @@ func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusBadRequest
 			return err
 		}
-		childDigest := inc.Digest()
-		var child sfcp.Instance
-		if s.blobs != nil {
-			// Only the blob tier needs the payload, and it is copied
-			// before the put: after it a concurrent delta may advance the
-			// session past this version.
-			child = inc.Instance()
-		}
-		s.sessions.put(childDigest, inc)
-		s.instancePut(childDigest, child)
-		s.metrics.resolve(res.Resolve.Mode, res.Resolve.DirtyFrac)
+		// The reply and the blob tier's payload are read before the put:
+		// after it a concurrent delta may advance the session past this
+		// version. Only a reply that asks for labels renumbers them.
 		resp = DeltaResponse{
 			ParentDigest:   parent,
-			Digest:         childDigest,
-			N:              len(res.Labels),
-			NumClasses:     res.NumClasses,
-			Labels:         res.Labels,
-			Resolve:        res.Resolve,
+			Digest:         inc.Digest(),
+			N:              inc.N(),
+			NumClasses:     inc.NumClasses(),
+			Resolve:        info,
 			SessionRebuilt: rebuilt,
-			ResolveMS:      float64(res.Resolve.Duration) / float64(time.Millisecond),
+			ResolveMS:      float64(info.Duration) / float64(time.Millisecond),
 		}
+		if withLabels {
+			resp.Labels = inc.Labels()
+		}
+		var child sfcp.Instance
+		if s.blobs != nil {
+			child = inc.Instance()
+		}
+		s.sessions.put(resp.Digest, inc)
+		s.instancePut(resp.Digest, child)
+		s.metrics.resolve(info.Mode, info.DirtyFrac)
 		return nil
 	})
 	switch {
@@ -280,9 +282,6 @@ func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.fail(w, "instances_delta", code, err.Error())
 		return
-	}
-	if omitLabels(r) {
-		resp.Labels = nil
 	}
 	writeReply(w, http.StatusOK, &resp)
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -195,16 +197,70 @@ func TestInstanceDeltaBinaryBody(t *testing.T) {
 	}
 }
 
+// TestInstanceOmitLabels chains binary-body deltas that ask for no labels,
+// as the request benchmark's delta_stream sends them, each off the last
+// reply's digest: every reply must leave the labels out, yet carry the
+// child's n, class count and digest, each equal to a full solve's of that
+// version. The last delta asks for labels, which must equal a full
+// solve's.
 func TestInstanceOmitLabels(t *testing.T) {
 	_, ts := newTestServer(t, Config{BlobStore: store.NewMemBlobStore()})
-	ir := createInstance(t, ts.URL, sfcp.Instance{F: []int{1, 0}, B: []int{0, 1}})
-	resp, data := post(t, ts.URL+"/instances/"+ir.Digest+"/delta?labels=false",
-		`{"edits":[{"node":0,"b":5}]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d (body %s)", resp.StatusCode, data)
-	}
-	if bytes.Contains(data, []byte(`"labels"`)) {
-		t.Fatalf("labels present despite ?labels=false: %s", data)
+	w := workload.DistinctCycles(7, 8, 16, 3)
+	cur := sfcp.Instance{F: w.F, B: w.B}
+	n := len(cur.F)
+	digest := createInstance(t, ts.URL, cur).Digest
+	rng := rand.New(rand.NewSource(1))
+	const chain = 12
+	for d := range chain {
+		var delta sfcp.Delta
+		edits := 1
+		if d%4 == 3 {
+			edits = 8 // one delta in four carries several edits
+		}
+		for range edits {
+			e := sfcp.Edit{Node: rng.Intn(n)}
+			if rng.Intn(2) == 0 {
+				e.F = ptr(rng.Intn(n))
+				cur.F[e.Node] = *e.F
+			} else {
+				e.B = ptr(rng.Intn(5))
+				cur.B[e.Node] = *e.B
+			}
+			delta.Edits = append(delta.Edits, e)
+		}
+		var body bytes.Buffer
+		if err := sfcp.EncodeDeltaBinary(&body, delta); err != nil {
+			t.Fatal(err)
+		}
+		url, last := ts.URL+"/instances/"+digest+"/delta", d == chain-1
+		if !last {
+			url += "?labels=false"
+		}
+		resp, err := http.Post(url, sfcp.DeltaBinaryMediaType, &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("delta %d: status %d, %v (body %s)", d, resp.StatusCode, err, data)
+		}
+		if !last && bytes.Contains(data, []byte(`"labels"`)) {
+			t.Fatalf("delta %d: labels present despite ?labels=false: %s", d, data)
+		}
+		var dr DeltaResponse
+		if err := json.Unmarshal(data, &dr); err != nil {
+			t.Fatal(err)
+		}
+		wantLabels, wantClasses := fullSolveLabels(t, cur)
+		if dr.ParentDigest != digest || dr.Digest != cur.Digest() || dr.N != n || dr.NumClasses != wantClasses {
+			t.Fatalf("delta %d: parent %s, digest %s, n %d, %d classes; want %s, %s, %d, %d",
+				d, dr.ParentDigest, dr.Digest, dr.N, dr.NumClasses, digest, cur.Digest(), n, wantClasses)
+		}
+		if last && !slices.Equal(dr.Labels, wantLabels) {
+			t.Fatalf("delta %d asked for labels: %v, full solve %v", d, dr.Labels, wantLabels)
+		}
+		digest = dr.Digest
 	}
 }
 

@@ -19,8 +19,8 @@ type Edit struct {
 	B    *int `json:"b,omitempty"`
 }
 
-// Delta is a batch of edits Resolve applies atomically: the dirty set is
-// computed for the batch as a whole and the solve runs once.
+// Delta is a batch of edits Apply and Resolve apply atomically: the dirty
+// set is computed for the batch as a whole and the solve runs once.
 type Delta struct {
 	Edits []Edit `json:"edits"`
 }
@@ -51,14 +51,16 @@ type ResolveInfo struct {
 	DirtyComponents int     `json:"dirty_components"`
 	DirtyNodes      int     `json:"dirty_nodes"`
 	DirtyFrac       float64 `json:"dirty_frac"`
-	// Duration is the apply stage's wall clock.
+	// Duration is the apply stage's wall clock; it does not include
+	// renumbering the labels.
 	Duration time.Duration `json:"resolve_ns"`
 }
 
 // Incremental is a versioned solve session: the reusable decomposition
-// state of one instance, advanced in place by Resolve. Labels at every
-// version are byte-identical to a full solve of that version. Methods
-// are safe for concurrent use; Resolve calls serialize.
+// state of one instance, advanced in place by Apply or Resolve. Labels at
+// every version are byte-identical to a full solve of that version.
+// Methods are safe for concurrent use; Apply and Resolve calls
+// serialize.
 type Incremental struct {
 	mu sync.Mutex
 	st *incr.State
@@ -81,14 +83,17 @@ func (inc *Incremental) N() int {
 	return inc.st.N()
 }
 
-// Labels returns a copy of the current version's canonical labels.
+// Labels returns a copy of the current version's canonical labels. The
+// first read after a delta renumbers the session's codes, O(n); a second
+// read before the next delta reuses that renumber and pays only the copy.
 func (inc *Incremental) Labels() []int {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	return widen(inc.st.Labels())
 }
 
-// NumClasses returns the current version's class count.
+// NumClasses returns the current version's class count. It is kept
+// exact through every delta, so it needs no label read.
 func (inc *Incremental) NumClasses() int {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -97,7 +102,7 @@ func (inc *Incremental) NumClasses() int {
 
 // Digest returns the current version's content address: Instance().Digest()
 // without the copy. The session hashes its instance the first time it is
-// asked; after that Resolve keeps the address current by rehashing only
+// asked; after that a delta keeps the address current by rehashing only
 // the fixed element ranges its edits touch, plus the root (DESIGN.md
 // section 9).
 func (inc *Incremental) Digest() string {
@@ -115,40 +120,61 @@ func (inc *Incremental) Instance() Instance {
 	return Instance{F: snap.F, B: snap.B}
 }
 
-// Resolve applies a delta to the session and returns the refreshed
-// result. It re-solves only the components the delta dirties, unless the
-// session's valve re-founds the whole decomposition instead
-// (Result.Resolve reports which ran, and why); either way the labels are
-// byte-identical to a full solve of the edited instance.
-// The session advances in place: after Resolve it describes the edited
+// Apply applies a delta to the session and reports how. It re-solves
+// only the components the delta dirties, unless the session's valve
+// re-founds the whole decomposition instead (the ResolveInfo says which
+// ran, and why), and it costs what the dirty region costs, not n: the
+// labels are renumbered only when Labels reads them, and NumClasses stays
+// exact without them. Either way the labels are byte-identical to a full
+// solve of the edited instance.
+// The session advances in place: after Apply it describes the edited
 // version (re-resolving an old version needs a session rebuilt from that
 // version's instance).
+func (inc *Incremental) Apply(delta Delta) (*ResolveInfo, error) {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	return inc.apply(delta)
+}
+
+// apply is Apply with inc.mu held.
+func (inc *Incremental) apply(delta Delta) (*ResolveInfo, error) {
+	edits, err := toIncrEdits(delta.Edits)
+	if err != nil {
+		return nil, err
+	}
+	out, err := engine.ResolveDelta(inc.st, edits)
+	if err != nil {
+		return nil, err
+	}
+	return &ResolveInfo{
+		Mode:            out.Mode,
+		Reason:          out.Reason,
+		DirtyComponents: out.Info.DirtyComponents,
+		DirtyNodes:      out.Info.DirtyNodes,
+		DirtyFrac:       out.Info.DirtyFrac,
+		Duration:        out.Duration,
+	}, nil
+}
+
+// Resolve applies a delta to the session, as Apply does, and returns the
+// edited version's result with its labels, read under the same lock: the
+// result is Apply's plus an O(n) renumber and copy. A caller that does
+// not need every version's labels calls Apply, and Labels when it does.
 func Resolve(prev *Incremental, delta Delta) (Result, error) {
 	if prev == nil {
 		return Result{}, fmt.Errorf("sfcp: Resolve on nil session")
 	}
-	edits, err := toIncrEdits(delta.Edits)
-	if err != nil {
-		return Result{}, err
-	}
 	prev.mu.Lock()
 	defer prev.mu.Unlock()
-	out, err := engine.ResolveDelta(prev.st, edits)
+	info, err := prev.apply(delta)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
-		Labels:     widen(out.Labels),
-		NumClasses: out.Info.NumClasses,
-		Resolve: &ResolveInfo{
-			Mode:            out.Mode,
-			Reason:          out.Reason,
-			DirtyComponents: out.Info.DirtyComponents,
-			DirtyNodes:      out.Info.DirtyNodes,
-			DirtyFrac:       out.Info.DirtyFrac,
-			Duration:        out.Duration,
-		},
-		Timings: Timings{Solve: out.Duration},
+		Labels:     widen(prev.st.Labels()),
+		NumClasses: prev.st.NumClasses(),
+		Resolve:    info,
+		Timings:    Timings{Solve: info.Duration},
 	}, nil
 }
 
