@@ -8,6 +8,6 @@ func dispatchRow(in coarsest.Instance) []int {
 	return coarsest.Hopcroft(in)
 }
 
-func anotherRow(in coarsest.Instance, sc *coarsest.Scratch) []int {
+func anotherRow(in coarsest.Instance, sc *coarsest.Scratch) ([]int, int) {
 	return coarsest.LinearSequentialScratch(in, sc)
 }

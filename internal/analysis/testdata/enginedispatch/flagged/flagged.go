@@ -14,7 +14,8 @@ func solverValueEscapes() func(coarsest.Instance) []int {
 }
 
 func scratchSolve(in coarsest.Instance, sc *coarsest.Scratch) []int {
-	return coarsest.LinearSequentialScratch(in, sc) // want "direct use of coarsest.LinearSequentialScratch"
+	labels, _ := coarsest.LinearSequentialScratch(in, sc) // want "direct use of coarsest.LinearSequentialScratch"
+	return labels
 }
 
 func batchSolve(members []coarsest.Instance) [][]int {

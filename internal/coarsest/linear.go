@@ -110,7 +110,8 @@ func (s *Scratch) cycleRows(k int) []cycle {
 // number of distinct labels. The codes stay below n, and a final
 // first-occurrence renumber makes the labels canonical.
 func LinearSequential(ins Instance) []int {
-	return LinearSequentialScratch(ins, nil)
+	labels, _ := LinearSequentialScratch(ins, nil)
+	return labels
 }
 
 // LinearSequentialScratch is LinearSequential with caller-provided scratch
@@ -118,17 +119,18 @@ func LinearSequential(ins Instance) []int {
 // come from sc and every per-node coding step is array indexing, so
 // coalesced batches of small instances solved back-to-back under one arena
 // skip nearly all per-call allocation. Only the returned labels escape.
-func LinearSequentialScratch(ins Instance, sc *Scratch) []int {
+// classes is their class count (a byproduct of the canonical rename, as in
+// LinearSequentialBatch).
+func LinearSequentialScratch(ins Instance, sc *Scratch) (labels []int, classes int) {
 	if len(ins.F) == 0 {
-		return []int{}
+		return []int{}, 0
 	}
 	if sc == nil {
 		sc = &Scratch{}
 	}
 	sc.reset()
-	out := make([]int, len(ins.F))
-	solveLinear(ins, sc, out)
-	return out
+	labels = make([]int, len(ins.F))
+	return labels, solveLinear(ins, sc, labels)
 }
 
 // LinearSequentialBatch solves every member back-to-back under one shared

@@ -100,43 +100,51 @@ func (a *Algorithm) UnmarshalText(text []byte) error {
 	return fmt.Errorf("unknown algorithm %q", text)
 }
 
-// entry executes one concrete algorithm on a validated instance. The
-// dispatch table below is the only mapping from Algorithm values to
-// internal/coarsest entry points in the codebase — adding a solver means
-// adding one constant and one row here.
-type entry func(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, sc *coarsest.Scratch) ([]int, *pram.Stats, error)
+// entry executes one concrete algorithm on a validated instance and
+// returns its labels, class count and simulator counters; Execute times
+// it. The dispatch table below is the only mapping from Algorithm values
+// to internal/coarsest entry points in the codebase — adding a solver
+// means adding one constant and one row here.
+type entry func(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, sc *coarsest.Scratch) (Solution, error)
 
 var dispatch = map[Algorithm]entry{
-	Moore: func(_ context.Context, in coarsest.Instance, _ Plan, _ uint64, _ *coarsest.Scratch) ([]int, *pram.Stats, error) {
-		return coarsest.Moore(in), nil, nil
+	Moore: func(_ context.Context, in coarsest.Instance, _ Plan, _ uint64, _ *coarsest.Scratch) (Solution, error) {
+		return counted(coarsest.Moore(in), nil), nil
 	},
-	Hopcroft: func(_ context.Context, in coarsest.Instance, _ Plan, _ uint64, _ *coarsest.Scratch) ([]int, *pram.Stats, error) {
-		return coarsest.Hopcroft(in), nil, nil
+	Hopcroft: func(_ context.Context, in coarsest.Instance, _ Plan, _ uint64, _ *coarsest.Scratch) (Solution, error) {
+		return counted(coarsest.Hopcroft(in), nil), nil
 	},
-	Linear: func(_ context.Context, in coarsest.Instance, _ Plan, _ uint64, sc *coarsest.Scratch) ([]int, *pram.Stats, error) {
-		return coarsest.LinearSequentialScratch(in, sc), nil, nil
+	Linear: func(_ context.Context, in coarsest.Instance, _ Plan, _ uint64, sc *coarsest.Scratch) (Solution, error) {
+		labels, classes := coarsest.LinearSequentialScratch(in, sc)
+		return Solution{Labels: labels, NumClasses: classes}, nil
 	},
-	ParallelPRAM: func(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, _ *coarsest.Scratch) ([]int, *pram.Stats, error) {
+	ParallelPRAM: func(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, _ *coarsest.Scratch) (Solution, error) {
 		res, err := coarsest.ParallelPRAMContext(ctx, in, coarsest.ParallelOptions{Workers: plan.Workers, Seed: seed})
 		if err != nil {
-			return nil, nil, err
+			return Solution{}, err
 		}
-		return res.Labels, &res.Stats, nil
+		return counted(res.Labels, &res.Stats), nil
 	},
-	DoublingHash: func(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, _ *coarsest.Scratch) ([]int, *pram.Stats, error) {
+	DoublingHash: func(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, _ *coarsest.Scratch) (Solution, error) {
 		res, err := coarsest.DoublingHashPRAMContext(ctx, in, coarsest.ParallelOptions{Workers: plan.Workers, Seed: seed})
 		if err != nil {
-			return nil, nil, err
+			return Solution{}, err
 		}
-		return res.Labels, &res.Stats, nil
+		return counted(res.Labels, &res.Stats), nil
 	},
-	DoublingSort: func(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, _ *coarsest.Scratch) ([]int, *pram.Stats, error) {
+	DoublingSort: func(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, _ *coarsest.Scratch) (Solution, error) {
 		res, err := coarsest.DoublingSortPRAMContext(ctx, in, coarsest.ParallelOptions{Workers: plan.Workers, Seed: seed})
 		if err != nil {
-			return nil, nil, err
+			return Solution{}, err
 		}
-		return res.Labels, &res.Stats, nil
+		return counted(res.Labels, &res.Stats), nil
 	},
+}
+
+// counted is the Solution of a solver that does not report its class
+// count: one NumClasses pass over the labels.
+func counted(labels []int, stats *pram.Stats) Solution {
+	return Solution{Labels: labels, NumClasses: coarsest.NumClasses(labels), Stats: stats}
 }
 
 // Solution is what executing a plan produced for one instance: its
@@ -161,11 +169,12 @@ func Execute(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, 
 		return Solution{}, fmt.Errorf("sfcp: no solver for algorithm %v", plan.Algorithm)
 	}
 	start := time.Now()
-	labels, stats, err := run(ctx, in, plan, seed, sc)
+	sol, err := run(ctx, in, plan, seed, sc)
 	if err != nil {
 		return Solution{}, err
 	}
-	return Solution{Labels: labels, NumClasses: coarsest.NumClasses(labels), Stats: stats, Solve: time.Since(start)}, nil
+	sol.Solve = time.Since(start)
+	return sol, nil
 }
 
 // ExecuteBatch runs one resolved plan (MakeBatchPlan) over every member on

@@ -2,14 +2,16 @@ package server
 
 import (
 	"container/list"
+	"math/bits"
 	"sync"
 
 	"sfcp"
 )
 
 // resultCache is a bounded LRU over solve results keyed by
-// (algorithm, seed, instance digest). Results are immutable once stored —
-// handlers must not mutate the Labels slice they get back.
+// (algorithm, seed, instance digest). An entry keeps its labels packed
+// (packedLabels) and every Get unpacks them into a fresh slice, so a
+// caller owns the Labels it gets back.
 //
 // Two caps, both optional: an entry count (the seed's original bound) and
 // a resident-byte budget. Either cap alone can be the binding one — a
@@ -24,21 +26,83 @@ type resultCache struct {
 	entries  map[string]*list.Element
 }
 
+// cacheEntry is one result at rest: the Result without its Labels, which
+// sit beside it in packed form.
 type cacheEntry struct {
-	key  string
-	res  sfcp.Result
-	size int64
+	key    string
+	res    sfcp.Result
+	labels packedLabels
+	size   int64
+}
+
+// packedLabels holds n non-negative labels as fixed-width bit fields,
+// label i in bits [i·width, (i+1)·width) of words, little-endian across
+// word boundaries. A result's labels are dense in [0, k), so width is
+// ⌈log₂ k⌉ bits (0 when k ≤ 1, at most 31 for a valid instance) in place
+// of the 64 an int takes. The words are never written after packLabels
+// returns, so readers may share them without a lock.
+type packedLabels struct {
+	n     int
+	width uint
+	words []uint64
+}
+
+// packLabels packs labels at the width of the largest one.
+func packLabels(labels []int) packedLabels {
+	var all uint
+	for _, l := range labels {
+		all |= uint(l)
+	}
+	w := uint(bits.Len(all))
+	p := packedLabels{n: len(labels), width: w}
+	if w == 0 {
+		return p
+	}
+	p.words = make([]uint64, (uint(len(labels))*w+63)/64)
+	var bit uint
+	for _, l := range labels {
+		v := uint64(l)
+		i, off := bit/64, bit%64
+		p.words[i] |= v << off
+		if off+w > 64 {
+			p.words[i+1] |= v >> (64 - off)
+		}
+		bit += w
+	}
+	return p
+}
+
+// unpack returns the labels in a fresh slice.
+func (p packedLabels) unpack() []int {
+	out := make([]int, p.n)
+	w := p.width
+	if w == 0 {
+		return out
+	}
+	mask := uint64(1)<<w - 1 // all ones at w = 64
+	var bit uint
+	for i := range out {
+		j, off := bit/64, bit%64
+		v := p.words[j] >> off
+		if off+w > 64 {
+			v |= p.words[j+1] << (64 - off)
+		}
+		out[i] = int(v & mask)
+		bit += w
+	}
+	return out
 }
 
 // cacheEntryOverhead approximates an entry's fixed footprint beyond its
-// labels: the key string, the list element, the map bucket share, and the
-// Result header. The label slice dominates for anything non-trivial, so
-// precision here only matters for the degenerate all-tiny-entries case.
+// packed labels: the list element, the map bucket share, and the Result
+// and packedLabels headers. The label words dominate for anything
+// non-trivial, so precision here only matters for the degenerate
+// all-tiny-entries case.
 const cacheEntryOverhead = 256
 
-// entrySize estimates one result's resident bytes.
-func entrySize(key string, res sfcp.Result) int64 {
-	return int64(len(res.Labels))*8 + int64(len(key)) + cacheEntryOverhead
+// entrySize estimates one entry's resident bytes.
+func entrySize(key string, labels packedLabels) int64 {
+	return int64(len(labels.words))*8 + int64(len(key)) + cacheEntryOverhead
 }
 
 // newResultCache returns a cache holding up to capacity results;
@@ -58,25 +122,35 @@ func newResultCache(capacity int, maxBytes int64) *resultCache {
 // it to skip digest and key construction when caching is off.
 func (c *resultCache) enabled() bool { return c.cap > 0 }
 
+// Get returns the result stored under key with its labels in a fresh
+// slice; the unpack runs after the lock is released.
 func (c *resultCache) Get(key string) (sfcp.Result, bool) {
 	if c.cap <= 0 {
 		return sfcp.Result{}, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
+		c.mu.Unlock()
 		return sfcp.Result{}, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	ent := el.Value.(*cacheEntry)
+	res, labels := ent.res, ent.labels
+	c.mu.Unlock()
+	res.Labels = labels.unpack()
+	return res, true
 }
 
+// Put stores res under key. It packs the labels before taking the lock
+// and keeps no reference to res.Labels.
 func (c *resultCache) Put(key string, res sfcp.Result) {
 	if c.cap <= 0 {
 		return
 	}
-	size := entrySize(key, res)
+	labels := packLabels(res.Labels)
+	res.Labels = nil
+	size := entrySize(key, labels)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.maxBytes > 0 && size > c.maxBytes {
@@ -92,10 +166,10 @@ func (c *resultCache) Put(key string, res sfcp.Result) {
 	if el, ok := c.entries[key]; ok {
 		ent := el.Value.(*cacheEntry)
 		c.bytes += size - ent.size
-		ent.res, ent.size = res, size
+		ent.res, ent.labels, ent.size = res, labels, size
 		c.order.MoveToFront(el)
 	} else {
-		c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res, size: size})
+		c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res, labels: labels, size: size})
 		c.bytes += size
 	}
 	for c.order.Len() > c.cap || (c.maxBytes > 0 && c.bytes > c.maxBytes) {

@@ -34,10 +34,15 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 // it all (as zeros in zero-config mode).
 
 func TestCacheByteBound(t *testing.T) {
-	// Each 100-label entry is 800 bytes of labels plus overhead; a
-	// 3000-byte budget holds two such entries but not three.
-	res := sfcp.Result{Labels: make([]int, 100), NumClasses: 1}
-	c := newResultCache(100, 3000)
+	// Labels 0–99 pack at 7 bits each; the budget holds two such entries
+	// but not three.
+	res := sfcp.Result{Labels: make([]int, 100), NumClasses: 100}
+	for i := range res.Labels {
+		res.Labels[i] = i
+	}
+	size := entrySize("a", packLabels(res.Labels))
+	budget := 2*size + size/2
+	c := newResultCache(100, budget)
 	c.Put("a", res)
 	c.Put("b", res)
 	if c.Len() != 2 {
@@ -50,13 +55,16 @@ func TestCacheByteBound(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Error("LRU entry survived byte-bound eviction")
 	}
-	if got := c.Bytes(); got <= 0 || got > 3000 {
-		t.Errorf("Bytes() = %d, want in (0, 3000]", got)
+	if got := c.Bytes(); got != 2*size {
+		t.Errorf("Bytes() = %d, want %d", got, 2*size)
 	}
 
 	// An entry bigger than the whole budget is never admitted — and a
 	// stale entry under its key is dropped rather than served forever.
-	huge := sfcp.Result{Labels: make([]int, 1000), NumClasses: 1}
+	huge := sfcp.Result{Labels: make([]int, 1000), NumClasses: 1000}
+	for i := range huge.Labels {
+		huge.Labels[i] = i
+	}
 	c.Put("b", huge)
 	if _, ok := c.Get("b"); ok {
 		t.Error("over-budget entry admitted (or stale entry retained)")
@@ -254,16 +262,9 @@ func TestStoreMetricsZeroConfig(t *testing.T) {
 func TestCacheBytesGauge(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheBytes: 1 << 20})
 	post(t, ts.URL+"/solve", `{"algorithm":"linear","f":[1,2,0],"b":[0,0,0]}`)
-	_, data := get(t, ts.URL+"/metrics")
-	for _, line := range strings.Split(string(data), "\n") {
-		if rest, ok := strings.CutPrefix(line, "sfcpd_cache_bytes "); ok {
-			if rest == "0" {
-				t.Fatalf("cache bytes gauge still zero after a cached solve")
-			}
-			return
-		}
+	if cacheBytesGauge(t, ts.URL) == 0 {
+		t.Fatalf("cache bytes gauge still zero after a cached solve")
 	}
-	t.Fatal("sfcpd_cache_bytes not in /metrics")
 }
 
 // TestVersionOutlivesJobPayload: a version POST /instances registered

@@ -63,6 +63,40 @@ func TestPlanWithAllocs(t *testing.T) {
 	}
 }
 
+// TestSolvePlannedAllocs pins a warm linear solve at three allocations:
+// the labels, the Result's plan and the cycle's canonical key. The class
+// count comes from the solver's own renumber, not from a NumClasses pass
+// with its n-entry table.
+func TestSolvePlannedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const n = 4096
+	f, b := make([]int, n), make([]int, n)
+	for i := range f {
+		f[i] = (i + 1) % n
+		b[i] = i % 3
+	}
+	ins := Instance{F: f, B: b}
+	plan, err := PlanWith(ins, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := NewSolver(Options{})
+	ctx := context.Background()
+	if _, err := solver.SolvePlanned(ctx, ins, plan); err != nil { // warm the arena
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := solver.SolvePlanned(ctx, ins, plan); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("warm SolvePlanned on a %d-node cycle allocates %.0f times, want 3", n, allocs)
+	}
+}
+
 // TestPlanWithMatchesSolve: the standalone planner returns exactly the
 // plan a solve of the same (instance, options) executes, deterministically,
 // and executing that plan through a Solver reports it back.
