@@ -2,10 +2,9 @@
 // HTTP. Every solve — synchronous, batched or async — runs four stages:
 // resolve (the planner turns "auto" into the linear solver), lookup
 // (results are cached by resolved algorithm, seed and instance digest,
-// in RAM and, with -data-dir, on disk), execute (small linear solves are
-// batched on the pool's batch crew; the rest take one of -pool-workers
-// slots of their algorithm's lane and solve on the goroutine that asked)
-// and fill (metrics, cache, write-through).
+// in RAM and, with -data-dir, on disk), execute (every solve takes one of
+// -pool-workers slots of its algorithm's lane and runs on the goroutine
+// that asked) and fill (metrics, cache, write-through).
 // Every response reports its own request's plan, cache hits included.
 //
 // Endpoints:
@@ -51,14 +50,7 @@
 // "Incremental re-solve"); evicted or restart-lost versions rebuild from
 // the blob tier when -data-dir is set. Instance builds and deltas run in
 // a slot of the linear lane, so they share its -pool-workers bound with
-// linear solves too large for the batch crew.
-//
-// Small solves (requests whose plan resolves to the linear solver, below
-// 32768 elements) run on the pool's batch crew, one worker per GOMAXPROCS: a worker that comes free takes
-// every small solve already queued, up to 64, and solves them as one
-// sequential pass under a shared scratch arena, so batches form while
-// every worker is busy and a lone request runs at once. Responses report
-// "coalesced", "flush_reason" ("size" or "drain") and "queue_ms".
+// every linear solve, small or large.
 //
 // -data-dir opts into tiered durable storage: async jobs journal to
 // <dir>/jobs.journal, and instance payloads plus solved results persist
@@ -90,7 +82,7 @@ import (
 // caller opens the stores; this stays a pure flag mapping.
 func parseFlags(fs *flag.FlagSet, args []string) (addr, dataDir string, cfg server.Config, err error) {
 	a := fs.String("addr", ":8080", "listen address")
-	poolWorkers := fs.Int("pool-workers", 2, "concurrent solves per algorithm; more wait for a slot")
+	poolWorkers := fs.Int("pool-workers", 2, "concurrent solves per algorithm, of any size; more wait for a slot")
 	cacheSize := fs.Int("cache", 1024, "result cache entries (negative disables)")
 	maxN := fs.Int("max-n", 1<<20, "largest accepted instance size")
 	maxBatch := fs.Int("max-batch", 256, "largest accepted batch")

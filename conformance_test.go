@@ -292,7 +292,7 @@ func intSqrt(n int) int {
 }
 
 // TestConformanceSolverBatch drives the same differential check through
-// the batch path sfcpd's batch crew runs — PlanBatch, then
+// the library's batch path — PlanBatch, then
 // Solver.SolveBatchPlanned — for every algorithm, so the linear one-pass
 // branch, the per-member branch and the shared scratch arena are all held
 // to Moore. An invalid member rides in the middle of the batch and must

@@ -21,7 +21,7 @@ import (
 // throughput against the in-memory store on the same payloads, and the
 // cold-start cost of journal replay plus manager recovery over a
 // realistically mixed job population. Emits one JSON document (like
-// A5 and A8) for BENCH_A7.json trajectory tracking.
+// A8) for BENCH_A7.json trajectory tracking.
 func A7TieredStorage(cfg Config) {
 	type blobRow struct {
 		N           int     `json:"n"`

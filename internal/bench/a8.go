@@ -44,7 +44,7 @@ import (
 // root, every leaf having been hashed once after the build). agree says
 // every rep's class count and every label read, from both sessions, equal
 // the full solve's; the checks run outside the timed spans. Emits one JSON
-// document (like A5 and A7) for BENCH_A8.json trajectory tracking; CI
+// document (like A7) for BENCH_A8.json trajectory tracking; CI
 // gates its rows. Each row also carries the session's size: the live
 // heap a GC leaves after the build, less the one it left before, per
 // element.

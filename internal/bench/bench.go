@@ -7,9 +7,6 @@
 package bench
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -19,17 +16,14 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
-	"sfcp"
 	"sfcp/internal/circ"
 	"sfcp/internal/coarsest"
 	"sfcp/internal/intsort"
 	"sfcp/internal/listrank"
 	"sfcp/internal/partition"
-	"sfcp/internal/pool"
 	"sfcp/internal/pram"
 	"sfcp/internal/strsort"
 	"sfcp/internal/workload"
@@ -67,7 +61,6 @@ func All() []Experiment {
 		{"A1", "Ablation: integer sorting strategies", A1IntSort},
 		{"A2", "Ablation: list ranking methods", A2ListRank},
 		{"A3", "Ablation: m.s.p. recursion cutoff", A3Cutoff},
-		{"A5", "Coalescing front door: micro-batched vs per-request small solves (JSON)", A5Coalescing},
 		{"A7", "Tiered storage: blob spill/read throughput and cold-start recovery (JSON)", A7TieredStorage},
 		{"A8", "Incremental re-solve: delta-apply latency vs a fresh session and a full re-solve (JSON)", A8IncrementalResolve},
 	}
@@ -614,204 +607,6 @@ func A3Cutoff(cfg Config) {
 		fmt.Fprintf(w, "%s\t%d\t%d\t%v\t\n", co.name, m.Stats().Work, m.Stats().Rounds, got == want)
 	}
 	w.Flush()
-}
-
-func intSlicesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// A5Coalescing measures the coalescing micro-batch front door against
-// per-request handling on its target regime: many concurrent small solves
-// (well under the batch crew's 32768-element threshold, and planned onto
-// the sequential linear solver). Both arms run on sfcpd's own pool
-// (internal/pool at the server's default of 2 slots per lane), with HTTP
-// and caching stripped away. The per-request arm pays what a solve on a
-// lane pays — validation and the constant Auto plan (PlanWith), a slot
-// of the linear lane, and a scratch checkout — and solves on its own
-// goroutine; the coalesced arm queues requests for the pool's batch
-// crew, which solves each pass's members back-to-back under one shared
-// scratch arena. Emits one JSON document (like A7 and A8) for
-// BENCH_*.json trajectory tracking.
-func A5Coalescing(cfg Config) {
-	type row struct {
-		N             int     `json:"n"`
-		Requests      int     `json:"requests"`
-		Concurrency   int     `json:"concurrency"`
-		Distinct      int     `json:"distinct_instances"`
-		UncoalescedNS int64   `json:"uncoalesced_ns"`
-		CoalescedNS   int64   `json:"coalesced_ns"`
-		Speedup       float64 `json:"speedup"`
-		Flushes       int64   `json:"flushes"`
-		AvgBatch      float64 `json:"avg_batch"`
-		Agree         bool    `json:"agree"`
-	}
-	doc := struct {
-		Experiment  string          `json:"experiment"`
-		Title       string          `json:"title"`
-		GOMAXPROCS  int             `json:"gomaxprocs"`
-		Host        HostFingerprint `json:"host"`
-		MaxSize     int             `json:"batch_max_size"`
-		Concurrency int             `json:"concurrency"`
-		Rows        []row           `json:"rows"`
-	}{
-		Experiment:  "A5",
-		Title:       "coalescing front door: micro-batched vs per-request small solves",
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Host:        Fingerprint(),
-		MaxSize:     pool.BatchCap,
-		Concurrency: 64,
-	}
-	requests := 10000
-	if cfg.Quick {
-		requests = 2000
-	}
-	ctx := context.Background()
-
-	for _, n := range sizes(cfg, []int{16, 64, 256, 1024}, []int{16, 64}) {
-		// A fixed pool of distinct instances keeps workload-generation out
-		// of the timed region without letting one memoizable instance
-		// dominate; neither arm caches, so reuse does not flatter either.
-		distinct := 256
-		if distinct > requests {
-			distinct = requests
-		}
-		instances := make([]sfcp.Instance, distinct)
-		want := make([][]int, distinct)
-		for i := range instances {
-			wl := workload.RandomFunction(cfg.Seed+int64(n)+int64(i), n, 3)
-			instances[i] = sfcp.Instance{F: wl.F, B: wl.B}
-			want[i] = coarsest.LinearSequential(coarsest.Instance{F: wl.F, B: wl.B})
-		}
-
-		// The in-loop check is exact slice equality, not SamePartition:
-		// both arms resolve to the same canonical linear rename, and a
-		// map-based equivalence check would add identical constant work to
-		// both timed loops, squeezing the measured ratio toward 1.
-		run := func(handle func(i int) ([]int, error)) (time.Duration, bool) {
-			var wg sync.WaitGroup
-			var agree atomic.Bool
-			agree.Store(true)
-			per := requests / doc.Concurrency
-			t0 := time.Now()
-			for c := 0; c < doc.Concurrency; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for j := 0; j < per; j++ {
-						i := c*per + j
-						labels, err := handle(i)
-						if err != nil || !intSlicesEqual(labels, want[i%distinct]) {
-							agree.Store(false)
-						}
-					}
-				}(c)
-			}
-			wg.Wait()
-			return time.Since(t0), agree.Load()
-		}
-
-		// The server's pool, its batch crew solving as the server's does,
-		// and its passes counted through the same flush callback that
-		// feeds the server's sfcpd_batcher_* families.
-		coSolver := sfcp.NewSolver(sfcp.Options{})
-		var flushes, members atomic.Int64
-		p := pool.New(2, func(ctx context.Context, ins []sfcp.Instance) ([]sfcp.Result, []error) {
-			return coSolver.SolveBatchPlanned(ctx, ins, pool.BatchPlan)
-		}, func(_ string, n int, _ time.Duration) {
-			flushes.Add(1)
-			members.Add(int64(n))
-		})
-
-		// Per-request arm: validate + plan on the caller, then a slot of
-		// the linear lane and a scratch checkout — a lane solve's work
-		// with HTTP and caching stripped away.
-		perReq := sfcp.NewSolver(sfcp.Options{})
-		uncoHandle := func(i int) ([]int, error) {
-			ins := instances[i%distinct]
-			// The server reads the clock around both planning and
-			// execution (the plan-vs-execute latency split every response
-			// carries); the baseline pays the same two pairs per request.
-			planStart := time.Now()
-			plan, err := sfcp.PlanWith(ins, sfcp.Options{Algorithm: sfcp.AlgorithmAuto})
-			planDur := time.Since(planStart)
-			if err != nil {
-				return nil, err
-			}
-			solveStart := time.Now()
-			var res sfcp.Result
-			err = p.Run(ctx, plan.Algorithm, func() (err error) {
-				res, err = perReq.SolvePlanned(ctx, ins, plan)
-				res.Timings.Plan = planDur
-				return err
-			})
-			if time.Since(solveStart) < 0 {
-				return nil, errors.New("bench: clock went backwards")
-			}
-			return res.Labels, err
-		}
-
-		// Coalesced arm: the same traffic through the batch crew.
-		coHandle := func(i int) ([]int, error) {
-			out := p.Batch(ctx, instances[i%distinct])
-			return out.Res.Labels, out.Err
-		}
-
-		// Both arms repeat, pass-interleaved, and report their fastest
-		// pass: min-of-reps sheds scheduler noise (one pass of 64 clients
-		// over tiny solves is only milliseconds of work, well inside OS
-		// jitter), and alternating the arms keeps a slow drift in machine
-		// load from landing entirely on one side of the ratio. The GC runs
-		// between passes so one pass's garbage never triggers a collection
-		// inside the next one's timed region.
-		reps := 9
-		if cfg.Quick {
-			reps = 3
-		}
-		uncoalesced, coalesced := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-		okU, okC := true, true
-		for r := 0; r < reps; r++ {
-			runtime.GC()
-			d, o := run(uncoHandle)
-			if d < uncoalesced {
-				uncoalesced = d
-			}
-			okU = okU && o
-			runtime.GC()
-			d, o = run(coHandle)
-			if d < coalesced {
-				coalesced = d
-			}
-			okC = okC && o
-		}
-		p.Close()
-
-		r := row{
-			N:             n,
-			Requests:      requests,
-			Concurrency:   doc.Concurrency,
-			Distinct:      distinct,
-			UncoalescedNS: int64(uncoalesced),
-			CoalescedNS:   int64(coalesced),
-			Speedup:       float64(uncoalesced) / float64(coalesced),
-			Flushes:       flushes.Load(),
-			Agree:         okU && okC,
-		}
-		if r.Flushes > 0 {
-			r.AvgBatch = float64(members.Load()) / float64(r.Flushes)
-		}
-		doc.Rows = append(doc.Rows, r)
-	}
-	enc := json.NewEncoder(cfg.Out)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
 }
 
 // RunAll executes every experiment in order.

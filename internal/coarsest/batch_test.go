@@ -6,7 +6,7 @@ import (
 )
 
 // TestLinearSequentialBatchMatchesIndividual pins the contract the
-// coalescing fast path rests on: solving members as one batch under a
+// library's batch path rests on: solving members as one batch under a
 // shared arena yields, per member, exactly the labels of solving that
 // member alone.
 func TestLinearSequentialBatchMatchesIndividual(t *testing.T) {

@@ -117,8 +117,8 @@ func LinearSequential(ins Instance) []int {
 // LinearSequentialScratch is LinearSequential with caller-provided scratch
 // buffers; sc may be nil (a fresh arena is used). All O(n) working vectors
 // come from sc and every per-node coding step is array indexing, so
-// coalesced batches of small instances solved back-to-back under one arena
-// skip nearly all per-call allocation. Only the returned labels escape.
+// small instances solved back-to-back under one arena skip nearly all
+// per-call allocation. Only the returned labels escape.
 // classes is their class count (a byproduct of the canonical rename, as in
 // LinearSequentialBatch).
 func LinearSequentialScratch(ins Instance, sc *Scratch) (labels []int, classes int) {
@@ -134,13 +134,13 @@ func LinearSequentialScratch(ins Instance, sc *Scratch) (labels []int, classes i
 }
 
 // LinearSequentialBatch solves every member back-to-back under one shared
-// scratch arena, so a coalesced batch of k tiny solves pays for one arena
-// instead of k and the only per-member allocation is its slice of a single
-// shared label slab. Each entry of the result is identical to
-// LinearSequential of that member alone; classes[i] is its class count (a
-// byproduct of the canonical rename, saving callers a NumClasses pass).
-// sc may be nil (a fresh arena is used). This is the execution half of
-// request coalescing.
+// scratch arena, so a batch of k tiny solves pays for one arena instead of
+// k and the only per-member allocation is its slice of a single shared
+// label slab. Each entry of the result is identical to LinearSequential
+// of that member alone; classes[i] is its class count (a byproduct of the
+// canonical rename, saving callers a NumClasses pass). sc may be nil (a
+// fresh arena is used). It runs under a linear plan of
+// sfcp.Solver.SolveBatchPlanned (engine.ExecuteBatch).
 func LinearSequentialBatch(members []Instance, sc *Scratch) (out [][]int, classes []int) {
 	out = make([][]int, len(members))
 	classes = make([]int, len(members))

@@ -56,9 +56,9 @@ func MakePlan(req Request) (Plan, error) {
 	return p, nil
 }
 
-// MakeBatchPlan resolves one plan for a coalesced batch of instances: the
-// batch — not each member — is the planning unit, so N tiny requests pay
-// for one resolution instead of N. Auto resolves to one sequential
+// MakeBatchPlan resolves one plan for a batch of instances: the batch —
+// not each member — is the planning unit, so N tiny instances pay for
+// one resolution instead of N. Auto resolves to one sequential
 // linear pass per member under a shared scratch arena; explicit
 // algorithms are resolved as in MakePlan, and only the reason reads the
 // members, to name their count and total size.

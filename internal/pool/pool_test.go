@@ -13,17 +13,6 @@ import (
 	"sfcp"
 )
 
-// These tests cover the lanes. The batch crew's tests sit in
-// internal/server's pool_test.go, where its flush callback feeds the
-// server's sfcpd_batcher_* metrics.
-
-// linearBatch solves a batch pass the way the server's batch crew does.
-func linearBatch(ctx context.Context, ins []sfcp.Instance) ([]sfcp.Result, []error) {
-	return sfcp.NewSolver(sfcp.Options{}).SolveBatchPlanned(ctx, ins, BatchPlan)
-}
-
-func ignoreFlush(string, int, time.Duration) {}
-
 // waitForSlot blocks until n goroutines wait for a lane slot. A slot
 // wait is a select inside Run, so it shows in the goroutine dump.
 func waitForSlot(t *testing.T, n int) {
@@ -50,7 +39,7 @@ func waitForSlot(t *testing.T, n int) {
 // another algorithm's lane.
 func TestLaneBoundsConcurrency(t *testing.T) {
 	const k, callers = 2, 6
-	p := New(k, linearBatch, ignoreFlush)
+	p := New(k)
 	t.Cleanup(p.Close)
 	ctx := context.Background()
 
@@ -107,7 +96,7 @@ func TestLaneBoundsConcurrency(t *testing.T) {
 // it waits for a slot returns its context's error, and its solve never
 // runs, not even once the slot comes free.
 func TestLaneWaiterContextEndsNeverRuns(t *testing.T) {
-	p := New(1, linearBatch, ignoreFlush)
+	p := New(1)
 	t.Cleanup(p.Close)
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -151,7 +140,7 @@ func TestLaneWaiterContextEndsNeverRuns(t *testing.T) {
 // ErrShutdown at once, returns only after the running solve gives its
 // slot back, and returns again when called a second time.
 func TestLaneCloseWaitsForRunning(t *testing.T) {
-	p := New(1, linearBatch, ignoreFlush)
+	p := New(1)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	held := make(chan error, 1)
@@ -209,17 +198,17 @@ func TestLaneCloseWaitsForRunning(t *testing.T) {
 	}
 }
 
-// TestNewStartsOnlyTheBatchCrew: a fresh pool starts exactly GOMAXPROCS
-// goroutines, the batch crew's workers, however many slots its lanes
-// have; a lane solve runs on its caller.
+// TestNewStartsOnlyTheBatchCrew: a fresh pool starts no goroutine,
+// however many slots its lanes have — the batch crew the test is named
+// for is gone, and a lane solve runs on its caller.
 func TestNewStartsOnlyTheBatchCrew(t *testing.T) {
 	for _, slots := range []int{1, 2, 16} {
 		before := settledGoroutines()
-		p := New(slots, linearBatch, ignoreFlush)
+		p := New(slots)
 		started := runtime.NumGoroutine() - before
 		p.Close()
-		if want := runtime.GOMAXPROCS(0); started != want {
-			t.Errorf("New(%d, ...) started %d goroutines, want GOMAXPROCS = %d", slots, started, want)
+		if started > 0 {
+			t.Errorf("New(%d) started %d goroutines, want none", slots, started)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"sfcp"
 	"sfcp/internal/jobs"
-	"sfcp/internal/pool"
 	"sfcp/internal/workload"
 )
 
@@ -18,8 +17,9 @@ import (
 // request that fails validation/planning counts under
 // sfcpd_plan_errors_total keyed by what was asked for, and never
 // fabricates solve-family samples for an algorithm ("auto") that nothing
-// ever resolves to — for a request bound for an algorithm's lane (the
-// original server.go bug) and one bound for the batch crew alike.
+// ever resolves to — for an explicit request (the original server.go
+// bug) and an auto one alike. The second case keeps the name it had when
+// small auto solves went to a batch crew.
 func TestPlanErrorMetricLabels(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -71,8 +71,9 @@ func TestCacheKeyAllocs(t *testing.T) {
 }
 
 // TestCoalescedSolves drives concurrent small auto solves through the
-// batch crew and checks the responses' batch metadata, the latency
-// split, and the sfcpd_batcher_* families.
+// linear lane and checks each response's labels, plan and latency split,
+// and the solve families. (It is named for the batch crew these solves
+// once shared; sfcpd no longer coalesces them.)
 func TestCoalescedSolves(t *testing.T) {
 	const reqs = 16
 	_, ts := newTestServer(t, Config{})
@@ -116,52 +117,39 @@ func TestCoalescedSolves(t *testing.T) {
 			t.Fatalf("request %d: %+v", i, r)
 		}
 		if !sfcp.SamePartition(r.Labels, wants[i]) {
-			t.Errorf("request %d: coalesced labels disagree with direct solve", i)
+			t.Errorf("request %d: labels disagree with direct solve", i)
 		}
 		if r.ResolvedAlgorithm != "linear" {
 			t.Errorf("request %d resolved to %q, want linear", i, r.ResolvedAlgorithm)
 		}
-		if r.Coalesced < 1 {
-			t.Errorf("request %d: coalesced = %d, want >= 1", i, r.Coalesced)
-		}
-		if r.FlushReason != pool.FlushSize && r.FlushReason != pool.FlushDrain {
-			t.Errorf("request %d: flush_reason %q", i, r.FlushReason)
-		}
 		if r.PlanReason != plans[i].Reason {
 			t.Errorf("request %d: plan_reason %q, want its own plan's %q", i, r.PlanReason, plans[i].Reason)
 		}
-		if r.QueueMS < 0 || r.SolveMS < 0 {
-			t.Errorf("request %d: negative latency split queue=%g solve=%g", i, r.QueueMS, r.SolveMS)
+		if r.SolveMS < 0 || r.ElapsedMS < r.SolveMS {
+			t.Errorf("request %d: latency split elapsed=%g solve=%g", i, r.ElapsedMS, r.SolveMS)
 		}
 	}
 
-	// Every request went through the batch crew, and every pass was
-	// recorded before its responses were delivered — so the totals are
-	// exact by the time the responses are all in.
+	// Every solve was recorded before its response was written, so the
+	// totals are exact by the time the responses are all in.
 	m := fetchMetrics(t, ts)
 	for _, want := range []string{
-		fmt.Sprintf("sfcpd_batcher_coalesced_total %d", reqs),
-		fmt.Sprintf("sfcpd_batcher_queue_seconds_count %d", reqs),
 		fmt.Sprintf(`sfcpd_plan_algorithm_total{algorithm="linear"} %d`, reqs),
 		fmt.Sprintf(`sfcpd_solves_total{algorithm="linear"} %d`, reqs),
-		`sfcpd_batcher_flushes_total{reason=`,
-		"sfcpd_batcher_queue_seconds_sum",
 	} {
 		if !strings.Contains(m, want) {
 			t.Errorf("metrics missing %q:\n%s", want, m)
 		}
 	}
 
-	// A repeat of the first request is answered from the shared cache —
-	// the coalesced result warmed the same keyspace the pool path uses.
+	// A repeat of the first request is answered from the shared cache.
 	var again SolveResponse
 	_, data := post(t, ts.URL+"/solve", bodies[0])
 	if err := json.Unmarshal(data, &again); err != nil {
 		t.Fatal(err)
 	}
-	if !again.Cached || again.Coalesced != 0 {
-		t.Errorf("repeat request: cached=%v coalesced=%d, want a cache hit that skipped the queue",
-			again.Cached, again.Coalesced)
+	if !again.Cached {
+		t.Error("repeat request was not a cache hit")
 	}
 }
 

@@ -40,7 +40,9 @@ import (
 // request runs in a slot of the linear lane: it shares the lane's bounded
 // concurrency with the linear solves, stops waiting when its client goes
 // away, and fails with 503 once the server is closed. A request's task
-// either ran to the end or never started.
+// either ran to the end or never started. The version's payload is
+// written to the blob tier after the slot is given back, so no solve
+// waits on the disk.
 
 // sessionRegistry is a bounded LRU of resident incremental sessions keyed
 // by the digest of the version they currently represent. take removes the
@@ -195,9 +197,6 @@ func (s *Server) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.NumClasses = inc.NumClasses()
 		s.sessions.put(digest, inc)
-		if !ok {
-			s.instancePut(digest, ins)
-		}
 		return nil
 	})
 	if err != nil {
@@ -207,6 +206,9 @@ func (s *Server) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		s.fail(w, "instances", code, err.Error())
 		return
+	}
+	if !resp.Reused {
+		s.instancePut(digest, ins)
 	}
 	writeReply(w, http.StatusOK, &resp)
 }
@@ -229,6 +231,7 @@ func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp DeltaResponse
+	var child sfcp.Instance // the version's payload for the blob tier
 	withLabels := !omitLabels(r)
 	// A failure of the task itself (not of its admission) is a server
 	// error unless the task marks it as the request's fault.
@@ -261,12 +264,10 @@ func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
 		if withLabels {
 			resp.Labels = inc.Labels()
 		}
-		var child sfcp.Instance
 		if s.blobs != nil {
 			child = inc.Instance()
 		}
 		s.sessions.put(resp.Digest, inc)
-		s.instancePut(resp.Digest, child)
 		s.metrics.resolve(info.Mode, info.DirtyFrac)
 		return nil
 	})
@@ -283,6 +284,7 @@ func (s *Server) handleInstanceDelta(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "instances_delta", code, err.Error())
 		return
 	}
+	s.instancePut(resp.Digest, child)
 	writeReply(w, http.StatusOK, &resp)
 }
 

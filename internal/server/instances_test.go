@@ -9,7 +9,9 @@ import (
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"sfcp"
 	"sfcp/internal/store"
@@ -474,4 +476,80 @@ func equalIntsSrv(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// parkingBlobs is a blob tier whose Put of a key in release reports the
+// key on parked, then waits for that key's channel to close.
+type parkingBlobs struct {
+	store.BlobStore
+	parked  chan string
+	release map[string]chan struct{}
+}
+
+func (b *parkingBlobs) Put(key string, r io.Reader) (int64, error) {
+	if rel, ok := b.release[key]; ok {
+		b.parked <- key
+		<-rel
+	}
+	return b.BlobStore.Put(key, r)
+}
+
+// TestInstanceBlobWriteHoldsNoSlot: a registration and a delta write
+// their version's payload after they give their linear slot back, so with
+// one slot per lane a small /solve finishes while either write is parked.
+func TestInstanceBlobWriteHoldsNoSlot(t *testing.T) {
+	ins := sfcp.Instance{F: []int{1, 2, 0, 4, 5, 3}, B: []int{0, 1, 0, 0, 1, 0}}
+	child := sfcp.Instance{F: ins.F, B: slices.Clone(ins.B)}
+	child.B[0] = 2
+	parent, childDigest := ins.Digest(), child.Digest()
+	blobs := &parkingBlobs{
+		BlobStore: store.NewMemBlobStore(),
+		parked:    make(chan string, 1),
+		release: map[string]chan struct{}{
+			store.VersionKey(parent):      make(chan struct{}),
+			store.VersionKey(childDigest): make(chan struct{}),
+		},
+	}
+	_, ts := newTestServer(t, Config{WorkersPerAlgorithm: 1, BlobStore: blobs})
+	unpark := map[string]func(){}
+	for key, rel := range blobs.release {
+		unpark[key] = sync.OnceFunc(func() { close(rel) })
+		// Runs before the server's cleanup, which waits for parked handlers.
+		t.Cleanup(unpark[key])
+	}
+
+	createBody, _ := json.Marshal(InstanceCreateRequest{F: ins.F, B: ins.B})
+	for i, step := range []struct {
+		name, route, body, digest string
+	}{
+		{"registration", "/instances", string(createBody), parent},
+		{"delta", "/instances/" + parent + "/delta", `{"edits":[{"node":0,"b":2}]}`, childDigest},
+	} {
+		versioned := postAsync(ts.URL+step.route, step.body)
+		select {
+		case <-blobs.parked:
+		case r := <-versioned:
+			t.Fatalf("%s answered (%d %s %v) without writing its version", step.name, r.code, r.data, r.err)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never wrote its version", step.name)
+		}
+
+		// A fresh instance per step, so no cache hit skips the lane.
+		small := workload.RandomFunction(int64(9+i), 16, 3)
+		solveBody := fmt.Sprintf(`{"f":%s,"b":%s}`, toJSON(t, small.F), toJSON(t, small.B))
+		select {
+		case r := <-postAsync(ts.URL+"/solve", solveBody):
+			if r.err != nil || r.code != http.StatusOK {
+				t.Fatalf("small solve beside a parked %s: status %d, error %v", step.name, r.code, r.err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("a small solve waited for the %s's blob write", step.name)
+		}
+
+		unpark[store.VersionKey(step.digest)]()
+		r := <-versioned
+		if r.err != nil || r.code != http.StatusOK || !bytes.Contains(r.data, []byte(`"digest":"`+step.digest+`"`)) {
+			t.Fatalf("%s: status %d, error %v, body %s, want digest %s", step.name, r.code, r.err, r.data, step.digest)
+		}
+	}
 }

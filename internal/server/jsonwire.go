@@ -529,12 +529,6 @@ func (e *jsonWriter) solveResponse(r *SolveResponse) {
 	if r.Coalesced != 0 {
 		e.int("coalesced", int64(r.Coalesced))
 	}
-	if r.FlushReason != "" {
-		e.str("flush_reason", r.FlushReason)
-	}
-	if r.QueueMS != 0 {
-		e.float("queue_ms", r.QueueMS)
-	}
 	e.b = append(e.b, '}')
 }
 

@@ -26,9 +26,8 @@ const (
 	metricPlanAlgorithmTotal = "sfcpd_plan_algorithm_total"
 	metricSolvesTotal        = "sfcpd_solves_total"
 	metricSolveErrorsTotal   = "sfcpd_solve_errors_total"
-	// Solve seconds are the solver's own wall clock (Result.Timings.Solve;
-	// for a batch-crew member its size-proportional share of the batch
-	// pass), so slot and queue waits are excluded.
+	// Solve seconds are the solver's own wall clock (Result.Timings.Solve),
+	// so slot waits are excluded.
 	metricSolveSecondsSum    = "sfcpd_solve_seconds_sum"
 	metricSolveSecondsMax    = "sfcpd_solve_seconds_max"
 	metricSolveClassesSum    = "sfcpd_solve_classes_sum"
@@ -42,15 +41,6 @@ const (
 	// for (possibly "auto" — nothing was resolved, so nothing ran; these
 	// must never inflate the per-resolved-algorithm solve families).
 	metricPlanErrorsTotal = "sfcpd_plan_errors_total"
-
-	// Batch-crew families: requests the pool's batch crew served, its
-	// passes by the reason they closed, and the summed/counted
-	// per-request queue wait (sum/count expose the mean latency a request
-	// paid before its pass solved).
-	metricBatcherCoalescedTotal    = "sfcpd_batcher_coalesced_total"
-	metricBatcherFlushesTotal      = "sfcpd_batcher_flushes_total"
-	metricBatcherQueueSecondsSum   = "sfcpd_batcher_queue_seconds_sum"
-	metricBatcherQueueSecondsCount = "sfcpd_batcher_queue_seconds_count"
 
 	// Tiered-storage families: blob-tier traffic (reads/writes/deletes
 	// and their bytes, from the meter wrapping the configured store),
@@ -98,11 +88,6 @@ type metrics struct {
 	plans     map[string]int64       // planner resolutions by resolved algorithm
 	planErrs  map[string]int64       // plan/validation failures by requested algorithm
 
-	batcherCoalesced  int64            // requests served by the batch crew
-	batcherFlushes    map[string]int64 // passes by reason ("size", "drain")
-	batcherQueueWait  time.Duration    // summed per-request queue wait
-	batcherQueueCount int64            // requests contributing to that sum
-
 	resolves       map[string]int64                // deltas by resolve mode
 	dirtyBuckets   [len(dirtyFracBounds) + 1]int64 // histogram counts, last = +Inf
 	dirtyFracSum   float64
@@ -131,9 +116,7 @@ func newMetrics() *metrics {
 		solves:   map[string]*solveStats{},
 		plans:    map[string]int64{},
 		planErrs: map[string]int64{},
-
-		batcherFlushes: map[string]int64{},
-		resolves:       map[string]int64{},
+		resolves: map[string]int64{},
 	}
 }
 
@@ -166,17 +149,6 @@ func (m *metrics) plan(algo string) {
 func (m *metrics) planError(algo string) {
 	m.mu.Lock()
 	m.planErrs[algo]++
-	m.mu.Unlock()
-}
-
-// batcherFlush records one batch-crew pass: why it closed, how many
-// requests it carried, and their summed queue wait.
-func (m *metrics) batcherFlush(reason string, members int, queueWait time.Duration) {
-	m.mu.Lock()
-	m.batcherCoalesced += int64(members)
-	m.batcherFlushes[reason]++
-	m.batcherQueueWait += queueWait
-	m.batcherQueueCount += int64(members)
 	m.mu.Unlock()
 }
 
@@ -283,16 +255,6 @@ func (m *metrics) render() string {
 	for _, algo := range sortedKeys(m.planErrs) {
 		emit("%s{algorithm=%q} %d\n", metricPlanErrorsTotal, algo, m.planErrs[algo])
 	}
-	emit(typeHeader(metricBatcherCoalescedTotal, "counter"))
-	emit("%s %d\n", metricBatcherCoalescedTotal, m.batcherCoalesced)
-	emit(typeHeader(metricBatcherFlushesTotal, "counter"))
-	for _, reason := range sortedKeys(m.batcherFlushes) {
-		emit("%s{reason=%q} %d\n", metricBatcherFlushesTotal, reason, m.batcherFlushes[reason])
-	}
-	emit(typeHeader(metricBatcherQueueSecondsSum, "counter"))
-	emit("%s %g\n", metricBatcherQueueSecondsSum, m.batcherQueueWait.Seconds())
-	emit(typeHeader(metricBatcherQueueSecondsCount, "counter"))
-	emit("%s %d\n", metricBatcherQueueSecondsCount, m.batcherQueueCount)
 	emit(typeHeader(metricResolveTotal, "counter"))
 	emit("%s{mode=%q} %d\n", metricResolveTotal, sfcp.ResolveModeIncremental, m.resolves[sfcp.ResolveModeIncremental])
 	emit("%s{mode=%q} %d\n", metricResolveTotal, sfcp.ResolveModeFullFallback, m.resolves[sfcp.ResolveModeFullFallback])

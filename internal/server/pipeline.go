@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sfcp"
-	"sfcp/internal/pool"
 	"sfcp/internal/store"
 )
 
@@ -20,13 +19,10 @@ import (
 //	lookup   instance digest → RAM cache → durable blob tier. A hit is
 //	         answered with this request's own plan, never the plan of
 //	         the request that populated the entry.
-//	execute  the only branch: a linear plan below pool.BatchMaxN
-//	         elements goes to the pool's batch crew, to be solved in one
-//	         pass with the requests queued beside it; everything else
-//	         takes a slot of its algorithm's lane and solves on the
-//	         calling goroutine.
+//	execute  a slot of the resolved algorithm's lane (internal/pool),
+//	         and the solve on the calling goroutine.
 //	fill     solve metrics, cache put, and write-through to the blob
-//	         tier at or above SpillN elements, on either path.
+//	         tier at or above SpillN elements.
 //
 // The cache uses the instance's content address: the root of a SHA-256
 // hash tree over the decoded values (sfcp.Instance.Digest), so both
@@ -39,16 +35,12 @@ import (
 
 // solveOutcome is what the pipeline reports about one request: the result
 // (its Plan always this request's own), whether a cache tier served it,
-// the execute stage's wall time (queue wait included), and — when the
-// batch crew executed it — the pass size and reason and the queue wait.
+// and the execute stage's wall time (slot wait included).
 type solveOutcome struct {
-	res         sfcp.Result
-	cached      bool
-	elapsed     time.Duration
-	coalesced   int
-	flushReason string
-	queueWait   time.Duration
-	err         error
+	res     sfcp.Result
+	cached  bool
+	elapsed time.Duration
+	err     error
 }
 
 // solve runs one request through the pipeline. seed overrides the
@@ -148,32 +140,23 @@ func (s *Server) lookup(key string, algo sfcp.Algorithm, seed uint64, digest str
 	return res, true
 }
 
-// execute runs a resolved request on the pool. Linear plans below
-// pool.BatchMaxN go to the batch crew; the rest take a slot of their
-// algorithm's lane and solve here, each solving exactly the plan that
-// chose its lane and cache key.
+// execute runs a resolved request in a slot of its algorithm's lane, on
+// the calling goroutine, solving exactly the plan that chose its lane and
+// cache key. Only the simulators read the seed, so a linear plan runs on
+// the server's Solver, and its warm arenas, whatever the seed.
 func (s *Server) execute(ctx context.Context, ins sfcp.Instance, plan sfcp.Plan, seed uint64) solveOutcome {
 	start := time.Now()
 	var out solveOutcome
-	if plan.Algorithm == sfcp.AlgorithmLinear && len(ins.F) < pool.BatchMaxN {
-		out = fromBatch(s.pool.Batch(ctx, ins))
-	} else {
-		out.err = s.pool.Run(ctx, plan.Algorithm, func() (err error) {
-			if seed == s.cfg.Seed {
-				out.res, err = s.solver.SolvePlanned(ctx, ins, plan)
-			} else {
-				out.res, err = sfcp.SolvePlanned(ctx, ins, plan, sfcp.Options{Seed: seed})
-			}
-			return err
-		})
-	}
+	out.err = s.pool.Run(ctx, plan.Algorithm, func() (err error) {
+		if seed == s.cfg.Seed || plan.Algorithm == sfcp.AlgorithmLinear {
+			out.res, err = s.solver.SolvePlanned(ctx, ins, plan)
+		} else {
+			out.res, err = sfcp.SolvePlanned(ctx, ins, plan, sfcp.Options{Seed: seed})
+		}
+		return err
+	})
 	out.elapsed = time.Since(start)
 	return out
-}
-
-// fromBatch is the pipeline's view of a batch-crew outcome.
-func fromBatch(b pool.Outcome) solveOutcome {
-	return solveOutcome{res: b.Res, err: b.Err, coalesced: b.Coalesced, flushReason: b.FlushReason, queueWait: b.QueueWait}
 }
 
 // cacheKey builds the "resolved/seed/digest" cache key without fmt — this

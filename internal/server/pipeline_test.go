@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -52,14 +53,15 @@ func solveVia(t *testing.T, ts *httptest.Server, route, algo string, ins sfcp.In
 }
 
 // TestPipelineParity sends one small instance down every path that solves
-// it — the batch crew from /solve, a /solve/batch member and an async
-// job, an algorithm's lane for explicit non-linear requests, and POST
-// /instances — and requires identical labels from all of them. On the
-// solve, batch and job paths a miss and a later hit must each report the
-// plan sfcp.PlanWith resolves for that very request (never the plan of
-// whichever request filled the cache), and the counters must move by
-// exactly one plan per request and one solve per miss, on the path the
-// plan selects.
+// it — /solve, a /solve/batch member and an async job, for auto and
+// linear as for explicit non-linear requests, and POST /instances — and
+// requires identical labels from all of them. On the solve, batch and job
+// paths a miss and a later hit must each report the plan sfcp.PlanWith
+// resolves for that very request (never the plan of whichever request
+// filled the cache), and the counters must move by exactly one plan per
+// request and one solve per miss. Every path takes a slot of the lane its
+// plan names; the subtests keep the names they had when small linear
+// solves went to a batch crew.
 func TestPipelineParity(t *testing.T) {
 	wl := workload.RandomFunction(41, 200, 3)
 	ins := sfcp.Instance{F: wl.F, B: wl.B}
@@ -71,12 +73,11 @@ func TestPipelineParity(t *testing.T) {
 	for _, path := range []struct {
 		name, route string
 		algos       []sfcp.Algorithm
-		batched     int // sfcpd_batcher_coalesced_total after the miss
 	}{
-		{"coalescing on", "/solve", small, 1},
-		{"batch member", "/solve/batch", small, 1},
-		{"algorithm crew", "/solve", []sfcp.Algorithm{sfcp.AlgorithmMoore, sfcp.AlgorithmHopcroft}, 0},
-		{"async job", "/jobs", small, 1},
+		{"coalescing on", "/solve", small},
+		{"batch member", "/solve/batch", small},
+		{"algorithm crew", "/solve", []sfcp.Algorithm{sfcp.AlgorithmMoore, sfcp.AlgorithmHopcroft}},
+		{"async job", "/jobs", small},
 	} {
 		for _, algo := range path.algos {
 			t.Run(path.name+"/"+algo.String(), func(t *testing.T) {
@@ -101,7 +102,6 @@ func TestPipelineParity(t *testing.T) {
 					for _, line := range []string{
 						fmt.Sprintf(`sfcpd_plan_algorithm_total{algorithm=%q} %d`, plan.Algorithm, i+1),
 						fmt.Sprintf(`sfcpd_solves_total{algorithm=%q} 1`, plan.Algorithm),
-						fmt.Sprintf(`sfcpd_batcher_coalesced_total %d`, path.batched),
 					} {
 						if !strings.Contains(m, line+"\n") {
 							t.Errorf("after request %d: metrics missing %q", i, line)
@@ -136,5 +136,34 @@ func TestInstanceRoutesAfterClose(t *testing.T) {
 		if resp, data := post(t, ts.URL+tc.route, tc.body); resp.StatusCode != http.StatusServiceUnavailable {
 			t.Errorf("POST %s after Close: status %d, want 503 (body %s)", tc.route, resp.StatusCode, data)
 		}
+	}
+}
+
+// TestSeededLinearSolveKeepsArena: only the simulators read the seed, so
+// a linear request that names its own seed still runs on the server's
+// Solver and its warm arena. A warm execute of a 2^15-node linear plan
+// allocates no more with seed 7 than with the server's seed.
+func TestSeededLinearSolveKeepsArena(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	s := New(Config{})
+	t.Cleanup(s.Close)
+	wl := workload.RandomFunction(3, 1<<15, 3)
+	ins := sfcp.Instance{F: wl.F, B: wl.B}
+	plan, err := sfcp.PlanWith(ins, sfcp.Options{Algorithm: sfcp.AlgorithmLinear})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(seed uint64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if out := s.execute(context.Background(), ins, plan, seed); out.err != nil {
+				t.Fatal(out.err)
+			}
+		})
+	}
+	own, seeded := allocs(s.cfg.Seed), allocs(7)
+	if seeded > own {
+		t.Errorf("a seed-7 linear solve allocates %.0f times, the server's seed %.0f", seeded, own)
 	}
 }

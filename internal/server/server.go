@@ -1,5 +1,5 @@
-// Package server implements sfcpd's HTTP API: a batching
-// partition-solving service over the sfcp library. Endpoints:
+// Package server implements sfcpd's HTTP API: a partition-solving
+// service over the sfcp library. Endpoints:
 //
 //	POST /solve                     one instance
 //	POST /solve/batch               many instances, solved concurrently
@@ -26,10 +26,9 @@
 // planner turns "auto" into the linear solver, and the resolved
 // algorithm keys everything downstream), lookup (an LRU keyed by
 // resolved algorithm, seed and instance digest, then the durable blob
-// tier), execute (on internal/pool: linear plans below 32768 elements
-// run on its batch crew, solved in one pass with whatever else is queued
-// there; everything else takes a slot of its algorithm's lane and solves
-// on the goroutine that asked) and fill (metrics, cache, write-through).
+// tier), execute (a slot of the resolved algorithm's lane in
+// internal/pool, and the solve on the goroutine that asked) and fill
+// (metrics, cache, write-through).
 // Hot instances — the "millions of users asking the same question"
 // regime — are served without recomputation, and an "auto" request
 // shares its entry with the explicit request it resolves to. Every response reports
@@ -37,7 +36,8 @@
 // hits included. The versioned-instance routes run their session builds
 // and re-solves in a slot of the linear lane, so they share its
 // admission: bounded concurrency, cancellation while waiting, and 503
-// once the server is closed.
+// once the server is closed. That lane bound, -pool-workers slots per
+// algorithm, is the server's one limit on concurrent solves.
 package server
 
 import (
@@ -62,8 +62,7 @@ import (
 // Config sizes the server. Zero values select the documented defaults.
 type Config struct {
 	// WorkersPerAlgorithm is how many solves of one algorithm may run at
-	// once (default 2); further requests wait for a slot. Small linear
-	// solves run on the batch crew and do not count against it.
+	// once (default 2); further requests wait for a slot.
 	WorkersPerAlgorithm int
 	// CacheSize bounds the result LRU in entries (default 1024; negative
 	// disables caching).
@@ -172,13 +171,9 @@ type SolveResponse struct {
 	Stats             *sfcp.Stats `json:"stats,omitempty"`
 	Error             string      `json:"error,omitempty"`
 
-	// Coalescing fields, set when the pool's batch crew served the
-	// request: how many requests shared its pass, why the pass closed
-	// ("size" or "drain"), and the queue wait — the latency the request
-	// spent queued, separable from SolveMS.
-	Coalesced   int     `json:"coalesced,omitempty"`
-	FlushReason string  `json:"flush_reason,omitempty"`
-	QueueMS     float64 `json:"queue_ms,omitempty"`
+	// Coalesced is never set: sfcpd no longer batches solves. The field
+	// stays because the request benchmark (reqbench) reads it.
+	Coalesced int `json:"coalesced,omitempty"`
 
 	// transient marks server-side failures (shutdown, cancellation) that
 	// deserve a 503 rather than a 400; never serialized.
@@ -242,9 +237,7 @@ func New(cfg Config) *Server {
 		s.blobs = store.NewMetered(cfg.BlobStore)
 		jobBlobs = s.blobs
 	}
-	s.pool = pool.New(cfg.WorkersPerAlgorithm, func(ctx context.Context, ins []sfcp.Instance) ([]sfcp.Result, []error) {
-		return s.solver.SolveBatchPlanned(ctx, ins, pool.BatchPlan)
-	}, s.metrics.batcherFlush)
+	s.pool = pool.New(cfg.WorkersPerAlgorithm)
 	// Async jobs run through the same pipeline as synchronous requests,
 	// with one dispatcher per lane slot, so jobs alone can fill a lane.
 	s.jobs = jobs.New(jobs.Config{
@@ -592,9 +585,6 @@ func (s *Server) solveInstance(ctx context.Context, algo sfcp.Algorithm, seedOve
 		resp.PlanMS = float64(out.res.Timings.Plan) / float64(time.Millisecond)
 		resp.SolveMS = float64(out.res.Timings.Solve) / float64(time.Millisecond)
 	}
-	resp.Coalesced = out.coalesced
-	resp.FlushReason = out.flushReason
-	resp.QueueMS = float64(out.queueWait) / float64(time.Millisecond)
 	return resp
 }
 

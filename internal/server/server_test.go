@@ -141,6 +141,9 @@ func TestBatchEndpointTable(t *testing.T) {
 			400, "exceeds limit 3"},
 		{"partial failure", `{"instances":[{"f":[0],"b":[0]},{"algorithm":"quantum","f":[0],"b":[0]}]}`,
 			200, `"errors":1`},
+		// An invalid member fails alone at resolve; its siblings solve.
+		{"f out of range", `{"instances":[{"f":[1,0],"b":[0,1]},{"f":[5],"b":[0]},{"f":[0],"b":[0]}]}`,
+			200, `"errors":1`},
 		{"malformed json", `[1,2]`, 400, "invalid JSON"},
 		{"trailing bracket", `{"instances":[{"f":[0],"b":[0]}]}]`, 400, "trailing data"},
 	}
@@ -257,11 +260,12 @@ func TestCacheEviction(t *testing.T) {
 }
 
 // TestMixedWorkloadBatch is the acceptance smoke test: a /solve/batch load
-// spanning all 8 algorithms over internal/workload families, with every
-// label vector checked against AlgorithmLinear, and a repeated instance
-// observable as a cache hit in /metrics.
+// spanning every algorithm over internal/workload families, its members
+// sharing one slot per lane, with every label vector checked against
+// AlgorithmLinear, and a repeated instance observable as a cache hit in
+// /metrics.
 func TestMixedWorkloadBatch(t *testing.T) {
-	_, ts := newTestServer(t, Config{WorkersPerAlgorithm: 2, Workers: 2})
+	_, ts := newTestServer(t, Config{WorkersPerAlgorithm: 1, Workers: 2})
 
 	families := []workload.Instance{
 		workload.RandomFunction(11, 120, 3),

@@ -43,8 +43,8 @@ type Instance struct {
 
 // Validate checks the instance invariants (|F| == |B|, F values in range,
 // B labels non-negative) without solving. Callers that route instances
-// through deferred execution (a coalescing queue, an async job) use it to
-// reject malformed input up front.
+// through deferred execution (an async job) use it to reject malformed
+// input up front.
 func (ins Instance) Validate() error {
 	return coarsest.Instance{F: ins.F, B: ins.B}.Validate()
 }
@@ -185,9 +185,9 @@ func PlanWith(ins Instance, opts Options) (Plan, error) {
 	return engine.MakePlan(engine.Request{Algorithm: opts.Algorithm, Workers: opts.Workers})
 }
 
-// PlanBatch resolves one execution plan for a coalesced batch of
-// instances: the batch is the planning unit, so N tiny requests share a
-// single resolution. Instances are not validated here — batch execution
+// PlanBatch resolves one execution plan for a batch of instances: the
+// batch is the planning unit, so N tiny instances share a single
+// resolution. Instances are not validated here — batch execution
 // (Solver.SolveBatchPlanned) validates and fails members individually.
 func PlanBatch(instances []Instance, opts Options) (Plan, error) {
 	v := getView(instances)
@@ -239,8 +239,8 @@ func toResult(sol engine.Solution, plan *Plan) Result {
 }
 
 // getView converts public instances to the engine's form in a recycled
-// slice: batch planning and execution run once per coalesced pass, and
-// the engine only reads the view (plans and solutions never hold it).
+// slice: batch planning and execution each take one per batch, and the
+// engine only reads the view (plans and solutions never hold it).
 func getView(instances []Instance) *[]coarsest.Instance {
 	v, _ := viewPool.Get().(*[]coarsest.Instance)
 	if v == nil {

@@ -88,11 +88,11 @@ func (s *Solver) SolvePlanned(ctx context.Context, ins Instance, plan Plan) (Res
 
 // SolveBatchPlanned executes one previously resolved batch plan (see
 // PlanBatch) over every instance, sequentially on the calling goroutine
-// under a single shared scratch arena — the execution half of the
-// coalescing fast path: N tiny solves pay one plan, one scratch checkout,
-// and near-zero per-member allocation. Under a linear plan the valid
-// members run as one pass, and each member's Result.Timings.Solve
-// reports its size-proportional share of it (engine.ExecuteBatch).
+// under a single shared scratch arena: N tiny solves pay one plan, one
+// scratch checkout, and near-zero per-member allocation. Under a linear
+// plan the valid members run as one pass, and each member's
+// Result.Timings.Solve reports its size-proportional share of it
+// (engine.ExecuteBatch).
 // Results and errors are positional; an invalid member fails alone (its
 // siblings still solve) and a nil error at position i means instances[i]
 // solved.
