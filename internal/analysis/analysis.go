@@ -3,7 +3,7 @@
 // into mechanically enforced invariants. The five analyzers are
 //
 //	enginedispatch — internal/coarsest solver entry points may only be
-//	                 invoked from internal/engine's dispatch table
+//	                 invoked from package sfcp's dispatch table
 //	ctxpath        — request- and job-scoped packages must not mint
 //	                 context.Background()/TODO() detached from a caller
 //	                 or lifecycle context

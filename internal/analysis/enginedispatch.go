@@ -2,18 +2,18 @@ package analysis
 
 import "go/ast"
 
-// EngineDispatch enforces the PR-4 unification: internal/engine's
-// dispatch table is the only place a coarsest-partition solver may be
-// invoked. Outside internal/engine, the solver packages themselves and
-// test files, any reference to a solver entry point — call, function
-// value, anything — is a finding. Non-solver helpers (Instance, Scratch,
-// NumClasses, SamePartition, the incr.Edit/Info types, ...) stay free to
-// use. The same rule covers the incremental path: incr.Build constructs
-// live decomposition state, so it must flow through engine.NewIncremental,
-// whose sessions engine.ResolveDelta then advances.
+// EngineDispatch keeps package sfcp's dispatch table the only place a
+// coarsest-partition solver may be invoked. Outside package sfcp, the
+// solver packages themselves and test files, any reference to a solver
+// entry point — call, function value, anything — is a finding.
+// Non-solver helpers (Instance, Scratch, NumClasses, SamePartition, the
+// incr.Edit/Info types, ...) stay free to use. The same rule covers the
+// incremental path: incr.Build constructs live decomposition state, so it
+// must flow through sfcp.NewIncremental, whose sessions
+// sfcp.Incremental.Apply then advances.
 var EngineDispatch = &Analyzer{
 	Name: "enginedispatch",
-	Doc:  "forbid direct use of solver entry points (coarsest solvers, incr.Build) outside internal/engine",
+	Doc:  "forbid direct use of solver entry points (coarsest solvers, incr.Build) outside package sfcp",
 	Run:  runEngineDispatch,
 }
 
@@ -26,7 +26,7 @@ type dispatchRule struct {
 }
 
 // dispatchRules lists every guarded solver surface. Adding a solver
-// means adding its name here alongside its engine dispatch row.
+// means adding its name here alongside its sfcp dispatch row.
 var dispatchRules = []dispatchRule{
 	{
 		path: "sfcp/internal/coarsest",
@@ -45,7 +45,7 @@ var dispatchRules = []dispatchRule{
 			"ChoHuynhPRAM":            true,
 		},
 		exempt: map[string]bool{
-			"sfcp/internal/engine":   true,
+			"sfcp":                   true,
 			"sfcp/internal/coarsest": true,
 		},
 	},
@@ -53,7 +53,7 @@ var dispatchRules = []dispatchRule{
 		path:    "sfcp/internal/incr",
 		entries: map[string]bool{"Build": true},
 		exempt: map[string]bool{
-			"sfcp/internal/engine":   true,
+			"sfcp":                   true,
 			"sfcp/internal/coarsest": true,
 			"sfcp/internal/incr":     true,
 		},
@@ -84,7 +84,7 @@ func runEngineDispatch(p *Pass) error {
 					return true
 				}
 				p.Reportf(sel.Pos(),
-					"direct use of %s.%s outside internal/engine; route the solve through the engine dispatch table",
+					"direct use of %s.%s outside package sfcp; route the solve through its dispatch table",
 					local, sel.Sel.Name)
 				return true
 			})

@@ -15,7 +15,7 @@ import (
 
 func TestEngineDispatch(t *testing.T) {
 	analysistest.Run(t, analysis.EngineDispatch, "sfcp/internal/other", "testdata/enginedispatch/flagged")
-	analysistest.Run(t, analysis.EngineDispatch, "sfcp/internal/engine", "testdata/enginedispatch/clean")
+	analysistest.Run(t, analysis.EngineDispatch, "sfcp", "testdata/enginedispatch/clean")
 }
 
 func TestCtxPath(t *testing.T) {

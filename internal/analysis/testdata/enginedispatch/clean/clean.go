@@ -1,6 +1,6 @@
-// Fixture analyzed under the package path "sfcp/internal/engine": the
-// dispatch table owner may invoke any solver entry point.
-package engine
+// Fixture analyzed under the package path "sfcp": the dispatch table
+// owner may invoke any solver entry point.
+package sfcp
 
 import "sfcp/internal/coarsest"
 

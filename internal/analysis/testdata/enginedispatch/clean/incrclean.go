@@ -1,6 +1,6 @@
-// Fixture analyzed under the package path "sfcp/internal/engine": the
-// engine owns the incremental entry point too.
-package engine
+// Fixture analyzed under the package path "sfcp": the root package owns
+// the incremental entry point too.
+package sfcp
 
 import "sfcp/internal/incr"
 

@@ -1,5 +1,5 @@
 // Fixture analyzed under the package path "sfcp/internal/other": a
-// package outside the engine reaching for solver entry points.
+// package other than sfcp reaching for solver entry points.
 package other
 
 import "sfcp/internal/coarsest"

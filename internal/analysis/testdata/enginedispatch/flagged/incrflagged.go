@@ -15,7 +15,7 @@ func buildValueEscapes() any {
 
 func typesAreFine(e incr.Edit) incr.Info {
 	// The Edit/Info value types stay usable everywhere; only the
-	// state constructor is the engine's.
+	// state constructor is package sfcp's.
 	return incr.Info{DirtyNodes: e.Node}
 }
 

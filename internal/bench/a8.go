@@ -2,7 +2,7 @@
 // over: a fresh session built on the edited instance, and a from-scratch
 // sequential solve of it.
 //
-//sfcpvet:ignore-file enginedispatch -- full_ns times the linear solver's own entry point with a scratch kept warm across reps, so the from-scratch column carries no planning or validation pass
+//sfcpvet:ignore-file enginedispatch -- full_ns times the linear solver's own entry point with a scratch kept warm across reps, so the from-scratch column carries no planning or validation pass, and build_ns and incr_ns time incr.State itself, without sfcp.Incremental's lock and edit conversion
 package bench
 
 import (
@@ -15,19 +15,18 @@ import (
 	"time"
 
 	"sfcp/internal/coarsest"
-	"sfcp/internal/engine"
 	"sfcp/internal/incr"
 	"sfcp/internal/workload"
 )
 
 // A8IncrementalResolve measures what the incremental re-solve path buys.
 // Each row applies one delta to a live session (incr_ns, ApplyDelta as
-// engine.ResolveDelta runs it, rep after rep with no label read between,
+// sfcp.Incremental.Apply runs it, rep after rep with no label read between,
 // as a stream of label-free deltas runs), then applies it again and reads
 // its labels (labels_ns, the renumber the first State.Labels after a
 // delta makes), and times, on the edited instance, a fresh session
-// (build_ns, engine.NewIncremental, whose labels are not read) and a
-// from-scratch sequential solve (full_ns). speedup is
+// (build_ns, incr.Build as sfcp.NewIncremental runs it, whose labels are
+// not read) and a from-scratch sequential solve (full_ns). speedup is
 // full_ns over incr_ns plus labels_ns: a delta whose labels are read
 // against a solve that emits them. Three families at each n:
 //   - distinct-cycles: 256-node cycles with mostly random labels, the
@@ -97,7 +96,7 @@ func A8IncrementalResolve(cfg Config) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		st, err := engine.NewIncremental(ins)
+		st, err := incr.Build(ins)
 		if err != nil {
 			return err
 		}
@@ -159,7 +158,7 @@ func A8IncrementalResolve(cfg Config) {
 			buildDur := time.Duration(math.MaxInt64)
 			for range doc.Reps {
 				t0 := time.Now()
-				fresh, err := engine.NewIncremental(edited)
+				fresh, err := incr.Build(edited)
 				d := time.Since(t0)
 				if err != nil {
 					return err

@@ -8,9 +8,9 @@ import (
 )
 
 // Scratch holds the linear solver's working buffers so repeated solves
-// (batch serving, benchmark loops) reuse one arena instead of
-// reallocating their n-sized slices per call: nine int32 slices
-// (36 B/elem) plus one row per cycle. A Scratch is not safe for
+// (sfcp.Solver pools one per concurrent solve; benchmark loops keep one)
+// reuse one arena instead of reallocating their n-sized slices per call:
+// nine int32 slices (36 B/elem) plus one row per cycle. A Scratch is not safe for
 // concurrent use; callers wanting concurrency keep one per worker (e.g.
 // via sync.Pool). The zero value is ready to use.
 type Scratch struct {
@@ -24,12 +24,6 @@ type Scratch struct {
 	canon   map[string]int32 // canonical cycle string -> its class's first code
 	bRename map[int]int32    // B label -> class, when B leaves [0, n)
 	key     []byte           // canonical-string key build buffer
-	// pairArr is mooreSmall's pair coder: indexed class*n + class, value
-	// code+1. It is kept all-zero BETWEEN solves by undoing the touched
-	// entries (recorded in pairTouched) at the end of each round, so a new
-	// solve never pays an O(len) clear.
-	pairArr     []int32
-	pairTouched []int32
 }
 
 func (s *Scratch) reset() {
@@ -46,7 +40,7 @@ func (s *Scratch) footprint() int {
 		b += 4 * cap(buf)
 	}
 	b += int(unsafe.Sizeof(cycle{})) * cap(s.rows)
-	return b + cap(s.key) + 4*(cap(s.pairArr)+cap(s.pairTouched))
+	return b + cap(s.key)
 }
 
 // checkout hands out the next int32 buffer of length n, growing the pool
@@ -116,9 +110,8 @@ func LinearSequential(ins Instance) []int {
 
 // LinearSequentialScratch is LinearSequential with caller-provided scratch
 // buffers; sc may be nil (a fresh arena is used). All O(n) working vectors
-// come from sc and every per-node coding step is array indexing, so
-// small instances solved back-to-back under one arena skip nearly all
-// per-call allocation. Only the returned labels escape.
+// come from sc, so a solve on a warm arena allocates little beyond the
+// returned labels and its canonical-key strings.
 // classes is their class count (a byproduct of the canonical rename, as in
 // LinearSequentialBatch).
 func LinearSequentialScratch(ins Instance, sc *Scratch) (labels []int, classes int) {
@@ -140,7 +133,7 @@ func LinearSequentialScratch(ins Instance, sc *Scratch) (labels []int, classes i
 // of that member alone; classes[i] is its class count (a byproduct of the
 // canonical rename, saving callers a NumClasses pass). sc may be nil (a
 // fresh arena is used). It runs under a linear plan of
-// sfcp.Solver.SolveBatchPlanned (engine.ExecuteBatch).
+// sfcp.Solver.SolveBatchPlanned.
 func LinearSequentialBatch(members []Instance, sc *Scratch) (out [][]int, classes []int) {
 	out = make([][]int, len(members))
 	classes = make([]int, len(members))
@@ -169,110 +162,13 @@ func LinearSequentialBatch(members []Instance, sc *Scratch) (out [][]int, classe
 
 // solveLinear writes the canonical labels of a non-empty instance into out
 // and returns the class count. The caller owns resetting sc.
-//
-// Instances up to mooreCutoff take the Moore-refinement fast path first;
-// the full algorithm is the fallback (and the only path at scale).
 func solveLinear(ins Instance, sc *Scratch, out []int) int {
-	if len(ins.F) <= mooreCutoff {
-		if classes, ok := mooreSmall(ins, sc, out); ok {
-			return classes
-		}
-		// Discard the fast path's checkouts; the full algorithm checks out
-		// from slot zero again (pairArr's zero invariant was restored).
-		sc.reset()
-	}
 	l := newLinear(ins, sc)
 	l.findCycles()
 	l.canonicalize()
 	l.mark()
 	l.codeUnmarked()
 	return l.finish(out)
-}
-
-// mooreCutoff gates the tiny-instance fast path: below it, plain Moore
-// refinement beats the linear algorithm because the cycle/tree machinery
-// costs several full passes of per-call constant that dwarf n itself.
-const mooreCutoff = 64
-
-// mooreMaxRounds bounds the fast path's refinement rounds. Random
-// instances converge in O(depth) rounds; adversarial chains need up to n,
-// and past this cap the caller falls back to the O(n) algorithm rather
-// than pay quadratic rounds.
-const mooreMaxRounds = 32
-
-// mooreSmall computes the coarsest partition of a tiny instance by plain
-// Moore refinement: start from the B-partition and split by successor
-// class until stable. Each round is three passes of pure array indexing —
-// no hashing, no cycle canonicalization — so for n below mooreCutoff it
-// undercuts the linear algorithm's per-call constants by several times.
-// Splitting is monotone, so a round that does not grow the class count
-// changed nothing and the partition is stable — the classic Moore
-// argument, and stability from B gives exactly the partition the linear
-// algorithm computes. Every round numbers classes by first occurrence, so
-// the stable labels are already canonical and are copied into out.
-// Returns ok=false (caller falls back, out untouched) when B is too sparse
-// for the dense rename table or refinement outruns mooreMaxRounds.
-//
-// Pair renaming goes through sc.pairArr, which must stay all-zero between
-// solves; every round's touched slots are undone, including on bailout.
-func mooreSmall(ins Instance, sc *Scratch, out []int) (classes int, ok bool) {
-	n := len(ins.F)
-	f, b := ins.F, ins.B
-
-	// Initial rename of B through a dense table (first occurrence order).
-	maxB := uint(0)
-	for _, v := range b {
-		maxB = max(maxB, uint(v))
-	}
-	if maxB >= uint(4*n) {
-		return 0, false
-	}
-	tbl := sc.bufI32(int(maxB) + 1)
-	lab := sc.bufI32Raw(n)
-	next := sc.bufI32Raw(n)
-	L := int32(0)
-	for x, v := range b {
-		id := tbl[v]
-		if id == 0 {
-			L++
-			id = L
-			tbl[v] = id
-		}
-		lab[x] = id - 1
-	}
-
-	if cap(sc.pairArr) < n*n {
-		sc.pairArr = make([]int32, n*n)
-	}
-	pairArr := sc.pairArr[:n*n]
-	for round := 0; round < mooreMaxRounds; round++ {
-		touched := sc.pairTouched[:0]
-		newL := int32(0)
-		for x := 0; x < n; x++ {
-			idx := lab[x]*int32(n) + lab[f[x]]
-			id := pairArr[idx]
-			if id == 0 {
-				newL++
-				id = newL
-				pairArr[idx] = id
-				touched = append(touched, idx)
-			}
-			next[x] = id - 1
-		}
-		for _, idx := range touched {
-			pairArr[idx] = 0
-		}
-		sc.pairTouched = touched[:0]
-		lab, next = next, lab
-		if newL == L {
-			for i, c := range lab {
-				out[i] = int(c)
-			}
-			return int(L), true
-		}
-		L = newL
-	}
-	return 0, false
 }
 
 // State tags of linear.cyc; cycle ids are non-negative.

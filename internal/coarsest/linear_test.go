@@ -1,6 +1,7 @@
 package coarsest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -74,9 +75,9 @@ func TestLinearArenaBytes(t *testing.T) {
 }
 
 // crossDepth is F=[0,0,1,0], B=[0,0,1,1] padded with nodes marked onto
-// node 0's self-loop so that the full algorithm runs. Nodes 2 and 3 are
-// equivalent, one step below the marked set, but 2 and 1 steps from the
-// cycle: a coder that took depth from the cycle would split them.
+// node 0's self-loop. Nodes 2 and 3 are equivalent, one step below the
+// marked set, but 2 and 1 steps from the cycle: a coder that took depth
+// from the cycle would split them.
 func crossDepth(n int) Instance {
 	ins := Instance{F: make([]int, n), B: make([]int, n)}
 	copy(ins.F, []int{0, 0, 1, 0})
@@ -84,10 +85,10 @@ func crossDepth(n int) Instance {
 	return ins
 }
 
-// TestLinearLabelRich holds the full algorithm (n above mooreCutoff) to
-// Moore's labels, byte for byte, where B is wide or label-rich: the rename
-// map for B outside [0, n), one label per node, and labels dense in
-// [0, n), on random functions, permutations and brooms.
+// TestLinearLabelRich holds the linear solver to Moore's labels, byte for
+// byte, where B is wide or label-rich: the rename map for B outside
+// [0, n), one label per node, and labels dense in [0, n), on random
+// functions, permutations and brooms.
 func TestLinearLabelRich(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	shapes := []func(n int) Instance{
@@ -139,6 +140,69 @@ func TestLinearLabelRich(t *testing.T) {
 	}
 }
 
+// nextFunction advances f, as an odometer, to the next map from
+// [0, len(f)) to itself, and reports false after the last one.
+func nextFunction(f []int) bool {
+	for i := range f {
+		if f[i]++; f[i] < len(f) {
+			return true
+		}
+		f[i] = 0
+	}
+	return false
+}
+
+// nextRGS advances b to the next restricted growth string (b[0] = 0, and
+// each b[i] at most one above the largest label before it) and reports
+// false after the last one. These strings name every partition of
+// len(b) nodes exactly once.
+func nextRGS(b []int) bool {
+	for i := len(b) - 1; i > 0; i-- {
+		if b[i] <= slices.Max(b[:i]) {
+			b[i]++
+			clear(b[i+1:])
+			return true
+		}
+	}
+	return false
+}
+
+// TestLinearExhaustiveTiny solves every function on n <= 5 nodes under
+// every initial partition B, 166,484 instances, on one reused arena, and
+// holds labels and class count to Moore's. Each instance runs twice: with
+// B as a restricted growth string, whose labels lie in [0, n) and are
+// their own classes, and with B mapped to sparse labels, which the
+// solver renames through its B map.
+func TestLinearExhaustiveTiny(t *testing.T) {
+	var sc Scratch
+	solved := 0
+	check := func(ins Instance, want []int) {
+		got, classes := LinearSequentialScratch(ins, &sc)
+		if !slices.Equal(got, want) || classes != NumClasses(want) {
+			t.Fatalf("F=%v B=%v: linear gives %v in %d classes, Moore %v", ins.F, ins.B, got, classes, want)
+		}
+	}
+	for n := 1; n <= 5; n++ {
+		ins := Instance{F: make([]int, n), B: make([]int, n)}
+		sparse := Instance{F: ins.F, B: make([]int, n)}
+		for more := true; more; more = nextFunction(ins.F) {
+			clear(ins.B)
+			for more := true; more; more = nextRGS(ins.B) {
+				want := Moore(ins)
+				for i, v := range ins.B {
+					sparse.B[i] = v*1000 + 7
+				}
+				check(ins, want)
+				check(sparse, want)
+				solved++
+			}
+		}
+	}
+	if solved != 166484 {
+		t.Fatalf("enumerated %d instances, want 166484", solved)
+	}
+}
+
 func TestCheckSize(t *testing.T) {
 	if err := checkSize(math.MaxInt32); err != nil {
 		t.Fatalf("n = MaxInt32 rejected: %v", err)
@@ -151,7 +215,9 @@ func TestCheckSize(t *testing.T) {
 
 // BenchmarkLinear is the linear solver's phase ledger: per family at
 // n = 2^20, the whole solve and each of its four steps in ns/elem, and the
-// bytes the warm arena retains. Run with
+// bytes the warm arena retains. Its random-16, perm-16, random-64 and
+// perm-64 cases time the whole solve of the tiny instances small requests
+// carry, on a warm arena. Run with
 //
 //	go test -run '^$' -bench Linear -benchtime 5x ./internal/coarsest
 func BenchmarkLinear(b *testing.B) {
@@ -185,5 +251,19 @@ func BenchmarkLinear(b *testing.B) {
 			}
 			b.ReportMetric(float64(sc.footprint())/float64(len(ins.F)), "arena-B/elem")
 		})
+	}
+	for _, n := range []int{16, 64} {
+		for _, fam := range families(n)[:2] {
+			b.Run(fmt.Sprintf("%s-%d", fam.name, n), func(b *testing.B) {
+				var sc Scratch
+				LinearSequentialScratch(fam.ins, &sc)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					LinearSequentialScratch(fam.ins, &sc)
+				}
+				b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(n), "ns/elem")
+			})
+		}
 	}
 }

@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"sfcp"
-	"sfcp/internal/engine"
 	"sfcp/internal/store"
 )
 
@@ -311,10 +310,10 @@ func New(cfg Config, solve SolveFunc) *Manager {
 }
 
 // laneOf is the lane a job of algo waits in: the algorithm its solve
-// resolves to. A plan reads only the request, so the lane is known at
-// submission and at recovery alike.
+// resolves to. A plan reads no instance, so an empty one stands in, and
+// the lane is known at submission and at recovery alike.
 func laneOf(algo sfcp.Algorithm) sfcp.Algorithm {
-	if plan, err := engine.MakePlan(engine.Request{Algorithm: algo}); err == nil {
+	if plan, err := sfcp.PlanWith(sfcp.Instance{}, sfcp.Options{Algorithm: algo}); err == nil {
 		return plan.Algorithm
 	}
 	return algo

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -335,6 +336,44 @@ func TestBatchBinaryDigestMismatchIsPositional(t *testing.T) {
 		}
 		if !sfcp.SamePartition(br.Results[i].Labels, want.Labels) {
 			t.Errorf("member %d labels disagree with local solve", i)
+		}
+	}
+}
+
+// TestJobEveryAlgorithm submits one small job of every algorithm, each
+// on its own instance so that none is a cache hit, to a server with one
+// slot and one dispatcher per lane. Each job reaches done with Moore's
+// labels, and its resolved_algorithm is what its plan names (linear for
+// auto), the lane laneOf queued it in.
+func TestJobEveryAlgorithm(t *testing.T) {
+	_, ts := newTestServer(t, Config{WorkersPerAlgorithm: 1})
+	ids := make([]string, len(sfcp.Algorithms()))
+	for i, algo := range sfcp.Algorithms() {
+		wl := workload.RandomFunction(int64(40+i), 60, 3)
+		snap, resp, data := submitJSONJob(t, ts,
+			fmt.Sprintf(`{"algorithm":%q,"f":%s,"b":%s}`, algo, toJSON(t, wl.F), toJSON(t, wl.B)))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%v: submit: %d %s", algo, resp.StatusCode, data)
+		}
+		ids[i] = snap.ID
+	}
+	for i, algo := range sfcp.Algorithms() {
+		ins := sfcp.Instance(workload.RandomFunction(int64(40+i), 60, 3))
+		plan, err := sfcp.PlanWith(ins, sfcp.Options{Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sfcp.SolveWith(ins, sfcp.Options{Algorithm: sfcp.AlgorithmMoore})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := pollJob(t, ts, ids[i], jobs.StateDone)
+		if done.ResolvedAlgorithm != plan.Algorithm.String() ||
+			(algo == sfcp.AlgorithmAuto && done.ResolvedAlgorithm != "linear") {
+			t.Errorf("%v job resolved to %q, its plan names %v", algo, done.ResolvedAlgorithm, plan.Algorithm)
+		}
+		if labels := waitJobLabels(t, ts, ids[i]); !slices.Equal(labels, want.Labels) {
+			t.Errorf("%v job labels %v, Moore's %v", algo, labels, want.Labels)
 		}
 	}
 }

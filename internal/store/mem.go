@@ -7,10 +7,11 @@ import (
 	"sync"
 )
 
-// MemJobStore is the in-memory JobStore: a map of latest records. It
-// gives the zero-config deployment the same write-through code path as
-// the durable one — the jobs manager journals identically either way —
-// while surviving nothing, by design.
+// MemJobStore is the in-memory JobStore: a map of latest records. The
+// jobs manager journals to it exactly as to the durable one, so tests
+// can exercise recovery without a disk, while it survives nothing, by
+// design. The zero-config sfcpd does not use it: server.New passes a nil
+// journal, and nothing is journaled.
 type MemJobStore struct {
 	mu   sync.Mutex
 	recs map[string]JobRecord

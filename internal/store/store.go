@@ -1,8 +1,9 @@
 // Package store is sfcpd's pluggable persistence seam: two narrow
 // interfaces — JobStore for job metadata records and BlobStore for
 // content-addressed binary payloads — each shipped with an in-memory
-// implementation (the zero-config default's behavior) and a durable
-// file-backed one (what -data-dir selects).
+// implementation (for tests and benchmarks) and a durable file-backed
+// one (what -data-dir selects). The zero-config sfcpd configures
+// neither: it journals nothing and has no blob tier.
 //
 // The split mirrors the layering the storage-backed services in the
 // related work use: metadata records travel through a journal with an

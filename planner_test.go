@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"sfcp/internal/coarsest"
 	"sfcp/internal/workload"
 )
 
@@ -137,5 +139,171 @@ func TestPlanWithMatchesSolve(t *testing.T) {
 
 	if _, err := PlanWith(Instance{F: []int{5}, B: []int{0}}, Options{}); err == nil {
 		t.Error("PlanWith accepted an invalid instance")
+	}
+}
+
+// families builds one instance of every internal/workload coarsest-
+// partition family at (roughly) n elements.
+func families(seed int64, n int) map[string]Instance {
+	k := max(n/16, 1)
+	return map[string]Instance{
+		"random-function": Instance(workload.RandomFunction(seed, n, 3)),
+		"permutation":     Instance(workload.RandomPermutation(seed, n, 3)),
+		"cycle-family":    Instance(workload.CycleFamily(seed, k, 16, 4)),
+		"distinct-cycles": Instance(workload.DistinctCycles(seed, k, 16, 3)),
+		"broom":           Instance(workload.Broom(seed, n, 16, 8)),
+		"star":            Instance(workload.Star(seed, n, 3)),
+		"unary-dfa":       Instance(workload.UnaryDFA(seed, n, 300)),
+	}
+}
+
+// TestPlannerAgreesWithLinear is the differential gate on the planner:
+// whatever Auto resolves to, with a one-worker and a wide budget,
+// executing the plan on instances either side of 2^15 (the former
+// parallel crossover) must give labels equal to the linear reference
+// exactly (all solvers normalize by first occurrence, so equality is
+// slice-wise).
+func TestPlannerAgreesWithLinear(t *testing.T) {
+	for _, workers := range []int{1, 16} {
+		plan, err := makePlan(Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if plan.Algorithm == AlgorithmAuto {
+			t.Fatalf("workers=%d: plan not resolved past Auto", workers)
+		}
+		for _, n := range []int{1 << 14, 1 << 15} {
+			for name, ins := range families(1993, n) {
+				want := coarsest.LinearSequential(coarsest.Instance(ins))
+				res, err := execute(context.Background(), ins, plan, 0, nil)
+				if err != nil {
+					t.Fatalf("n=%d %s workers=%d: %v", n, name, workers, err)
+				}
+				if !reflect.DeepEqual(res.Labels, want) {
+					t.Errorf("n=%d %s workers=%d: auto (resolved %s) disagrees with linear",
+						n, name, workers, plan.Algorithm)
+				}
+				if res.NumClasses != coarsest.NumClasses(want) {
+					t.Errorf("n=%d %s: NumClasses %d, want %d", n, name, res.NumClasses, coarsest.NumClasses(want))
+				}
+			}
+		}
+	}
+}
+
+// TestPlanDeterminism: identical requests always yield identical plans,
+// reason string and all.
+func TestPlanDeterminism(t *testing.T) {
+	for _, opts := range []Options{
+		{Algorithm: AlgorithmAuto},
+		{Algorithm: AlgorithmAuto, Workers: 16},
+		{Algorithm: AlgorithmParallelPRAM},
+		{Algorithm: AlgorithmLinear},
+	} {
+		first, err := makePlan(opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		for i := 0; i < 3; i++ {
+			again, err := makePlan(opts)
+			if err != nil {
+				t.Fatalf("%+v: %v", opts, err)
+			}
+			if !reflect.DeepEqual(first, again) {
+				t.Fatalf("%+v: plan not deterministic:\n%+v\n%+v", opts, first, again)
+			}
+		}
+	}
+}
+
+// TestCrossoverRules pins the planner's decision table, which reads no
+// instance. Auto resolves to the linear solver on one worker at every
+// budget, for single instances and for a batch with a member either side
+// of 2^15, the former parallel crossover. An explicit simulator request
+// runs on NumCPU workers when it leaves the budget unstated and on
+// exactly the stated count otherwise; the sequential solvers get one.
+func TestCrossoverRules(t *testing.T) {
+	var batch []Instance
+	for _, n := range []int{1<<15 - 1, 1 << 15} {
+		batch = append(batch, Instance(workload.RandomFunction(3, n, 3)))
+	}
+	cpus := runtime.NumCPU()
+	for _, w := range []struct {
+		algo      Algorithm
+		req, want int
+	}{
+		{AlgorithmAuto, 0, 1}, {AlgorithmAuto, 1, 1}, {AlgorithmAuto, 64, 1},
+		{AlgorithmParallelPRAM, 0, cpus}, {AlgorithmParallelPRAM, -1, cpus}, {AlgorithmParallelPRAM, 3, 3},
+		{AlgorithmDoublingHash, 0, cpus}, {AlgorithmDoublingSort, 5, 5},
+		{AlgorithmLinear, 8, 1}, {AlgorithmMoore, 0, 1}, {AlgorithmHopcroft, 2, 1},
+	} {
+		opts := Options{Algorithm: w.algo, Workers: w.req}
+		plan, err := makePlan(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bplan, err := PlanBatch(batch, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.algo == AlgorithmAuto && (plan != autoPlan || bplan != autoPlan) {
+			t.Errorf("auto workers=%d: plan %+v, batch plan %+v, want %+v", w.req, plan, bplan, autoPlan)
+		}
+		if plan.Workers != w.want || bplan.Workers != w.want {
+			t.Errorf("%v workers=%d: resolved %d workers (batch %d), want %d",
+				w.algo, w.req, plan.Workers, bplan.Workers, w.want)
+		}
+	}
+}
+
+// TestExplicitPlans: explicit algorithm requests are honored verbatim,
+// and an explicit worker count on a simulator algorithm is an
+// instruction.
+func TestExplicitPlans(t *testing.T) {
+	for _, algo := range Algorithms()[1:] {
+		plan, err := makePlan(Options{Algorithm: algo, Workers: 3})
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		if plan.Algorithm != algo {
+			t.Errorf("explicit %v request resolved to %v", algo, plan.Algorithm)
+		}
+	}
+	explicit, _ := makePlan(Options{Algorithm: AlgorithmParallelPRAM, Workers: 64})
+	if explicit.Workers != 64 {
+		t.Errorf("explicit worker count overridden: %d", explicit.Workers)
+	}
+}
+
+// TestUnknownAlgorithm: planning and execution both reject values outside
+// the dispatch table.
+func TestUnknownAlgorithm(t *testing.T) {
+	ins := Instance{F: []int{0}, B: []int{0}}
+	if _, err := makePlan(Options{Algorithm: Algorithm(99)}); err == nil {
+		t.Error("makePlan accepted Algorithm(99)")
+	}
+	if _, err := PlanBatch([]Instance{ins}, Options{Algorithm: Algorithm(99)}); err == nil {
+		t.Error("PlanBatch accepted Algorithm(99)")
+	}
+	if _, err := execute(context.Background(), ins, Plan{Algorithm: AlgorithmAuto}, 0, nil); err == nil {
+		t.Error("execute accepted an unresolved Auto plan")
+	}
+}
+
+// TestAlgorithmTextRoundTrip covers the JSON-facing text codec.
+func TestAlgorithmTextRoundTrip(t *testing.T) {
+	for _, a := range Algorithms() {
+		text, err := a.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Algorithm
+		if err := back.UnmarshalText(text); err != nil || back != a {
+			t.Errorf("round trip %v -> %s -> %v (%v)", a, text, back, err)
+		}
+	}
+	var a Algorithm
+	if err := a.UnmarshalText([]byte("nope")); err == nil {
+		t.Error("UnmarshalText accepted an unknown name")
 	}
 }

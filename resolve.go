@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sfcp/internal/coarsest"
-	"sfcp/internal/engine"
 	"sfcp/internal/incr"
 )
 
@@ -29,12 +28,12 @@ type Delta struct {
 // sfcpd_resolve_total{mode=...} metric.
 const (
 	// ResolveModeIncremental recomputed only the dirty components.
-	ResolveModeIncremental = engine.ResolveIncremental
+	ResolveModeIncremental = "incremental"
 	// ResolveModeFullFallback re-founded the whole decomposition: the
 	// session's valve fired because the delta left no clean node, the
 	// code space ran out, the wide-label table was compacted, or the
 	// session would have passed its byte budget. Reason names the cause.
-	ResolveModeFullFallback = engine.ResolveFullFallback
+	ResolveModeFullFallback = "full_fallback"
 )
 
 // ResolveInfo explains how a delta was applied — the mutation-side
@@ -69,7 +68,7 @@ type Incremental struct {
 // NewIncremental solves ins once and returns the session holding its
 // decomposition state. The instance is copied.
 func NewIncremental(ins Instance) (*Incremental, error) {
-	st, err := engine.NewIncremental(coarsest.Instance{F: ins.F, B: ins.B})
+	st, err := incr.Build(coarsest.Instance(ins))
 	if err != nil {
 		return nil, err
 	}
@@ -136,24 +135,33 @@ func (inc *Incremental) Apply(delta Delta) (*ResolveInfo, error) {
 	return inc.apply(delta)
 }
 
-// apply is Apply with inc.mu held.
+// apply is Apply with inc.mu held. Duration times ApplyDelta alone.
 func (inc *Incremental) apply(delta Delta) (*ResolveInfo, error) {
 	edits, err := toIncrEdits(delta.Edits)
 	if err != nil {
 		return nil, err
 	}
-	out, err := engine.ResolveDelta(inc.st, edits)
+	start := time.Now()
+	info, err := inc.st.ApplyDelta(edits)
 	if err != nil {
 		return nil, err
 	}
-	return &ResolveInfo{
-		Mode:            out.Mode,
-		Reason:          out.Reason,
-		DirtyComponents: out.Info.DirtyComponents,
-		DirtyNodes:      out.Info.DirtyNodes,
-		DirtyFrac:       out.Info.DirtyFrac,
-		Duration:        out.Duration,
-	}, nil
+	out := &ResolveInfo{
+		Mode:            ResolveModeIncremental,
+		DirtyComponents: info.DirtyComponents,
+		DirtyNodes:      info.DirtyNodes,
+		DirtyFrac:       info.DirtyFrac,
+		Duration:        time.Since(start),
+	}
+	out.Reason = fmt.Sprintf("dirty fraction %.3f (%d/%d nodes across %d components); ",
+		info.DirtyFrac, info.DirtyNodes, inc.st.N(), info.DirtyComponents)
+	if info.Refound != "" {
+		out.Mode = ResolveModeFullFallback
+		out.Reason += info.Refound + ", state re-founded"
+	} else {
+		out.Reason += "component-scoped incremental re-solve"
+	}
+	return out, nil
 }
 
 // Resolve applies a delta to the session, as Apply does, and returns the

@@ -24,12 +24,11 @@ package sfcp
 
 import (
 	"context"
-	"sync"
+	"fmt"
 	"time"
 
 	"sfcp/internal/circ"
 	"sfcp/internal/coarsest"
-	"sfcp/internal/engine"
 	"sfcp/internal/pram"
 	"sfcp/internal/strsort"
 )
@@ -46,36 +45,8 @@ type Instance struct {
 // through deferred execution (an async job) use it to reject malformed
 // input up front.
 func (ins Instance) Validate() error {
-	return coarsest.Instance{F: ins.F, B: ins.B}.Validate()
+	return coarsest.Instance(ins).Validate()
 }
-
-// Algorithm selects a solver. It aliases the execution engine's type, so
-// the engine's planner and dispatch table are the single source of truth
-// for what each value means and how it runs.
-type Algorithm = engine.Algorithm
-
-const (
-	// AlgorithmAuto defers the choice to the planner, which resolves it
-	// to the sequential linear-time solver for every instance and worker
-	// budget. Result.Plan reports the resolved algorithm and why.
-	AlgorithmAuto = engine.Auto
-	// AlgorithmMoore is naive iterative refinement (O(n^2) worst case).
-	AlgorithmMoore = engine.Moore
-	// AlgorithmHopcroft is partition refinement, O(n log n).
-	AlgorithmHopcroft = engine.Hopcroft
-	// AlgorithmLinear is the sequential linear-time cycle/tree solution.
-	AlgorithmLinear = engine.Linear
-	// AlgorithmParallelPRAM is the paper's algorithm on the instrumented
-	// CRCW PRAM simulator (Theorem 5.1); Result.Stats reports its
-	// parallel rounds and operations.
-	AlgorithmParallelPRAM = engine.ParallelPRAM
-	// AlgorithmDoublingHash is the O(n log n)-work parallel baseline
-	// (Galley–Iliopoulos cost shape) on the simulator.
-	AlgorithmDoublingHash = engine.DoublingHash
-	// AlgorithmDoublingSort is the O(n log^2 n)-work parallel baseline
-	// (Srikant cost shape) on the simulator.
-	AlgorithmDoublingSort = engine.DoublingSort
-)
 
 // Stats reports the complexity counters of a simulated PRAM execution.
 type Stats struct {
@@ -108,11 +79,6 @@ type Options struct {
 	// Seed drives the simulator's deterministic arbitrary-write choices.
 	Seed uint64
 }
-
-// Plan is the execution decision the engine resolved for a solve: the
-// concrete algorithm (never AlgorithmAuto), the exact worker count and a
-// human-readable reason.
-type Plan = engine.Plan
 
 // Timings reports a solve's per-stage wall clock.
 type Timings struct {
@@ -165,7 +131,7 @@ func SolveWith(ins Instance, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	planDur := time.Since(start)
-	res, err := executePlan(context.Background(), coarsest.Instance{F: ins.F, B: ins.B}, plan, opts.Seed, nil)
+	res, err := execute(context.Background(), ins, plan, opts.Seed, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -182,17 +148,30 @@ func PlanWith(ins Instance, opts Options) (Plan, error) {
 	if err := ins.Validate(); err != nil {
 		return Plan{}, err
 	}
-	return engine.MakePlan(engine.Request{Algorithm: opts.Algorithm, Workers: opts.Workers})
+	return makePlan(opts)
 }
 
 // PlanBatch resolves one execution plan for a batch of instances: the
 // batch is the planning unit, so N tiny instances share a single
-// resolution. Instances are not validated here — batch execution
-// (Solver.SolveBatchPlanned) validates and fails members individually.
+// resolution. Auto resolves as in PlanWith; an explicit algorithm's
+// reason names the members' count and total size. Instances are not
+// validated here — batch execution (Solver.SolveBatchPlanned) validates
+// and fails members individually.
 func PlanBatch(instances []Instance, opts Options) (Plan, error) {
-	v := getView(instances)
-	defer putView(v)
-	return engine.MakeBatchPlan(*v, engine.Request{Algorithm: opts.Algorithm, Workers: opts.Workers})
+	if len(instances) == 0 {
+		return Plan{}, fmt.Errorf("sfcp: empty batch")
+	}
+	p, err := makePlan(opts)
+	if err != nil || opts.Algorithm == AlgorithmAuto {
+		return p, err
+	}
+	totalN := 0
+	for _, in := range instances {
+		totalN += len(in.F)
+	}
+	p.Reason = fmt.Sprintf("explicit %s request for coalesced batch of %d members (total n=%d)",
+		opts.Algorithm, len(instances), totalN)
+	return p, nil
 }
 
 // SolvePlanned validates an instance and executes a plan previously
@@ -207,59 +186,11 @@ func PlanBatch(instances []Instance, opts Options) (Plan, error) {
 // (moore, hopcroft, linear) check it only on entry and then run to
 // completion.
 func SolvePlanned(ctx context.Context, ins Instance, plan Plan, opts Options) (Result, error) {
-	in := coarsest.Instance{F: ins.F, B: ins.B}
-	if err := in.Validate(); err != nil {
+	if err := ins.Validate(); err != nil {
 		return Result{}, err
 	}
-	return executePlan(ctx, in, plan, opts.Seed, nil)
+	return execute(ctx, ins, plan, opts.Seed, nil)
 }
-
-// executePlan dispatches a resolved plan for a validated instance through
-// the engine and shapes the library Result. sc may be nil.
-func executePlan(ctx context.Context, in coarsest.Instance, plan Plan, seed uint64, sc *coarsest.Scratch) (Result, error) {
-	sol, err := engine.Execute(ctx, in, plan, seed, sc)
-	if err != nil {
-		return Result{}, err
-	}
-	return toResult(sol, &plan), nil
-}
-
-// toResult shapes one engine solution as a library Result.
-func toResult(sol engine.Solution, plan *Plan) Result {
-	res := Result{
-		Labels:     sol.Labels,
-		NumClasses: sol.NumClasses,
-		Plan:       plan,
-		Timings:    Timings{Solve: sol.Solve},
-	}
-	if sol.Stats != nil {
-		res.Stats = fromPRAM(*sol.Stats)
-	}
-	return res
-}
-
-// getView converts public instances to the engine's form in a recycled
-// slice: batch planning and execution each take one per batch, and the
-// engine only reads the view (plans and solutions never hold it).
-func getView(instances []Instance) *[]coarsest.Instance {
-	v, _ := viewPool.Get().(*[]coarsest.Instance)
-	if v == nil {
-		v = new([]coarsest.Instance)
-	}
-	for _, m := range instances {
-		*v = append(*v, coarsest.Instance{F: m.F, B: m.B})
-	}
-	return v
-}
-
-// putView clears a view, so it pins no instance, and recycles it.
-func putView(v *[]coarsest.Instance) {
-	clear(*v)
-	*v = (*v)[:0]
-	viewPool.Put(v)
-}
-
-var viewPool sync.Pool
 
 // MinimalRotation returns the index at which the lexicographically least
 // rotation of the circular string s starts (its minimal starting point),

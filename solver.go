@@ -2,41 +2,11 @@ package sfcp
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"sfcp/internal/addr"
 	"sfcp/internal/coarsest"
-	"sfcp/internal/engine"
 )
-
-// Algorithms lists every solver in declaration order — the canonical
-// enumeration for CLIs, servers and tests.
-func Algorithms() []Algorithm {
-	return engine.Algorithms()
-}
-
-// ParseAlgorithm maps a name (as printed by Algorithm.String) back to its
-// Algorithm value.
-func ParseAlgorithm(name string) (Algorithm, error) {
-	for _, a := range Algorithms() {
-		if a.String() == name {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("sfcp: unknown algorithm %q (want one of %s)", name, algorithmNames())
-}
-
-func algorithmNames() string {
-	s := ""
-	for i, a := range Algorithms() {
-		if i > 0 {
-			s += ", "
-		}
-		s += a.String()
-	}
-	return s
-}
 
 // Digest returns the instance's content address: 64 lowercase hex
 // characters naming (F, B), suitable as a cache key. Two instances share
@@ -76,12 +46,11 @@ func NewSolver(opts Options) *Solver {
 // (see the package-level SolvePlanned, including its cancellation
 // contract). A cancelled solve leaves the solver reusable.
 func (s *Solver) SolvePlanned(ctx context.Context, ins Instance, plan Plan) (Result, error) {
-	in := coarsest.Instance{F: ins.F, B: ins.B}
-	if err := in.Validate(); err != nil {
+	if err := ins.Validate(); err != nil {
 		return Result{}, err
 	}
 	sc := s.scratch.Get().(*coarsest.Scratch)
-	res, err := executePlan(ctx, in, plan, s.seed, sc)
+	res, err := execute(ctx, ins, plan, s.seed, sc)
 	s.scratch.Put(sc)
 	return res, err
 }
@@ -91,22 +60,13 @@ func (s *Solver) SolvePlanned(ctx context.Context, ins Instance, plan Plan) (Res
 // under a single shared scratch arena: N tiny solves pay one plan, one
 // scratch checkout, and near-zero per-member allocation. Under a linear
 // plan the valid members run as one pass, and each member's
-// Result.Timings.Solve reports its size-proportional share of it
-// (engine.ExecuteBatch).
+// Result.Timings.Solve reports its size-proportional share of it.
 // Results and errors are positional; an invalid member fails alone (its
 // siblings still solve) and a nil error at position i means instances[i]
 // solved.
 func (s *Solver) SolveBatchPlanned(ctx context.Context, instances []Instance, plan Plan) ([]Result, []error) {
-	v := getView(instances)
 	sc := s.scratch.Get().(*coarsest.Scratch)
-	sols, errs := engine.ExecuteBatch(ctx, *v, plan, s.seed, sc)
+	results, errs := executeBatch(ctx, instances, plan, s.seed, sc)
 	s.scratch.Put(sc)
-	putView(v)
-	results := make([]Result, len(sols))
-	for i, sol := range sols {
-		if errs[i] == nil {
-			results[i] = toResult(sol, &plan)
-		}
-	}
 	return results, errs
 }

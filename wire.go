@@ -127,5 +127,7 @@ func (d *BinaryDecoder) Decode() (Instance, error) {
 }
 
 // Digest returns the hex wire digest of the most recently decoded
-// instance, a content address suitable as a cache key.
+// instance: the XXH64 trailer that guards the stream against corruption.
+// XXH64 is not collision-resistant, so it is no cache key; the content
+// address is Instance.Digest, which sfcpd keys its cache on.
 func (d *BinaryDecoder) Digest() string { return d.r.Digest() }
