@@ -292,12 +292,11 @@ func intSqrt(n int) int {
 }
 
 // TestConformanceSolverBatch drives the same differential check through
-// the library's batch path — PlanBatch, then
-// Solver.SolveBatchPlanned — for every algorithm, so the linear one-pass
-// branch, the per-member branch and the shared scratch arena are all held
-// to Moore. An invalid member rides in the middle of the batch and must
-// fail alone at its position. Each batch runs twice, so the second pass
-// reuses the first one's arena.
+// the library's batch path — PlanBatch, then Solver.SolveBatchPlanned —
+// for every algorithm, so every member solved on an arena of the shared
+// pool is held to Moore. An invalid member rides in the middle of the
+// batch and must fail alone at its position. Each batch runs twice, so
+// the second pass reuses the first one's arenas.
 func TestConformanceSolverBatch(t *testing.T) {
 	var instances []Instance
 	var names []string

@@ -35,7 +35,6 @@ var dispatchRules = []dispatchRule{
 			"Hopcroft":                true,
 			"LinearSequential":        true,
 			"LinearSequentialScratch": true,
-			"LinearSequentialBatch":   true,
 			"ParallelPRAM":            true,
 			"ParallelPRAMContext":     true,
 			"DoublingHashPRAM":        true,

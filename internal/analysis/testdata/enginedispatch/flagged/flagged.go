@@ -18,11 +18,6 @@ func scratchSolve(in coarsest.Instance, sc *coarsest.Scratch) []int {
 	return labels
 }
 
-func batchSolve(members []coarsest.Instance) [][]int {
-	labels, _ := coarsest.LinearSequentialBatch(members, nil) // want "direct use of coarsest.LinearSequentialBatch"
-	return labels
-}
-
 func helpersAreFine(labels []int) int {
 	// Non-solver helpers stay usable everywhere.
 	return coarsest.NumClasses(labels)

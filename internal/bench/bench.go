@@ -345,8 +345,6 @@ func E6TreeLabel(cfg Config) {
 }
 
 func maxTreeDepth(ins coarsest.Instance) int {
-	labels := coarsest.LinearSequential(ins) // ensures instance is sane
-	_ = labels
 	n := len(ins.F)
 	// Sequential level computation (same as linear solver).
 	onCycle := make([]bool, n)
@@ -531,18 +529,42 @@ func A1IntSort(cfg Config) {
 		}
 		var work [3]int64
 		var rounds [3]int64
+		var bad []string
 		for i, strat := range []intsort.Strategy{intsort.Modeled, intsort.BitSplit, intsort.Grouped} {
 			m := pram.New(pram.ArbitraryCRCW)
 			a := m.NewArrayFrom(keys)
 			m.ResetStats()
-			intsort.SortPRAM(m, a, int64(n), strat)
+			perm := intsort.SortPRAM(m, a, int64(n), strat)
 			work[i] = m.Stats().Work
 			rounds[i] = m.Stats().Rounds
+			if !sortsKeys(perm.Ints(), keys) {
+				bad = append(bad, []string{"modeled", "bit-split", "grouped"}[i])
+			}
+		}
+		if bad != nil {
+			fmt.Fprintf(w, "%d\tDISAGREE(%s)\t\t\t\t\t\t\n", n, strings.Join(bad, ","))
+			continue
 		}
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t\n",
 			n, work[0], work[1], work[2], rounds[0], rounds[1], rounds[2])
 	}
 	w.Flush()
+}
+
+// sortsKeys reports whether perm is a permutation of the key indices that
+// lists the keys in non-decreasing order.
+func sortsKeys(perm []int, keys []int64) bool {
+	if len(perm) != len(keys) {
+		return false
+	}
+	seen := make([]bool, len(keys))
+	for j, i := range perm {
+		if i < 0 || i >= len(keys) || seen[i] || j > 0 && keys[perm[j-1]] > keys[i] {
+			return false
+		}
+		seen[i] = true
+	}
+	return true
 }
 
 // A2ListRank compares Wyllie pointer jumping against the sparse ruling set
@@ -558,18 +580,38 @@ func A2ListRank(cfg Config) {
 		}
 		var work [2]int64
 		var rounds [2]int64
+		var bad []string
 		for i, method := range []listrank.Method{listrank.Wyllie, listrank.RulingSet} {
 			m := pram.New(pram.ArbitraryCRCW)
 			a := m.NewArrayFromInts(next)
 			m.ResetStats()
-			listrank.CycleRank(m, a, method)
+			_, rank, length := listrank.CycleRank(m, a, method)
 			work[i] = m.Stats().Work
 			rounds[i] = m.Stats().Rounds
+			if !ranksCycle(next, rank.Ints(), length.Ints()) {
+				bad = append(bad, method.String())
+			}
+		}
+		if bad != nil {
+			fmt.Fprintf(w, "%d\tDISAGREE(%s)\t\t\t\t\t\n", n, strings.Join(bad, ","))
+			continue
 		}
 		fmt.Fprintf(w, "%d\t%d\t%d\t%.2f\t%d\t%d\t\n",
 			n, work[0], work[1], float64(work[0])/float64(work[1]), rounds[0], rounds[1])
 	}
 	w.Flush()
+}
+
+// ranksCycle reports whether rank steps by one along next, modulo n, and
+// every length is n: the ranking of a single n-cycle.
+func ranksCycle(next, rank, length []int) bool {
+	n := len(next)
+	for i, j := range next {
+		if rank[j] != (rank[i]+1)%n || length[i] != n {
+			return false
+		}
+	}
+	return true
 }
 
 // A3Cutoff varies the Step-4 switch point of the efficient m.s.p.
@@ -588,7 +630,7 @@ func A3Cutoff(cfg Config) {
 	lg := bits.Len(uint(n))
 	fmt.Fprintf(cfg.Out, "A3: m.s.p. cutoff ablation (n = %d)\n", n)
 	w := newTable(cfg)
-	fmt.Fprintln(w, "cutoff\twork\trounds\tcorrect\t")
+	fmt.Fprintln(w, "cutoff\twork\trounds\t")
 	cutoffs := []struct {
 		name string
 		val  int
@@ -604,7 +646,11 @@ func A3Cutoff(cfg Config) {
 		c := m.NewArrayFromInts(s)
 		m.ResetStats()
 		got := circ.EfficientMSPPRAMWithCutoff(m, c, circ.Options{}, co.val)
-		fmt.Fprintf(w, "%s\t%d\t%d\t%v\t\n", co.name, m.Stats().Work, m.Stats().Rounds, got == want)
+		if got != want {
+			fmt.Fprintf(w, "%s\tDISAGREE(%d, Booth %d)\t\t\n", co.name, got, want)
+			continue
+		}
+		fmt.Fprintf(w, "%s\t%d\t%d\t\n", co.name, m.Stats().Work, m.Stats().Rounds)
 	}
 	w.Flush()
 }

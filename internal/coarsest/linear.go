@@ -8,11 +8,11 @@ import (
 )
 
 // Scratch holds the linear solver's working buffers so repeated solves
-// (sfcp.Solver pools one per concurrent solve; benchmark loops keep one)
 // reuse one arena instead of reallocating their n-sized slices per call:
-// nine int32 slices (36 B/elem) plus one row per cycle. A Scratch is not safe for
-// concurrent use; callers wanting concurrency keep one per worker (e.g.
-// via sync.Pool). The zero value is ready to use.
+// nine int32 slices (36 B/elem) plus one row per cycle. Package sfcp
+// keeps one process-wide sync.Pool of them behind its dispatch table;
+// benchmark loops keep one each. A Scratch is not safe for concurrent
+// use. The zero value is ready to use.
 type Scratch struct {
 	i32  [][]int32
 	ni32 int
@@ -111,9 +111,9 @@ func LinearSequential(ins Instance) []int {
 // LinearSequentialScratch is LinearSequential with caller-provided scratch
 // buffers; sc may be nil (a fresh arena is used). All O(n) working vectors
 // come from sc, so a solve on a warm arena allocates little beyond the
-// returned labels and its canonical-key strings.
-// classes is their class count (a byproduct of the canonical rename, as in
-// LinearSequentialBatch).
+// returned labels and its canonical-key strings. The labels are always
+// freshly allocated, never arena memory. classes is their class count, a
+// byproduct of the final renumber.
 func LinearSequentialScratch(ins Instance, sc *Scratch) (labels []int, classes int) {
 	if len(ins.F) == 0 {
 		return []int{}, 0
@@ -122,53 +122,13 @@ func LinearSequentialScratch(ins Instance, sc *Scratch) (labels []int, classes i
 		sc = &Scratch{}
 	}
 	sc.reset()
-	labels = make([]int, len(ins.F))
-	return labels, solveLinear(ins, sc, labels)
-}
-
-// LinearSequentialBatch solves every member back-to-back under one shared
-// scratch arena, so a batch of k tiny solves pays for one arena instead of
-// k and the only per-member allocation is its slice of a single shared
-// label slab. Each entry of the result is identical to LinearSequential
-// of that member alone; classes[i] is its class count (a byproduct of the
-// canonical rename, saving callers a NumClasses pass). sc may be nil (a
-// fresh arena is used). It runs under a linear plan of
-// sfcp.Solver.SolveBatchPlanned.
-func LinearSequentialBatch(members []Instance, sc *Scratch) (out [][]int, classes []int) {
-	out = make([][]int, len(members))
-	classes = make([]int, len(members))
-	totalN := 0
-	for _, m := range members {
-		totalN += len(m.F)
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	slab := make([]int, totalN)
-	for i, m := range members {
-		n := len(m.F)
-		if n == 0 {
-			out[i] = []int{}
-			continue
-		}
-		sc.reset()
-		labels := slab[:n:n]
-		slab = slab[n:]
-		out[i] = labels
-		classes[i] = solveLinear(m, sc, labels)
-	}
-	return out, classes
-}
-
-// solveLinear writes the canonical labels of a non-empty instance into out
-// and returns the class count. The caller owns resetting sc.
-func solveLinear(ins Instance, sc *Scratch, out []int) int {
 	l := newLinear(ins, sc)
 	l.findCycles()
 	l.canonicalize()
 	l.mark()
 	l.codeUnmarked()
-	return l.finish(out)
+	labels = make([]int, len(ins.F))
+	return labels, l.finish(labels)
 }
 
 // State tags of linear.cyc; cycle ids are non-negative.

@@ -203,6 +203,19 @@ func TestLinearExhaustiveTiny(t *testing.T) {
 	}
 }
 
+// TestLinearSequentialEmpty: the empty instance solves to no labels and
+// no classes, on a fresh arena and on one a previous solve left warm.
+func TestLinearSequentialEmpty(t *testing.T) {
+	var warm Scratch
+	LinearSequentialScratch(randomInstance(rand.New(rand.NewSource(1)), 64, 3), &warm)
+	for _, sc := range []*Scratch{nil, &warm} {
+		got, classes := LinearSequentialScratch(Instance{F: []int{}, B: []int{}}, sc)
+		if len(got) != 0 || classes != 0 {
+			t.Fatalf("empty instance: labels %v in %d classes", got, classes)
+		}
+	}
+}
+
 func TestCheckSize(t *testing.T) {
 	if err := checkSize(math.MaxInt32); err != nil {
 		t.Fatalf("n = MaxInt32 rejected: %v", err)

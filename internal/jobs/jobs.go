@@ -224,9 +224,6 @@ type Snapshot struct {
 	Cached            bool        `json:"cached,omitempty"`
 	Error             string      `json:"error,omitempty"`
 	Stats             *sfcp.Stats `json:"stats,omitempty"`
-	// ResolveMS is the delta-apply wall clock when the result came from
-	// an incremental re-solve (Result.Resolve set); zero otherwise.
-	ResolveMS float64 `json:"resolve_ms,omitempty"`
 }
 
 // Counts is a point-in-time tally of the store, for metrics export.
@@ -926,9 +923,6 @@ func (m *Manager) snapshotLocked(j *job) Snapshot {
 			s.ResolvedAlgorithm = j.res.Plan.Algorithm.String()
 			s.PlanReason = j.res.Plan.Reason
 			s.PlanWorkers = j.res.Plan.Workers
-		}
-		if j.res.Resolve != nil {
-			s.ResolveMS = float64(j.res.Resolve.Duration) / float64(time.Millisecond)
 		}
 	}
 	return s

@@ -147,7 +147,6 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		NumClasses:        res.NumClasses,
 		Cached:            snap.Cached,
 		ElapsedMS:         snap.ElapsedMS,
-		ResolveMS:         snap.ResolveMS,
 		Stats:             res.Stats,
 	}
 	writeReply(w, http.StatusOK, &resp)

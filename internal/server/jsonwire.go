@@ -509,9 +509,6 @@ func (e *jsonWriter) solveResponse(r *SolveResponse) {
 	if r.SolveMS != 0 {
 		e.float("solve_ms", r.SolveMS)
 	}
-	if r.ResolveMS != 0 {
-		e.float("resolve_ms", r.ResolveMS)
-	}
 	if st := r.Stats; st != nil {
 		e.key("stats")
 		e.b = append(e.b, '{')

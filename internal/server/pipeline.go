@@ -142,17 +142,13 @@ func (s *Server) lookup(key string, algo sfcp.Algorithm, seed uint64, digest str
 
 // execute runs a resolved request in a slot of its algorithm's lane, on
 // the calling goroutine, solving exactly the plan that chose its lane and
-// cache key. Only the simulators read the seed, so a linear plan runs on
-// the server's Solver, and its warm arenas, whatever the seed.
+// cache key. A linear solve takes its arena from the library's
+// process-wide pool, whatever the seed.
 func (s *Server) execute(ctx context.Context, ins sfcp.Instance, plan sfcp.Plan, seed uint64) solveOutcome {
 	start := time.Now()
 	var out solveOutcome
 	out.err = s.pool.Run(ctx, plan.Algorithm, func() (err error) {
-		if seed == s.cfg.Seed || plan.Algorithm == sfcp.AlgorithmLinear {
-			out.res, err = s.solver.SolvePlanned(ctx, ins, plan)
-		} else {
-			out.res, err = sfcp.SolvePlanned(ctx, ins, plan, sfcp.Options{Seed: seed})
-		}
+		out.res, err = sfcp.SolvePlanned(ctx, ins, plan, sfcp.Options{Seed: seed})
 		return err
 	})
 	out.elapsed = time.Since(start)

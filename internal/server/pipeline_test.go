@@ -140,9 +140,9 @@ func TestInstanceRoutesAfterClose(t *testing.T) {
 }
 
 // TestSeededLinearSolveKeepsArena: only the simulators read the seed, so
-// a linear request that names its own seed still runs on the server's
-// Solver and its warm arena. A warm execute of a 2^15-node linear plan
-// allocates no more with seed 7 than with the server's seed.
+// a linear request that names its own seed still takes a warm arena from
+// the library's pool. A warm execute of a 2^15-node linear plan allocates
+// no more with seed 7 than with the server's seed.
 func TestSeededLinearSolveKeepsArena(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")

@@ -167,7 +167,6 @@ type SolveResponse struct {
 	ElapsedMS         float64     `json:"elapsed_ms"`
 	PlanMS            float64     `json:"plan_ms,omitempty"`
 	SolveMS           float64     `json:"solve_ms,omitempty"`
-	ResolveMS         float64     `json:"resolve_ms,omitempty"`
 	Stats             *sfcp.Stats `json:"stats,omitempty"`
 	Error             string      `json:"error,omitempty"`
 
@@ -201,7 +200,6 @@ type Server struct {
 	pool    *pool.Pool
 	cache   *resultCache
 	metrics *metrics
-	solver  *sfcp.Solver
 	jobs    *jobs.Manager
 	logf    func(format string, args ...any)
 
@@ -223,7 +221,6 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		cache:   newResultCache(cfg.CacheSize, cfg.CacheBytes),
 		metrics: newMetrics(),
-		solver:  sfcp.NewSolver(sfcp.Options{Seed: cfg.Seed}),
 		logf:    cfg.Logf,
 
 		sessions: newSessionRegistry(cfg.InstanceSessions),

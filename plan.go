@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"sfcp/internal/coarsest"
@@ -127,32 +128,39 @@ func makePlan(opts Options) (Plan, error) {
 
 // solveFunc runs one concrete algorithm on a validated instance and
 // returns its labels, class count and simulator counters; execute times
-// it. sc is the linear solver's arena; po carries the plan's workers and
-// the seed to the simulators.
-type solveFunc func(ctx context.Context, in coarsest.Instance, sc *coarsest.Scratch, po coarsest.ParallelOptions) (Result, error)
+// it. po carries the plan's workers and the seed to the simulators.
+type solveFunc func(ctx context.Context, in coarsest.Instance, po coarsest.ParallelOptions) (Result, error)
+
+// arenas is the process's one pool of linear-solver arenas: every linear
+// solve the library runs takes its arena here, so a process holds an
+// arena per concurrent linear solve, not one per call. Each solve
+// allocates its labels afresh, so no Result aliases a pooled arena.
+var arenas = sync.Pool{New: func() any { return new(coarsest.Scratch) }}
 
 // dispatch is the only mapping from Algorithm values to internal/coarsest
 // entry points in the codebase (sfcpvet's enginedispatch analyzer holds
 // every other package to it): adding a solver means adding one constant,
 // its name and one row here.
 var dispatch = map[Algorithm]solveFunc{
-	AlgorithmMoore: func(_ context.Context, in coarsest.Instance, _ *coarsest.Scratch, _ coarsest.ParallelOptions) (Result, error) {
+	AlgorithmMoore: func(_ context.Context, in coarsest.Instance, _ coarsest.ParallelOptions) (Result, error) {
 		return counted(coarsest.Moore(in)), nil
 	},
-	AlgorithmHopcroft: func(_ context.Context, in coarsest.Instance, _ *coarsest.Scratch, _ coarsest.ParallelOptions) (Result, error) {
+	AlgorithmHopcroft: func(_ context.Context, in coarsest.Instance, _ coarsest.ParallelOptions) (Result, error) {
 		return counted(coarsest.Hopcroft(in)), nil
 	},
-	AlgorithmLinear: func(_ context.Context, in coarsest.Instance, sc *coarsest.Scratch, _ coarsest.ParallelOptions) (Result, error) {
+	AlgorithmLinear: func(_ context.Context, in coarsest.Instance, _ coarsest.ParallelOptions) (Result, error) {
+		sc := arenas.Get().(*coarsest.Scratch)
 		labels, classes := coarsest.LinearSequentialScratch(in, sc)
+		arenas.Put(sc)
 		return Result{Labels: labels, NumClasses: classes}, nil
 	},
-	AlgorithmParallelPRAM: func(ctx context.Context, in coarsest.Instance, _ *coarsest.Scratch, po coarsest.ParallelOptions) (Result, error) {
+	AlgorithmParallelPRAM: func(ctx context.Context, in coarsest.Instance, po coarsest.ParallelOptions) (Result, error) {
 		return simulated(coarsest.ParallelPRAMContext(ctx, in, po))
 	},
-	AlgorithmDoublingHash: func(ctx context.Context, in coarsest.Instance, _ *coarsest.Scratch, po coarsest.ParallelOptions) (Result, error) {
+	AlgorithmDoublingHash: func(ctx context.Context, in coarsest.Instance, po coarsest.ParallelOptions) (Result, error) {
 		return simulated(coarsest.DoublingHashPRAMContext(ctx, in, po))
 	},
-	AlgorithmDoublingSort: func(ctx context.Context, in coarsest.Instance, _ *coarsest.Scratch, po coarsest.ParallelOptions) (Result, error) {
+	AlgorithmDoublingSort: func(ctx context.Context, in coarsest.Instance, po coarsest.ParallelOptions) (Result, error) {
 		return simulated(coarsest.DoublingSortPRAMContext(ctx, in, po))
 	},
 }
@@ -175,9 +183,8 @@ func simulated(res coarsest.ParallelResult, err error) (Result, error) {
 
 // execute runs a resolved plan on a validated instance through the
 // dispatch table and shapes its Result. plan.Algorithm must be concrete
-// (no plan is Auto); sc may be nil — the linear solver uses it, the rest
-// ignore it.
-func execute(ctx context.Context, ins Instance, plan Plan, seed uint64, sc *coarsest.Scratch) (Result, error) {
+// (no plan is Auto).
+func execute(ctx context.Context, ins Instance, plan Plan, seed uint64) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -186,71 +193,11 @@ func execute(ctx context.Context, ins Instance, plan Plan, seed uint64, sc *coar
 		return Result{}, fmt.Errorf("sfcp: no solver for algorithm %v", plan.Algorithm)
 	}
 	start := time.Now()
-	res, err := run(ctx, coarsest.Instance(ins), sc, coarsest.ParallelOptions{Workers: plan.Workers, Seed: seed})
+	res, err := run(ctx, coarsest.Instance(ins), coarsest.ParallelOptions{Workers: plan.Workers, Seed: seed})
 	if err != nil {
 		return Result{}, err
 	}
 	res.Plan = &plan
 	res.Timings.Solve = time.Since(start)
 	return res, nil
-}
-
-// executeBatch runs one resolved plan over every member on the calling
-// goroutine under one scratch arena; sc may be nil. Unlike execute it
-// validates each member, and an invalid member fails alone at its
-// position. Results and errors are positional: a nil error at position i
-// means ins[i] solved.
-//
-// Under a linear plan the valid members run back-to-back through
-// coarsest.LinearSequentialBatch, one arena and one label slab for the
-// whole pass, and each member's Timings.Solve reports its
-// size-proportional share of the pass; a context cancelled before the
-// pass fails every valid member. Any other plan runs each valid member
-// through execute in turn.
-func executeBatch(ctx context.Context, ins []Instance, plan Plan, seed uint64, sc *coarsest.Scratch) ([]Result, []error) {
-	results := make([]Result, len(ins))
-	errs := make([]error, len(ins))
-	for i, in := range ins {
-		errs[i] = in.Validate()
-	}
-	if plan.Algorithm != AlgorithmLinear {
-		for i, in := range ins {
-			if errs[i] == nil {
-				results[i], errs[i] = execute(ctx, in, plan, seed, sc)
-			}
-		}
-		return results, errs
-	}
-	if err := ctx.Err(); err != nil {
-		for i := range errs {
-			if errs[i] == nil {
-				errs[i] = err
-			}
-		}
-		return results, errs
-	}
-	members := make([]coarsest.Instance, 0, len(ins))
-	totalN := 0
-	for i, in := range ins {
-		if errs[i] == nil {
-			members = append(members, coarsest.Instance(in))
-			totalN += len(in.F)
-		}
-	}
-	start := time.Now()
-	labels, classes := coarsest.LinearSequentialBatch(members, sc)
-	elapsed := time.Since(start)
-	j := 0
-	for i := range ins {
-		if errs[i] != nil {
-			continue
-		}
-		share := elapsed
-		if totalN > 0 {
-			share = elapsed * time.Duration(len(members[j].F)) / time.Duration(totalN)
-		}
-		results[i] = Result{Labels: labels[j], NumClasses: classes[j], Plan: &plan, Timings: Timings{Solve: share}}
-		j++
-	}
-	return results, errs
 }

@@ -2,6 +2,7 @@ package sfcp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -66,9 +67,12 @@ func TestPlanWithAllocs(t *testing.T) {
 }
 
 // TestSolvePlannedAllocs pins a warm linear solve at three allocations:
-// the labels, the Result's plan and the cycle's canonical key. The class
-// count comes from the solver's own renumber, not from a NumClasses pass
-// with its n-entry table.
+// the labels, the Result's plan and the cycle's canonical key. The arena
+// comes from the process-wide pool behind the dispatch table, so the
+// package-level SolvePlanned and SolveWith pay for none once a solve has
+// warmed it, and the class count comes from the solver's own renumber,
+// not from a NumClasses pass with its n-entry table. A two-member batch
+// adds only its result and error slices.
 func TestSolvePlannedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -84,24 +88,44 @@ func TestSolvePlannedAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := NewSolver(Options{})
 	ctx := context.Background()
-	if _, err := solver.SolvePlanned(ctx, ins, plan); err != nil { // warm the arena
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := solver.SolvePlanned(ctx, ins, plan); err != nil {
-			t.Fatal(err)
+	batch := []Instance{ins, ins}
+	solver := NewSolver(Options{})
+	for _, c := range []struct {
+		name string
+		max  float64
+		run  func() error
+	}{
+		{"SolvePlanned", 3, func() error {
+			_, err := SolvePlanned(ctx, ins, plan, Options{})
+			return err
+		}},
+		{"SolveWith", 3, func() error {
+			_, err := SolveWith(ins, Options{})
+			return err
+		}},
+		{"Solver.SolveBatchPlanned of two members", 9, func() error {
+			_, errs := solver.SolveBatchPlanned(ctx, batch, plan)
+			return errors.Join(errs...)
+		}},
+	} {
+		if err := c.run(); err != nil { // warm the arena
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	})
-	if allocs > 3 {
-		t.Errorf("warm SolvePlanned on a %d-node cycle allocates %.0f times, want 3", n, allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := c.run(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("warm %s on a %d-node cycle allocates %.0f times, want at most %.0f", c.name, n, allocs, c.max)
+		}
 	}
 }
 
 // TestPlanWithMatchesSolve: the standalone planner returns exactly the
 // plan a solve of the same (instance, options) executes, deterministically,
-// and executing that plan through a Solver reports it back.
+// and executing that plan through SolvePlanned reports it back.
 func TestPlanWithMatchesSolve(t *testing.T) {
 	wl := workload.RandomPermutation(5, 3000, 3)
 	ins := Instance{F: wl.F, B: wl.B}
@@ -124,12 +148,12 @@ func TestPlanWithMatchesSolve(t *testing.T) {
 				t.Errorf("solve executed plan %+v, PlanWith promised %+v", *res.Plan, plan)
 			}
 
-			sres, err := NewSolver(opts).SolvePlanned(context.Background(), ins, plan)
+			sres, err := SolvePlanned(context.Background(), ins, plan, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sres.Plan == nil || !reflect.DeepEqual(*sres.Plan, plan) {
-				t.Errorf("Solver result plan = %+v, want %+v", sres.Plan, plan)
+				t.Errorf("SolvePlanned result plan = %+v, want %+v", sres.Plan, plan)
 			}
 			if !reflect.DeepEqual(sres.Labels, res.Labels) || sres.Timings.Plan != 0 {
 				t.Errorf("SolvePlanned: labels differ from SolveWith's, or Timings.Plan = %v is not zero", sres.Timings.Plan)
@@ -175,7 +199,7 @@ func TestPlannerAgreesWithLinear(t *testing.T) {
 		for _, n := range []int{1 << 14, 1 << 15} {
 			for name, ins := range families(1993, n) {
 				want := coarsest.LinearSequential(coarsest.Instance(ins))
-				res, err := execute(context.Background(), ins, plan, 0, nil)
+				res, err := execute(context.Background(), ins, plan, 0)
 				if err != nil {
 					t.Fatalf("n=%d %s workers=%d: %v", n, name, workers, err)
 				}
@@ -285,7 +309,7 @@ func TestUnknownAlgorithm(t *testing.T) {
 	if _, err := PlanBatch([]Instance{ins}, Options{Algorithm: Algorithm(99)}); err == nil {
 		t.Error("PlanBatch accepted Algorithm(99)")
 	}
-	if _, err := execute(context.Background(), ins, Plan{Algorithm: AlgorithmAuto}, 0, nil); err == nil {
+	if _, err := execute(context.Background(), ins, Plan{Algorithm: AlgorithmAuto}, 0); err == nil {
 		t.Error("execute accepted an unresolved Auto plan")
 	}
 }

@@ -2,6 +2,7 @@ package sfcp_test
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,14 +11,16 @@ import (
 )
 
 // TestSolveLabelsNeverAliasScratch is the regression guard for the
-// scratch-arena contract: the labels a Solver returns must be freshly
-// allocated, never a view into the pooled coarsest.Scratch — otherwise the
-// next solve that checks the same arena out of the sync.Pool would
-// overwrite a result a previous caller still holds. The test snapshots
-// one linear solve's labels, then hammers the same solver from many
-// goroutines (so the arena is Put, re-Got and rewritten concurrently) and
-// checks the snapshot never changes. Run under -race this also catches
-// witnessed writes into retained memory.
+// scratch-arena contract: the labels a solve returns must be freshly
+// allocated, never a view into a pooled coarsest.Scratch — otherwise the
+// next solve that checks the same arena out of the process-wide pool
+// would overwrite a result a previous caller still holds. SolveWith,
+// SolvePlanned and Solver.SolveBatchPlanned all share that pool, so the
+// test keeps linear results from each, checked against Moore's labels,
+// then hammers all three from many goroutines (so arenas are Put, re-Got
+// and rewritten concurrently) and checks no kept result ever changes.
+// Run under -race this also catches witnessed writes into retained
+// memory.
 func TestSolveLabelsNeverAliasScratch(t *testing.T) {
 	ctx := context.Background()
 	held := wl(workload.RandomFunction(1, 3000, 4))
@@ -31,26 +34,74 @@ func TestSolveLabelsNeverAliasScratch(t *testing.T) {
 	}
 	opts := sfcp.Options{Algorithm: sfcp.AlgorithmLinear}
 	s := sfcp.NewSolver(opts)
-	solve := func(ins sfcp.Instance) (sfcp.Result, error) {
-		p, err := sfcp.PlanWith(ins, opts)
-		if err != nil {
-			return sfcp.Result{}, err
+	// each runs a one-instance solve over a batch, member by member.
+	each := func(solve func(sfcp.Instance) (sfcp.Result, error)) func([]sfcp.Instance) ([][]int, error) {
+		return func(batch []sfcp.Instance) ([][]int, error) {
+			var out [][]int
+			for _, ins := range batch {
+				res, err := solve(ins)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, res.Labels)
+			}
+			return out, nil
 		}
-		return s.SolvePlanned(ctx, ins, p)
 	}
-	res, err := solve(held)
+	// paths solves a batch through each library entry point and returns
+	// every member's labels.
+	paths := []func(batch []sfcp.Instance) ([][]int, error){
+		each(func(ins sfcp.Instance) (sfcp.Result, error) { return sfcp.SolveWith(ins, opts) }),
+		each(func(ins sfcp.Instance) (sfcp.Result, error) {
+			p, err := sfcp.PlanWith(ins, opts)
+			if err != nil {
+				return sfcp.Result{}, err
+			}
+			return sfcp.SolvePlanned(ctx, ins, p, opts)
+		}),
+		func(batch []sfcp.Instance) ([][]int, error) {
+			p, err := sfcp.PlanBatch(batch, opts)
+			if err != nil {
+				return nil, err
+			}
+			results, errs := s.SolveBatchPlanned(ctx, batch, p)
+			var out [][]int
+			for i, res := range results {
+				if errs[i] != nil {
+					return nil, errs[i]
+				}
+				out = append(out, res.Labels)
+			}
+			return out, nil
+		},
+	}
+
+	// Each path solves held twice, beside a different member, and must
+	// give Moore's labels both times.
+	ref, err := sfcp.SolveWith(held, sfcp.Options{Algorithm: sfcp.AlgorithmMoore})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := append([]int(nil), res.Labels...)
+	var kept [][]int
+	for k, path := range paths {
+		labels, err := path([]sfcp.Instance{held, others[0], held})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(labels[0], ref.Labels) || !slices.Equal(labels[2], ref.Labels) {
+			t.Fatalf("path %d: labels differ from Moore's", k)
+		}
+		kept = append(kept, labels[0], labels[2])
+	}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				if _, err := solve(others[(g+i)%len(others)]); err != nil {
+			for i := 0; i < 24; i++ {
+				batch := []sfcp.Instance{others[(g+i)%len(others)], others[(g+i+1)%len(others)]}
+				if _, err := paths[(g+i)%len(paths)](batch); err != nil {
 					t.Error(err)
 					return
 				}
@@ -58,34 +109,12 @@ func TestSolveLabelsNeverAliasScratch(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	for i := range snapshot {
-		if res.Labels[i] != snapshot[i] {
-			t.Fatalf("labels[%d] changed from %d to %d after concurrent solves: result aliases the pooled scratch arena",
-				i, snapshot[i], res.Labels[i])
-		}
-	}
-
-	// The same contract holds for batch members.
-	batch := []sfcp.Instance{held, others[0], held}
-	p, err := sfcp.PlanBatch(batch, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, errs := s.SolveBatchPlanned(ctx, batch, p)
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	kept := append([]int(nil), results[0].Labels...)
-	for i := 0; i < 30; i++ {
-		if _, err := solve(others[i%len(others)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range kept {
-		if results[0].Labels[i] != kept[i] {
-			t.Fatalf("batch labels[%d] mutated by later solves", i)
+	for k, labels := range kept {
+		for i := range ref.Labels {
+			if labels[i] != ref.Labels[i] {
+				t.Fatalf("path %d: labels[%d] changed from %d to %d after concurrent solves: result aliases the pooled scratch arena",
+					k/2, i, ref.Labels[i], labels[i])
+			}
 		}
 	}
 }

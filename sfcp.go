@@ -131,7 +131,7 @@ func SolveWith(ins Instance, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	planDur := time.Since(start)
-	res, err := execute(context.Background(), ins, plan, opts.Seed, nil)
+	res, err := execute(context.Background(), ins, plan, opts.Seed)
 	if err != nil {
 		return Result{}, err
 	}
@@ -151,27 +151,15 @@ func PlanWith(ins Instance, opts Options) (Plan, error) {
 	return makePlan(opts)
 }
 
-// PlanBatch resolves one execution plan for a batch of instances: the
-// batch is the planning unit, so N tiny instances share a single
-// resolution. Auto resolves as in PlanWith; an explicit algorithm's
-// reason names the members' count and total size. Instances are not
-// validated here — batch execution (Solver.SolveBatchPlanned) validates
-// and fails members individually.
+// PlanBatch resolves the one execution plan of a batch: the plan PlanWith
+// gives each valid member, since a plan reads only opts. Instances are not
+// validated here — Solver.SolveBatchPlanned validates and fails members
+// individually.
 func PlanBatch(instances []Instance, opts Options) (Plan, error) {
 	if len(instances) == 0 {
 		return Plan{}, fmt.Errorf("sfcp: empty batch")
 	}
-	p, err := makePlan(opts)
-	if err != nil || opts.Algorithm == AlgorithmAuto {
-		return p, err
-	}
-	totalN := 0
-	for _, in := range instances {
-		totalN += len(in.F)
-	}
-	p.Reason = fmt.Sprintf("explicit %s request for coalesced batch of %d members (total n=%d)",
-		opts.Algorithm, len(instances), totalN)
-	return p, nil
+	return makePlan(opts)
 }
 
 // SolvePlanned validates an instance and executes a plan previously
@@ -189,7 +177,7 @@ func SolvePlanned(ctx context.Context, ins Instance, plan Plan, opts Options) (R
 	if err := ins.Validate(); err != nil {
 		return Result{}, err
 	}
-	return execute(ctx, ins, plan, opts.Seed, nil)
+	return execute(ctx, ins, plan, opts.Seed)
 }
 
 // MinimalRotation returns the index at which the lexicographically least

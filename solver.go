@@ -2,10 +2,8 @@ package sfcp
 
 import (
 	"context"
-	"sync"
 
 	"sfcp/internal/addr"
-	"sfcp/internal/coarsest"
 )
 
 // Digest returns the instance's content address: 64 lowercase hex
@@ -20,53 +18,32 @@ func (ins Instance) Digest() string {
 	return addr.Of(ins.F, ins.B)
 }
 
-// Solver executes resolved plans with reusable scratch arenas: the
-// linear solver's working set is recycled across calls, so a server
-// solving many instances pays for an arena per concurrent solve, not per
-// request. A Solver is safe for concurrent use by multiple goroutines.
+// Solver executes resolved batch plans with one seed. Like every other
+// solve, its members take the linear solver's arenas from the
+// process-wide pool behind the dispatch table. A Solver is safe for
+// concurrent use by multiple goroutines.
 type Solver struct {
-	seed    uint64
-	scratch sync.Pool // *coarsest.Scratch
+	seed uint64
 }
 
 // NewSolver returns a Solver that runs every solve with opts.Seed. It
 // reads no other field of opts: the plan handed to each call carries the
 // algorithm and the worker count.
 func NewSolver(opts Options) *Solver {
-	return &Solver{
-		seed: opts.Seed,
-		scratch: sync.Pool{New: func() any {
-			return new(coarsest.Scratch)
-		}},
-	}
+	return &Solver{seed: opts.Seed}
 }
 
-// SolvePlanned validates an instance and executes a previously resolved
-// plan with the solver's seed and scratch arenas, without re-planning
-// (see the package-level SolvePlanned, including its cancellation
-// contract). A cancelled solve leaves the solver reusable.
-func (s *Solver) SolvePlanned(ctx context.Context, ins Instance, plan Plan) (Result, error) {
-	if err := ins.Validate(); err != nil {
-		return Result{}, err
-	}
-	sc := s.scratch.Get().(*coarsest.Scratch)
-	res, err := execute(ctx, ins, plan, s.seed, sc)
-	s.scratch.Put(sc)
-	return res, err
-}
-
-// SolveBatchPlanned executes one previously resolved batch plan (see
-// PlanBatch) over every instance, sequentially on the calling goroutine
-// under a single shared scratch arena: N tiny solves pay one plan, one
-// scratch checkout, and near-zero per-member allocation. Under a linear
-// plan the valid members run as one pass, and each member's
-// Result.Timings.Solve reports its size-proportional share of it.
-// Results and errors are positional; an invalid member fails alone (its
-// siblings still solve) and a nil error at position i means instances[i]
-// solved.
+// SolveBatchPlanned runs SolvePlanned with the solver's seed on every
+// instance in turn, on the calling goroutine, under one previously
+// resolved plan (see PlanBatch). Each member's Result.Timings.Solve is
+// its own. Results and errors are positional; an invalid member fails
+// alone (its siblings still solve) and a nil error at position i means
+// instances[i] solved.
 func (s *Solver) SolveBatchPlanned(ctx context.Context, instances []Instance, plan Plan) ([]Result, []error) {
-	sc := s.scratch.Get().(*coarsest.Scratch)
-	results, errs := executeBatch(ctx, instances, plan, s.seed, sc)
-	s.scratch.Put(sc)
+	results := make([]Result, len(instances))
+	errs := make([]error, len(instances))
+	for i, in := range instances {
+		results[i], errs[i] = SolvePlanned(ctx, in, plan, Options{Seed: s.seed})
+	}
 	return results, errs
 }

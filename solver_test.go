@@ -34,10 +34,9 @@ func TestSolverMatchesSolveWithAllAlgorithms(t *testing.T) {
 		wl(workload.Broom(3, 200, 20, 4)),
 		wl(workload.Star(4, 100, 2)),
 	}
-	s := sfcp.NewSolver(sfcp.Options{Seed: 7})
 	for _, algo := range sfcp.Algorithms() {
 		for i, ins := range instances {
-			got, err := s.SolvePlanned(context.Background(), ins, mustPlan(t, ins, sfcp.Options{Algorithm: algo}))
+			got, err := sfcp.SolvePlanned(context.Background(), ins, mustPlan(t, ins, sfcp.Options{Algorithm: algo}), sfcp.Options{Seed: 7})
 			if err != nil {
 				t.Fatalf("%v instance %d: %v", algo, i, err)
 			}
@@ -73,11 +72,8 @@ func TestSolveContextCancellation(t *testing.T) {
 		sfcp.AlgorithmMoore, sfcp.AlgorithmLinear, // sequential: entry check only
 	} {
 		p := mustPlan(t, big, sfcp.Options{Algorithm: algo})
-		if _, err := s.SolvePlanned(cancelled, big, p); !errors.Is(err, context.Canceled) {
-			t.Errorf("%v: cancelled solve returned %v, want context.Canceled", algo, err)
-		}
 		if _, err := sfcp.SolvePlanned(cancelled, big, p, sfcp.Options{}); !errors.Is(err, context.Canceled) {
-			t.Errorf("%v: cancelled package-level solve returned %v, want context.Canceled", algo, err)
+			t.Errorf("%v: cancelled solve returned %v, want context.Canceled", algo, err)
 		}
 		_, errs := s.SolveBatchPlanned(cancelled, []sfcp.Instance{big, big}, p)
 		for i, err := range errs {
@@ -85,8 +81,8 @@ func TestSolveContextCancellation(t *testing.T) {
 				t.Errorf("%v: cancelled batch member %d returned %v, want context.Canceled", algo, i, err)
 			}
 		}
-		// The same solver still works with a live context afterwards.
-		res, err := s.SolvePlanned(context.Background(), big, p)
+		// A live context still solves afterwards.
+		res, err := sfcp.SolvePlanned(context.Background(), big, p, sfcp.Options{})
 		if err != nil {
 			t.Fatalf("%v after cancel: %v", algo, err)
 		}
@@ -99,13 +95,12 @@ func TestSolveContextCancellation(t *testing.T) {
 // TestSolveContextCancelMidSolve cancels while a parallel-pram solve is in
 // flight and checks the step loop aborts with the context error.
 func TestSolveContextCancelMidSolve(t *testing.T) {
-	s := sfcp.NewSolver(sfcp.Options{})
 	ins := wl(workload.RandomFunction(11, 60_000, 3))
 	p := mustPlan(t, ins, sfcp.Options{Algorithm: sfcp.AlgorithmParallelPRAM})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.SolvePlanned(ctx, ins, p)
+		_, err := sfcp.SolvePlanned(ctx, ins, p, sfcp.Options{})
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond) // let the simulation start stepping
@@ -126,8 +121,8 @@ func TestSolverUnknownAlgorithm(t *testing.T) {
 		t.Error("PlanWith accepted an unknown algorithm")
 	}
 	bogus := sfcp.Plan{Algorithm: sfcp.Algorithm(99), Workers: 1}
-	if _, err := sfcp.NewSolver(sfcp.Options{}).SolvePlanned(context.Background(), ins, bogus); err == nil {
-		t.Error("Solver.SolvePlanned executed an unknown algorithm")
+	if _, err := sfcp.SolvePlanned(context.Background(), ins, bogus, sfcp.Options{}); err == nil {
+		t.Error("SolvePlanned executed an unknown algorithm")
 	}
 	if _, errs := sfcp.NewSolver(sfcp.Options{}).SolveBatchPlanned(context.Background(), []sfcp.Instance{ins}, bogus); errs[0] == nil {
 		t.Error("Solver.SolveBatchPlanned executed an unknown algorithm")
