@@ -239,7 +239,7 @@ func BenchmarkE7AlgorithmComparison(b *testing.B) {
 	})
 	b.Run("linear", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			coarsest.LinearSequential(ins)
+			coarsest.LinearSequentialScratch(ins, nil)
 		}
 	})
 }

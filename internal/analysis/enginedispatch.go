@@ -33,7 +33,6 @@ var dispatchRules = []dispatchRule{
 		entries: map[string]bool{
 			"Moore":                   true,
 			"Hopcroft":                true,
-			"LinearSequential":        true,
 			"LinearSequentialScratch": true,
 			"ParallelPRAM":            true,
 			"ParallelPRAMContext":     true,

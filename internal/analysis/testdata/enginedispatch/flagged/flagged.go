@@ -9,7 +9,7 @@ func solveDirectly(in coarsest.Instance) []int {
 }
 
 func solverValueEscapes() func(coarsest.Instance) []int {
-	f := coarsest.LinearSequential // want "direct use of coarsest.LinearSequential"
+	f := coarsest.Moore // want "direct use of coarsest.Moore"
 	return f
 }
 

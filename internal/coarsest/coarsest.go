@@ -11,7 +11,7 @@
 //   - Moore: naive iterative refinement, O(n) rounds of O(n) (worst O(n^2)).
 //   - Hopcroft: partition refinement with the "smaller half" rule,
 //     O(n log n) — the classic of Aho–Hopcroft–Ullman cited as [1].
-//   - LinearSequential: the linear-time cycle/tree decomposition in the
+//   - LinearSequentialScratch: the linear-time cycle/tree decomposition in the
 //     spirit of Paige–Tarjan–Bonic [16], structured exactly like the
 //     parallel algorithm (periods, canonical rotations, tree marking).
 //   - ParallelPRAM: the paper's contribution — O(log n) time and

@@ -77,7 +77,7 @@ func (s *Scratch) cycleRows(k int) []cycle {
 	return s.rows[:k]
 }
 
-// LinearSequential solves the coarsest partition problem in O(n) expected
+// LinearSequentialScratch solves the coarsest partition problem in O(n) expected
 // time with the cycle/tree decomposition of the paper run sequentially —
 // the structure of Paige, Tarjan & Bonic's linear-time solution (reference
 // [16]). F is copied into the arena as int32 and B becomes int32 classes
@@ -103,14 +103,9 @@ func (s *Scratch) cycleRows(k int) []cycle {
 // Every per-node array is an int32 arena slice, and none grows with the
 // number of distinct labels. The codes stay below n, and a final
 // first-occurrence renumber makes the labels canonical.
-func LinearSequential(ins Instance) []int {
-	labels, _ := LinearSequentialScratch(ins, nil)
-	return labels
-}
-
-// LinearSequentialScratch is LinearSequential with caller-provided scratch
-// buffers; sc may be nil (a fresh arena is used). All O(n) working vectors
-// come from sc, so a solve on a warm arena allocates little beyond the
+//
+// sc may be nil (a fresh arena is used). All O(n) working vectors come
+// from sc, so a solve on a warm arena allocates little beyond the
 // returned labels and its canonical-key strings. The labels are always
 // freshly allocated, never arena memory. classes is their class count, a
 // byproduct of the final renumber.

@@ -122,7 +122,7 @@ func TestLinearLabelRich(t *testing.T) {
 			ins := shapes[trial%len(shapes)](n)
 			lab.label(ins)
 			want := Moore(ins)
-			if got := LinearSequential(ins); !slices.Equal(got, want) {
+			if got, _ := LinearSequentialScratch(ins, nil); !slices.Equal(got, want) {
 				t.Fatalf("%s trial %d (n=%d): linear labels differ from Moore's", lab.name, trial, n)
 			}
 		}
@@ -130,7 +130,7 @@ func TestLinearLabelRich(t *testing.T) {
 	for _, n := range []int{65, 200, 3000} {
 		ins := crossDepth(n)
 		want := Moore(ins)
-		got := LinearSequential(ins)
+		got, _ := LinearSequentialScratch(ins, nil)
 		if !slices.Equal(got, want) {
 			t.Fatalf("cross-depth n=%d: linear labels differ from Moore's", n)
 		}

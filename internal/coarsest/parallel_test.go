@@ -218,7 +218,7 @@ func TestParallelMediumRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	for _, n := range []int{200, 500, 1500} {
 		ins := randomInstance(rng, n, 3)
-		want := LinearSequential(ins)
+		want, _ := LinearSequentialScratch(ins, nil)
 		got := solvePRAM(ins)
 		if !SamePartition(got, want) {
 			t.Fatalf("n=%d: parallel and linear disagree", n)

@@ -25,7 +25,10 @@ func sequentialSolvers() map[string]func(Instance) []int {
 	return map[string]func(Instance) []int{
 		"moore":    Moore,
 		"hopcroft": Hopcroft,
-		"linear":   LinearSequential,
+		"linear": func(ins Instance) []int {
+			labels, _ := LinearSequentialScratch(ins, nil)
+			return labels
+		},
 	}
 }
 
@@ -291,9 +294,9 @@ func TestHopcroftLargeRandomAgainstLinear(t *testing.T) {
 	for _, n := range []int{500, 2000, 5000} {
 		ins := randomInstance(rng, n, 3)
 		a := Hopcroft(ins)
-		b := LinearSequential(ins)
+		b, _ := LinearSequentialScratch(ins, nil)
 		if !SamePartition(a, b) {
-			t.Fatalf("n=%d: Hopcroft and LinearSequential disagree", n)
+			t.Fatalf("n=%d: Hopcroft and LinearSequentialScratch disagree", n)
 		}
 	}
 }

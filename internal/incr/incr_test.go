@@ -90,7 +90,7 @@ func TestBuildMatchesFullSolve(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Build: %v", name, err)
 		}
-		want := coarsest.LinearSequential(ins)
+		want, _ := coarsest.LinearSequentialScratch(ins, nil)
 		if !equalInts(st.Labels(), want) {
 			t.Errorf("%s: Build labels differ from full solve", name)
 		}
@@ -125,7 +125,7 @@ func TestApplyDeltaMatchesFullSolve(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s round %d: ApplyDelta: %v", name, round, err)
 			}
-			want := coarsest.LinearSequential(cur)
+			want, _ := coarsest.LinearSequentialScratch(cur, nil)
 			if !equalInts(st.Labels(), want) {
 				t.Fatalf("%s round %d: incremental labels differ from full solve (dirty %d/%d, re-founded %q)",
 					name, round, info.DirtyNodes, n, info.Refound)
@@ -156,7 +156,7 @@ func TestLabelsOnRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := coarsest.NumClasses(coarsest.LinearSequential(cur))
+		_, want := coarsest.LinearSequentialScratch(cur, nil)
 		if info.NumClasses != want || st.NumClasses() != want {
 			t.Fatalf("%d classes in Info, %d from NumClasses, full solve %d (re-founded %q)",
 				info.NumClasses, st.NumClasses(), want, info.Refound)
@@ -165,7 +165,7 @@ func TestLabelsOnRead(t *testing.T) {
 	}
 	read := func(t *testing.T, st *State, cur coarsest.Instance) {
 		t.Helper()
-		want := coarsest.LinearSequential(cur)
+		want, _ := coarsest.LinearSequentialScratch(cur, nil)
 		if !equalInts(st.Labels(), want) {
 			t.Fatal("labels read after the run differ from a full solve")
 		}
@@ -285,7 +285,7 @@ func TestCodeExhaustionValve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := coarsest.LinearSequential(cur); !equalInts(st.Labels(), want) {
+		if want, _ := coarsest.LinearSequentialScratch(cur, nil); !equalInts(st.Labels(), want) {
 			t.Fatalf("round %d: labels diverged (re-founded %q)", round, info.Refound)
 		}
 		refound = info.Refound
@@ -300,7 +300,7 @@ func TestCodeExhaustionValve(t *testing.T) {
 	if _, err := st.ApplyDelta(edits); err != nil {
 		t.Fatal(err)
 	}
-	if want := coarsest.LinearSequential(cur); !equalInts(st.Labels(), want) {
+	if want, _ := coarsest.LinearSequentialScratch(cur, nil); !equalInts(st.Labels(), want) {
 		t.Fatal("labels diverged after the re-found")
 	}
 }
@@ -357,7 +357,7 @@ func TestCrossComponentRetarget(t *testing.T) {
 		if info.Refound != "" {
 			t.Fatalf("step %d: re-founded %q, want a region pass", i, info.Refound)
 		}
-		if want := coarsest.LinearSequential(cur); !equalInts(st.Labels(), want) {
+		if want, _ := coarsest.LinearSequentialScratch(cur, nil); !equalInts(st.Labels(), want) {
 			t.Fatalf("step %d: labels differ from full solve", i)
 		}
 	}
@@ -391,7 +391,7 @@ func TestDirtyStats(t *testing.T) {
 			t.Errorf("%s: dirty = (%d nodes, %d comps), re-founded %q; want (%d, %d), %q",
 				tc.name, info.DirtyNodes, info.DirtyComponents, info.Refound, tc.nodes, tc.comps, tc.refound)
 		}
-		if want := coarsest.LinearSequential(cur); !equalInts(st.Labels(), want) {
+		if want, _ := coarsest.LinearSequentialScratch(cur, nil); !equalInts(st.Labels(), want) {
 			t.Errorf("%s: labels differ from full solve", tc.name)
 		}
 	}
@@ -653,7 +653,7 @@ func TestWideLabelDeltas(t *testing.T) {
 	}
 	check := func(step string) {
 		t.Helper()
-		if want := coarsest.LinearSequential(cur); !equalInts(st.Labels(), want) {
+		if want, _ := coarsest.LinearSequentialScratch(cur, nil); !equalInts(st.Labels(), want) {
 			t.Fatalf("%s: labels differ from full solve", step)
 		}
 		snap := st.Snapshot()

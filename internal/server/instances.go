@@ -152,24 +152,12 @@ type DeltaResponse struct {
 
 func (s *Server) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.request("instances")
-	var ins sfcp.Instance
-	if isBinary(r) {
-		dec, body := s.binaryDecoder(w, r)
-		defer func() { s.metrics.ingest("binary", body.n) }()
-		var err error
-		ins, err = decodeSingleBinary(dec)
-		if err != nil {
-			s.fail(w, "instances", decodeStatus(err), err.Error())
-			return
-		}
-	} else {
-		var req InstanceCreateRequest
-		if err := decodeRequest(s, w, r, &req); err != nil {
-			s.fail(w, "instances", decodeStatus(err), err.Error())
-			return
-		}
-		ins = sfcp.Instance{F: req.F, B: req.B}
+	var req InstanceCreateRequest
+	if err := readBody(s, w, r, &req); err != nil {
+		s.fail(w, "instances", decodeStatus(err), err.Error())
+		return
 	}
+	ins := sfcp.Instance{F: req.F, B: req.B}
 	if len(ins.F) > s.cfg.MaxN {
 		s.fail(w, "instances", http.StatusBadRequest,
 			fmt.Sprintf("instance of %d elements exceeds limit %d", len(ins.F), s.cfg.MaxN))

@@ -1,10 +1,10 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"sfcp"
@@ -26,7 +26,8 @@ import (
 
 // JobRequest is the JSON body of POST /jobs: a SolveRequest plus a
 // scheduling priority (higher runs sooner; default 0). Binary submissions
-// carry algorithm, seed and priority as query parameters instead.
+// carry algorithm, seed and priority as query parameters instead (see
+// readBody).
 type JobRequest struct {
 	Algorithm string  `json:"algorithm,omitempty"`
 	F         []int   `json:"f"`
@@ -38,39 +39,11 @@ type JobRequest struct {
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.metrics.request("jobs")
 	var req JobRequest
-	if isBinary(r) {
-		algo, seed, err := binaryParams(r)
-		if err != nil {
-			s.fail(w, "jobs", http.StatusBadRequest, err.Error())
-			return
-		}
-		req.Algorithm, req.Seed = algo.String(), seed
-		if raw := r.URL.Query().Get("priority"); raw != "" {
-			p, err := strconv.Atoi(raw)
-			if err != nil {
-				s.fail(w, "jobs", http.StatusBadRequest, fmt.Sprintf("invalid priority %q: %s", raw, err))
-				return
-			}
-			req.Priority = p
-		}
-		dec, body := s.binaryDecoder(w, r)
-		defer func() { s.metrics.ingest("binary", body.n) }()
-		ins, err := decodeSingleBinary(dec)
-		if err != nil {
-			s.fail(w, "jobs", decodeStatus(err), err.Error())
-			return
-		}
-		req.F, req.B = ins.F, ins.B
-	} else if err := decodeRequest(s, w, r, &req); err != nil {
+	if err := readBody(s, w, r, &req); err != nil {
 		s.fail(w, "jobs", decodeStatus(err), err.Error())
 		return
 	}
-
-	name := req.Algorithm
-	if name == "" {
-		name = sfcp.AlgorithmAuto.String()
-	}
-	algo, err := sfcp.ParseAlgorithm(name)
+	algo, err := sfcp.ParseAlgorithm(cmp.Or(req.Algorithm, sfcp.AlgorithmAuto.String()))
 	if err != nil {
 		s.fail(w, "jobs", http.StatusBadRequest, err.Error())
 		return

@@ -3,6 +3,7 @@
 //
 //	POST /solve                     one instance
 //	POST /solve/batch               many instances, solved concurrently
+//	POST /jobs                      one instance, solved asynchronously (jobs.go)
 //	POST /instances                 register a versioned instance (solve + content address)
 //	POST /instances/{digest}/delta  apply edits to a version, solved incrementally
 //	GET  /healthz                   liveness
@@ -11,15 +12,19 @@
 // Bodies are JSON by default. The bodies that carry instances and the
 // replies that carry labels go through the reflection-free codec of
 // jsonwire.go, which holds to encoding/json's wire contract; everything
-// else uses encoding/json. POST routes also accept
-// Content-Type: application/x-sfcp — the binary wire format of
-// internal/codec — with ?algorithm= and ?seed= query parameters. Binary
-// uploads are decoded in fixed-size chunks with their XXH64 integrity
-// trailers verified as the bytes stream (never a buffered body copy), and
-// /solve/batch shards a stream of concatenated instances into batch
-// members as they arrive. Cache keys use the SHA-256 content address for
-// both formats, so a collision-crafted wire digest cannot poison the
-// cache and either format hits entries the other populated.
+// else uses encoding/json. The four routes that carry instances read
+// their bodies through one reader, readBody, into one typed request per
+// route, whichever the format: it also takes Content-Type:
+// application/x-sfcp, the binary wire format of internal/codec, with
+// ?algorithm=, ?seed= and (for a job) ?priority= in the query string.
+// Binary uploads are decoded in fixed-size chunks with their XXH64
+// integrity trailers verified as the bytes stream (never a buffered body
+// copy), a header may declare no more elements than half the body's
+// Content-Length, and /solve/batch shards a stream of concatenated
+// instances into batch members as they arrive. Cache keys use the
+// SHA-256 content address for both formats, so a collision-crafted wire
+// digest cannot poison the cache and either format hits entries the
+// other populated.
 //
 // Every solve — /solve, each /solve/batch member, every async job — runs
 // one pipeline of four stages (pipeline.go): resolve (the library's
@@ -41,6 +46,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -150,6 +156,10 @@ type SolveRequest struct {
 	B []int `json:"b"`
 	// Seed overrides the server's simulator seed when set.
 	Seed *uint64 `json:"seed,omitempty"`
+
+	// decodeErr fails a binary batch member that failed only its
+	// trailer check, alone; never serialized.
+	decodeErr error
 }
 
 // SolveResponse is the JSON reply for one instance. Algorithm echoes what
@@ -295,12 +305,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "solve", http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if isBinary(r) {
-		s.handleSolveBinary(w, r)
-		return
-	}
 	var req SolveRequest
-	if err := decodeRequest(s, w, r, &req); err != nil {
+	if err := readBody(s, w, r, &req); err != nil {
 		s.fail(w, "solve", decodeStatus(err), err.Error())
 		return
 	}
@@ -321,17 +327,36 @@ func (s *Server) writeSolveResult(w http.ResponseWriter, route string, resp Solv
 	writeReply(w, http.StatusOK, &resp)
 }
 
-// runBatch solves n members concurrently and writes the positional
+// handleBatch solves the members concurrently and writes the positional
 // BatchResponse; failed members carry Error without failing siblings.
-func (s *Server) runBatch(w http.ResponseWriter, n int, solve func(i int) SolveResponse) {
-	resp := BatchResponse{Results: make([]SolveResponse, n)}
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	s.metrics.request("batch")
+	if r.Method != http.MethodPost {
+		s.fail(w, "batch", http.StatusMethodNotAllowed, "POST required")
+		return
+	}
+	var req BatchRequest
+	if err := readBody(s, w, r, &req); err != nil {
+		s.fail(w, "batch", decodeStatus(err), err.Error())
+		return
+	}
+	if len(req.Instances) == 0 {
+		s.fail(w, "batch", http.StatusBadRequest, "empty batch")
+		return
+	}
+	if len(req.Instances) > s.cfg.MaxBatch {
+		s.fail(w, "batch", http.StatusBadRequest,
+			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Instances), s.cfg.MaxBatch))
+		return
+	}
+	resp := BatchResponse{Results: make([]SolveResponse, len(req.Instances))}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range req.Instances {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			resp.Results[i] = solve(i)
-		}(i)
+			resp.Results[i] = s.solveOne(r.Context(), req.Instances[i], req.Algorithm)
+		}()
 	}
 	wg.Wait()
 	for i := range resp.Results {
@@ -345,108 +370,109 @@ func (s *Server) runBatch(w http.ResponseWriter, n int, solve func(i int) SolveR
 	writeReply(w, http.StatusOK, &resp)
 }
 
-// handleSolveBinary serves POST /solve with a Content-Type:
-// application/x-sfcp body holding exactly one wire-format instance.
-// Algorithm and seed travel as query parameters.
-func (s *Server) handleSolveBinary(w http.ResponseWriter, r *http.Request) {
-	algo, seed, err := binaryParams(r)
-	if err != nil {
-		s.fail(w, "solve", http.StatusBadRequest, err.Error())
-		return
+// readBody reads the body of a POST that carries instances into dst,
+// which must be zero, so a route reads its typed request and never the
+// format. A JSON body decodes as decodeRequest decodes it. A binary body
+// (Content-Type: application/x-sfcp) streams through binaryDecoder into
+// the same request, and the query string fills the fields a JSON body
+// carries beside its instances: ?algorithm= and ?seed= for a solve, a
+// batch or a job, ?priority= for a job. A bad query field is refused
+// before the body is read.
+func readBody[T jsonRequest](s *Server, w http.ResponseWriter, r *http.Request, dst *T) error {
+	if !isBinary(r) {
+		return decodeRequest(s, w, r, dst)
+	}
+	q := r.URL.Query()
+	algo := q.Get("algorithm")
+	var seed *uint64
+	var priority int
+	if _, ok := any(dst).(*InstanceCreateRequest); !ok {
+		if _, err := sfcp.ParseAlgorithm(cmp.Or(algo, sfcp.AlgorithmAuto.String())); err != nil {
+			return err
+		}
+		if raw := q.Get("seed"); raw != "" {
+			v, err := strconv.ParseUint(raw, 10, 64)
+			if err != nil {
+				return fmt.Errorf("invalid seed %q: %w", raw, err)
+			}
+			seed = &v
+		}
+	}
+	if raw := q.Get("priority"); raw != "" {
+		if _, ok := any(dst).(*JobRequest); ok {
+			p, err := strconv.Atoi(raw)
+			if err != nil {
+				return fmt.Errorf("invalid priority %q: %s", raw, err)
+			}
+			priority = p
+		}
 	}
 	dec, body := s.binaryDecoder(w, r)
 	defer func() { s.metrics.ingest("binary", body.n) }()
-	ins, err := decodeSingleBinary(dec)
-	if err != nil {
-		s.fail(w, "solve", decodeStatus(err), err.Error())
-		return
+	var err error
+	switch req := any(dst).(type) {
+	case *SolveRequest:
+		req.Algorithm, req.Seed = algo, seed
+		req.F, req.B, err = decodeSingleBinary(dec)
+	case *JobRequest:
+		req.Algorithm, req.Seed, req.Priority = algo, seed, priority
+		req.F, req.B, err = decodeSingleBinary(dec)
+	case *InstanceCreateRequest:
+		req.F, req.B, err = decodeSingleBinary(dec)
+	case *BatchRequest:
+		req.Algorithm = algo
+		req.Instances, err = decodeBinaryBatch(dec, s.cfg.MaxBatch, seed)
 	}
-	s.writeSolveResult(w, "solve", s.solveInstance(r.Context(), algo, seed, ins))
+	return err
 }
 
 // decodeSingleBinary reads the one instance a single-instance route's body
 // must hold, rejecting anything after it — mirroring the JSON path's
 // trailing-data rejection. More is a one-byte probe: no second instance
-// gets decoded just to be thrown away.
-func decodeSingleBinary(dec *codec.Reader) (sfcp.Instance, error) {
-	ins, err := decodeBinaryInstance(dec)
-	if err != nil {
-		return sfcp.Instance{}, err
+// gets decoded just to be thrown away. The XXH64 trailer is verified
+// chunk by chunk during the streamed decode, so no byte of the body is
+// read twice and corruption surfaces here, not as a wrong answer.
+func decodeSingleBinary(dec *codec.Reader) (f, b []int, err error) {
+	if f, b, err = dec.Decode(); err != nil {
+		return nil, nil, err
 	}
-	switch more, probeErr := dec.More(); {
-	case probeErr != nil:
-		return sfcp.Instance{}, probeErr
+	switch more, err := dec.More(); {
+	case err != nil:
+		return nil, nil, err
 	case more:
-		return sfcp.Instance{}, errors.New("invalid binary body: trailing data after instance")
+		return nil, nil, errors.New("invalid binary body: trailing data after instance")
 	}
-	return ins, nil
+	return f, b, nil
 }
 
-// handleBatchBinary serves POST /solve/batch with a binary body of
-// concatenated wire-format instances: the upload is sharded into members
-// as it streams, each with its own trailer digest for cache keying, and
-// the members are then solved concurrently like a JSON batch.
-//
-// A member that fails only its digest check is positionally recoverable
-// (every framed byte was consumed, so the stream stays aligned — see
-// codec.ErrDigestMismatch): it becomes a per-member error in the response
-// instead of a 400 aborting its valid siblings. Errors that lose framing
-// (truncation, bad varints, bad magic) still abort the whole upload — the
-// remaining byte positions are meaningless.
-func (s *Server) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
-	algo, seed, err := binaryParams(r)
-	if err != nil {
-		s.fail(w, "batch", http.StatusBadRequest, err.Error())
-		return
+// decodeBinaryBatch shards a stream of concatenated instances into batch
+// members as it arrives, each with seed. A member that fails only its
+// trailer check is positionally recoverable (every framed byte was
+// consumed, so the stream stays aligned; see codec.ErrDigestMismatch):
+// it carries the error and fails alone in the reply. An error that loses
+// framing (truncation, a bad varint or magic) fails the whole upload,
+// since the remaining byte positions are meaningless.
+func decodeBinaryBatch(dec *codec.Reader, maxBatch int, seed *uint64) ([]SolveRequest, error) {
+	var members []SolveRequest
+	for len(members) < maxBatch {
+		f, b, err := dec.Decode()
+		switch {
+		case err == io.EOF:
+			return members, nil
+		case err != nil && !errors.Is(err, codec.ErrDigestMismatch):
+			return nil, fmt.Errorf("instance %d: %w", len(members), err)
+		}
+		members = append(members, SolveRequest{F: f, B: b, Seed: seed, decodeErr: err})
 	}
-	dec, body := s.binaryDecoder(w, r)
-	defer func() { s.metrics.ingest("binary", body.n) }()
-	type member struct {
-		ins    sfcp.Instance
-		decErr error
+	// A one-byte probe rejects an over-limit upload before the excess
+	// member's arrays get decoded and allocated.
+	switch more, err := dec.More(); {
+	case err != nil:
+		return nil, err
+	case more:
+		return nil, fmt.Errorf("batch exceeds limit %d", maxBatch)
 	}
-	var members []member
-	for {
-		if len(members) == s.cfg.MaxBatch {
-			// A one-byte probe rejects an over-limit upload before the
-			// excess member's arrays get decoded and allocated.
-			more, err := dec.More()
-			if err != nil {
-				s.fail(w, "batch", decodeStatus(err), err.Error())
-				return
-			}
-			if more {
-				s.fail(w, "batch", http.StatusBadRequest,
-					fmt.Sprintf("batch exceeds limit %d", s.cfg.MaxBatch))
-				return
-			}
-			break
-		}
-		ins, err := decodeBinaryInstance(dec)
-		if err == io.EOF {
-			break
-		}
-		if errors.Is(err, codec.ErrDigestMismatch) {
-			members = append(members, member{decErr: err})
-			continue
-		}
-		if err != nil {
-			s.fail(w, "batch", decodeStatus(err),
-				fmt.Sprintf("instance %d: %s", len(members), err))
-			return
-		}
-		members = append(members, member{ins: ins})
-	}
-	if len(members) == 0 {
-		s.fail(w, "batch", http.StatusBadRequest, "empty batch")
-		return
-	}
-	s.runBatch(w, len(members), func(i int) SolveResponse {
-		if err := members[i].decErr; err != nil {
-			return SolveResponse{Algorithm: algo.String(), Error: err.Error()}
-		}
-		return s.solveInstance(r.Context(), algo, seed, members[i].ins)
-	})
+	return members, nil
 }
 
 // isBinary reports whether the request carries a wire-format body.
@@ -455,49 +481,21 @@ func isBinary(r *http.Request) bool {
 	return err == nil && mt == sfcp.BinaryMediaType
 }
 
-// binaryParams resolves the query-string algorithm and seed of a binary
-// upload (the wire format itself carries only the instance).
-func binaryParams(r *http.Request) (sfcp.Algorithm, *uint64, error) {
-	q := r.URL.Query()
-	name := q.Get("algorithm")
-	if name == "" {
-		name = sfcp.AlgorithmAuto.String()
-	}
-	algo, err := sfcp.ParseAlgorithm(name)
-	if err != nil {
-		return 0, nil, err
-	}
-	var seed *uint64
-	if raw := q.Get("seed"); raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			return 0, nil, fmt.Errorf("invalid seed %q: %w", raw, err)
-		}
-		seed = &v
-	}
-	return algo, seed, nil
-}
-
 // binaryDecoder wraps the request body in the byte limit, a byte counter
-// for the ingest metric, and a chunked wire-format reader capped at MaxN.
+// for the ingest metric, and a chunked wire-format reader. The reader's
+// element limit is MaxN and, when the request has a Content-Length, half
+// of it: an instance's every element takes at least one byte of F and
+// one of B, and a delta's every edit a node byte and a flags byte, so no
+// honest body is refused and no header makes the decoder allocate more
+// than its body can fill.
 func (s *Server) binaryDecoder(w http.ResponseWriter, r *http.Request) (*codec.Reader, *countingReader) {
 	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
 	dec := codec.NewReader(body)
 	dec.MaxN = s.cfg.MaxN
-	return dec, body
-}
-
-// decodeBinaryInstance reads one instance, its XXH64 trailer verified
-// chunk by chunk during the streamed decode — so no byte of the body is
-// read twice and corruption surfaces here, not as a wrong answer. Cache
-// keying happens later on the SHA-256 content address (see solveInstance).
-// io.EOF marks a clean end of stream.
-func decodeBinaryInstance(dec *codec.Reader) (sfcp.Instance, error) {
-	f, b, err := dec.Decode()
-	if err != nil {
-		return sfcp.Instance{}, err
+	if r.ContentLength >= 0 {
+		dec.MaxN = int(min(int64(dec.MaxN), r.ContentLength/2))
 	}
-	return sfcp.Instance{F: f, B: b}, nil
+	return dec, body
 }
 
 type countingReader struct {
@@ -511,64 +509,25 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.metrics.request("batch")
-	if r.Method != http.MethodPost {
-		s.fail(w, "batch", http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if isBinary(r) {
-		s.handleBatchBinary(w, r)
-		return
-	}
-	var req BatchRequest
-	if err := decodeRequest(s, w, r, &req); err != nil {
-		s.fail(w, "batch", decodeStatus(err), err.Error())
-		return
-	}
-	if len(req.Instances) == 0 {
-		s.fail(w, "batch", http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(req.Instances) > s.cfg.MaxBatch {
-		s.fail(w, "batch", http.StatusBadRequest,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Instances), s.cfg.MaxBatch))
-		return
-	}
-	s.runBatch(w, len(req.Instances), func(i int) SolveResponse {
-		return s.solveOne(r.Context(), req.Instances[i], req.Algorithm)
-	})
-}
-
-// solveOne resolves a JSON request's algorithm and size limit, then hands
-// off to solveInstance. It never panics the handler: problems come back
-// in SolveResponse.Error.
+// solveOne resolves a request's algorithm and size limit, runs the
+// pipeline and shapes its outcome as the synchronous API's SolveResponse.
+// It never panics the handler: problems come back in SolveResponse.Error.
 func (s *Server) solveOne(ctx context.Context, req SolveRequest, defaultAlgo string) SolveResponse {
-	name := req.Algorithm
-	if name == "" {
-		name = defaultAlgo
-	}
-	if name == "" {
-		name = sfcp.AlgorithmAuto.String()
-	}
+	name := cmp.Or(req.Algorithm, defaultAlgo, sfcp.AlgorithmAuto.String())
 	algo, err := sfcp.ParseAlgorithm(name)
 	if err != nil {
 		return SolveResponse{Algorithm: name, Error: err.Error()}
 	}
-	if len(req.F) > s.cfg.MaxN {
-		return SolveResponse{
-			Algorithm: algo.String(),
-			Error:     fmt.Sprintf("instance of %d elements exceeds limit %d", len(req.F), s.cfg.MaxN),
-		}
-	}
-	return s.solveInstance(ctx, algo, req.Seed, sfcp.Instance{F: req.F, B: req.B})
-}
-
-// solveInstance runs the pipeline for one request and shapes its outcome
-// as the synchronous API's SolveResponse.
-func (s *Server) solveInstance(ctx context.Context, algo sfcp.Algorithm, seedOverride *uint64, ins sfcp.Instance) SolveResponse {
 	resp := SolveResponse{Algorithm: algo.String()}
-	out := s.solve(ctx, algo, seedOverride, ins, "")
+	if req.decodeErr != nil {
+		resp.Error = req.decodeErr.Error()
+		return resp
+	}
+	if len(req.F) > s.cfg.MaxN {
+		resp.Error = fmt.Sprintf("instance of %d elements exceeds limit %d", len(req.F), s.cfg.MaxN)
+		return resp
+	}
+	out := s.solve(ctx, algo, req.Seed, sfcp.Instance{F: req.F, B: req.B}, "")
 	if out.err != nil {
 		resp.Error = out.err.Error()
 		resp.transient = transient(out.err)

@@ -355,24 +355,6 @@ func TestIsBinary(t *testing.T) {
 	}
 }
 
-func TestBinaryParams(t *testing.T) {
-	r := httptest.NewRequest(http.MethodPost, "/solve?algorithm=hopcroft&seed=42", nil)
-	algo, seed, err := binaryParams(r)
-	if err != nil || algo != sfcp.AlgorithmHopcroft || seed == nil || *seed != 42 {
-		t.Errorf("got algo=%v seed=%v err=%v", algo, seed, err)
-	}
-	r = httptest.NewRequest(http.MethodPost, "/solve", nil)
-	algo, seed, err = binaryParams(r)
-	if err != nil || algo != sfcp.AlgorithmAuto || seed != nil {
-		t.Errorf("defaults: got algo=%v seed=%v err=%v", algo, seed, err)
-	}
-	for _, bad := range []string{"/solve?algorithm=quantum", "/solve?seed=-1", "/solve?seed=abc"} {
-		if _, _, err := binaryParams(httptest.NewRequest(http.MethodPost, bad, nil)); err == nil {
-			t.Errorf("%s accepted", bad)
-		}
-	}
-}
-
 func toJSON(t *testing.T, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)

@@ -73,7 +73,7 @@ func TestBroomStructure(t *testing.T) {
 	ins := Broom(12, 500, 16, 4)
 	// Exactly the 16 cycle nodes must lie on cycles.
 	state := coarsest.Instance{F: ins.F, B: ins.B}
-	labels := coarsest.LinearSequential(state)
+	labels, _ := coarsest.LinearSequentialScratch(state, nil)
 	_ = labels // structure validated by Validate + solver agreement below
 	if !coarsest.SamePartition(coarsest.Moore(state), labels) {
 		t.Fatal("solvers disagree on broom")

@@ -198,7 +198,7 @@ func TestPlannerAgreesWithLinear(t *testing.T) {
 		}
 		for _, n := range []int{1 << 14, 1 << 15} {
 			for name, ins := range families(1993, n) {
-				want := coarsest.LinearSequential(coarsest.Instance(ins))
+				want, _ := coarsest.LinearSequentialScratch(coarsest.Instance(ins), nil)
 				res, err := execute(context.Background(), ins, plan, 0)
 				if err != nil {
 					t.Fatalf("n=%d %s workers=%d: %v", n, name, workers, err)

@@ -97,7 +97,7 @@ func TestResolveValve(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := coarsest.LinearSequential(edited)
+				want, _ := coarsest.LinearSequentialScratch(edited, nil)
 				if !slices.Equal(inc.Labels(), want) || inc.NumClasses() != coarsest.NumClasses(want) {
 					t.Fatalf("round %d: %s re-solve disagrees with a full solve of the edited instance", round, info.Mode)
 				}
